@@ -68,7 +68,6 @@ from .maps import (
     AffineChart,
     ChartCutoff,
     GroupAction,
-    LinearMap,
     cyclic_rotation_group,
     torus_group,
     trivial_group,
@@ -77,7 +76,6 @@ from .metrics import (
     BoxGrid,
     EpsilonSelection,
     EpsilonSelector,
-    GridCachedMetric,
     MetricError,
     MetricField,
     SeminormReport,
@@ -89,7 +87,6 @@ from .metrics import (
     default_level_schedule,
     haar_average_metric,
     isometry_residual,
-    metric_invariance_residual,
     mollify_metric,
     pullback_metric,
     radial_conformal_metric,

@@ -137,36 +137,32 @@ def _check_open_unit(r, what):
         )
 
 
-def radial_profile(r):
-    """The profile g on (0, R_OVERFLOW): identity, bridge, then exp growth."""
+def _on_pieces(r, what, identity, bridge, outer):
+    """Evaluate a function of the radius piece by piece: ``identity`` up to
+    BRIDGE_LO, ``bridge`` across the window, ``outer`` from BRIDGE_HI on."""
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    _check_open_unit(r, "radial_profile")
+    _check_open_unit(r, what)
     out = np.empty(r.shape)
     lo = r <= BRIDGE_LO
     hi = r >= BRIDGE_HI
     mid = ~(lo | hi)
-    out[lo] = r[lo]
-    out[mid] = _bridge(r[mid])
-    out[hi] = _outer(r[hi])
+    out[lo] = identity(r[lo])
+    out[mid] = bridge(r[mid])
+    out[hi] = outer(r[hi])
     return float(out[0]) if scalar else out
+
+
+def radial_profile(r):
+    """The profile g on (0, R_OVERFLOW): identity, bridge, then exp growth."""
+    return _on_pieces(r, "radial_profile", np.asarray, _bridge, _outer)
 
 
 def radial_profile_derivative(r):
     """dg/dr, strictly positive on the whole domain."""
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    _check_open_unit(r, "radial_profile_derivative")
-    out = np.empty(r.shape)
-    lo = r <= BRIDGE_LO
-    hi = r >= BRIDGE_HI
-    mid = ~(lo | hi)
-    out[lo] = 1.0
-    out[mid] = _bridge_derivative(r[mid])
-    out[hi] = _outer_derivative(r[hi])
-    return float(out[0]) if scalar else out
+    return _on_pieces(r, "radial_profile_derivative", np.ones_like,
+                      _bridge_derivative, _outer_derivative)
 
 
 def monotonicity_certificate(samples=10001):
@@ -241,22 +237,45 @@ def _norms(x):
     return np.linalg.norm(x, axis=-1)
 
 
+def _radial_map(x, inverse, jacobian):
+    """Shared body of the ball maps: x -> (phi(|x|)/|x|) x row-wise, with phi
+    the inverse profile (compress) or the profile (expand), and with the
+    Jacobians too when ``jacobian`` is set.  Rows with |x| <= BRIDGE_LO are
+    exact passthrough for both maps; the profile itself rejects expansion
+    from R_OVERFLOW outward."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    r = _norms(pts)
+    ident = r <= BRIDGE_LO
+    move = ~ident
+    out = pts.copy()
+    if jacobian:
+        val_over_r = np.ones(r.shape)
+        deriv = np.ones(r.shape)
+    if np.any(move):
+        r_m = r[move]
+        rho = radial_profile_inverse(r_m) if inverse else radial_profile(r_m)
+        ratio = rho / r_m
+        out[move] = pts[move] * ratio[:, None]
+        if jacobian:
+            val_over_r[move] = ratio
+            if inverse:
+                deriv[move] = 1.0 / radial_profile_derivative(rho)
+            else:
+                deriv[move] = radial_profile_derivative(r_m)
+        # free the row temporaries before the Jacobian stack is built
+        del r_m, rho, ratio
+    if not jacobian:
+        return out
+    return out, _radial_jacobians(pts, r, val_over_r, deriv, ident)
+
+
 def ball_compress(x):
     """Diffeomorphism h from R^n onto the open unit ball; identity near 0.
 
     Radially maps |x| to g^{-1}(|x|).  Accepts (n,) or (N, n).
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x).copy()
-    r = _norms(pts)
-    ident = r <= BRIDGE_LO  # inverse profile is exact passthrough there
-    out = pts
-    move = ~ident
-    if np.any(move):
-        rho = radial_profile_inverse(r[move])
-        out[move] = pts[move] * (rho / r[move])[:, None]
-    return out[0] if scalar else out
+    out = _radial_map(x, inverse=True, jacobian=False)
+    return out[0] if np.ndim(x) == 1 else out
 
 
 def ball_expand(u):
@@ -265,20 +284,8 @@ def ball_expand(u):
     Raises BallDomainError from R_OVERFLOW outward, where the profile value
     exceeds double precision range.
     """
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 1
-    pts = np.atleast_2d(u).copy()
-    r = _norms(pts)
-    if np.any(r >= R_OVERFLOW):
-        raise BallDomainError(
-            "ball_expand requires |u| < %g; the image norm overflows beyond it" % R_OVERFLOW
-        )
-    ident = r <= BRIDGE_LO
-    move = ~ident
-    if np.any(move):
-        rho = radial_profile(r[move])
-        pts[move] = pts[move] * (rho / r[move])[:, None]
-    return pts[0] if scalar else pts
+    out = _radial_map(u, inverse=False, jacobian=False)
+    return out[0] if np.ndim(u) == 1 else out
 
 
 def _radial_jacobians(points, radii, value_over_r, derivative, identity_mask):
@@ -308,40 +315,11 @@ def _radial_jacobians(points, radii, value_over_r, derivative, identity_mask):
 
 
 def _compress_with_jacobian(x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = _norms(x)
-    ident = r <= BRIDGE_LO
-    move = ~ident
-    rho = np.zeros(r.shape)
-    val_over_r = np.ones(r.shape)
-    deriv = np.ones(r.shape)
-    out = x.copy()
-    if np.any(move):
-        rho_m = radial_profile_inverse(r[move])
-        val_over_r[move] = rho_m / r[move]
-        deriv[move] = 1.0 / radial_profile_derivative(rho_m)
-        out[move] = x[move] * (rho_m / r[move])[:, None]
-    jac = _radial_jacobians(x, r, val_over_r, deriv, ident)
-    return out, jac
+    return _radial_map(x, inverse=True, jacobian=True)
 
 
 def _expand_with_jacobian(x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = _norms(x)
-    if np.any(r >= R_OVERFLOW):
-        raise BallDomainError("shift evaluation left the representable ball")
-    ident = r <= BRIDGE_LO
-    move = ~ident
-    val_over_r = np.ones(r.shape)
-    deriv = np.ones(r.shape)
-    out = x.copy()
-    if np.any(move):
-        rho_m = radial_profile(r[move])
-        val_over_r[move] = rho_m / r[move]
-        deriv[move] = radial_profile_derivative(r[move])
-        out[move] = x[move] * (rho_m / r[move])[:, None]
-    jac = _radial_jacobians(x, r, val_over_r, deriv, ident)
-    return out, jac
+    return _radial_map(x, inverse=False, jacobian=True)
 
 
 def shift_points(x, y):

@@ -2,13 +2,15 @@
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 unusable
 configuration, 3 numerical abort (SPD loss, degenerate geometry, failed
-quadrature).
+quadrature, a profile inversion that did not converge, a singular matrix).
 """
 
 import argparse
 import sys
 
-from .ballmap import BallDomainError
+import numpy as np
+
+from .ballmap import BallDomainError, ConvergenceError
 from .config import ConfigError, load_config
 from .currents import CurrentError
 from .curvature import CurvatureError
@@ -21,8 +23,9 @@ from .scenarios import ScenarioError
 
 __all__ = ["main"]
 
-NUMERICAL_ERRORS = (BallDomainError, CurrentError, CurvatureError,
-                    DistanceError, GroupError, MetricError, QuadratureError)
+NUMERICAL_ERRORS = (BallDomainError, ConvergenceError, CurrentError, CurvatureError,
+                    DistanceError, GroupError, MetricError, QuadratureError,
+                    np.linalg.LinAlgError)
 
 
 def _parser():

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .ballmap import shift_with_jacobian
-from .maps import AffineChart, GroupAction, smooth_step
+from .maps import GroupAction, smooth_step
 
 __all__ = [
     "CurrentError",
@@ -144,6 +144,10 @@ class WeightedSample:
     @property
     def dimension(self):
         return self.points.shape[1]
+
+    def sample(self):
+        """A sample is its own pairing data, like the sample of a current."""
+        return self
 
     def pair(self, form):
         if form.degree != self.degree:
@@ -586,7 +590,7 @@ def equivariant_sample(current, kernel, cutoff, group):
     if chart_sample.points.shape[0] > 0:
         in_chart = chart_sample.pushforward(chart)
         smoothed = _shift_product(in_chart, kernel)
-        back = smoothed.pushforward(_InverseChart(chart))
+        back = smoothed.pushforward(chart.inverse())
     else:
         back = None
     rest = outside.sample()
@@ -598,19 +602,6 @@ def equivariant_sample(current, kernel, cutoff, group):
     if not pieces:
         return _empty_sample(current.dimension, current.degree)
     return WeightedSample.concatenate(pieces)
-
-
-@dataclass(frozen=True)
-class _InverseChart:
-    chart: AffineChart
-
-    def apply(self, x):
-        return self.chart.apply_inverse(x)
-
-    def jacobian(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        inv = self.chart.jacobian_inverse()
-        return np.broadcast_to(inv, (x.shape[0],) + inv.shape).copy()
 
 
 def equivariant_smooth(current, form, kernel, cutoff, group,
@@ -631,11 +622,15 @@ def equivariant_smooth(current, form, kernel, cutoff, group,
 
 
 def invariance_residual(current, group, forms):
-    """max over group elements and forms of |T(pullback of w) - T(w)|."""
+    """max over group elements and forms of |T(pullback of w) - T(w)|.
+
+    ``current`` is a current or a WeightedSample; ``group`` is any iterable
+    of orthogonal matrices, a GroupAction or a plain list of probes.
+    """
     sample = current.sample()
     base = sample.pair_many(forms)
     worst = 0.0
-    for matrix in group.matrices:
+    for matrix in group:
         rotated = sample.rotated(matrix)
         worst = max(worst, float(np.max(np.abs(rotated.pair_many(forms) - base))))
     return worst

@@ -34,9 +34,18 @@ class DistanceError(RuntimeError):
     """Domain escape, disconnection, or a degenerate pair."""
 
 
-def _gauss_rule(order):
+def _chord_lengths(metric, starts, chords, order):
+    """Metric lengths of the straight chords from ``starts``: one Gauss rule
+    of the given order per chord, all evaluated in a single metric batch."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    t = 0.5 * (nodes + 1.0)
+    samples = (starts[:, None, :] + t[None, :, None] * chords[:, None, :]).reshape(
+        -1, starts.shape[1]
+    )
+    g = metric.value(samples)
+    tangents = np.repeat(chords, order, axis=0)
+    speeds = np.sqrt(np.einsum("rij,ri,rj->r", g, tangents, tangents))
+    return speeds.reshape(-1, order) @ (0.5 * weights)
 
 
 def curve_length(polyline, metric, order=12, domain_radius=None):
@@ -50,17 +59,8 @@ def curve_length(polyline, metric, order=12, domain_radius=None):
             raise DistanceError(
                 "curve leaves the domain (radius %.6g > %.6g)" % (worst, domain_radius)
             )
-    starts, ends = vertices[:-1], vertices[1:]
-    chords = ends - starts
-    t, w = _gauss_rule(order)
-    points = (starts[:, None, :] + t[None, :, None] * chords[:, None, :]).reshape(
-        -1, vertices.shape[1]
-    )
-    g = metric.value(points)
-    speeds = np.sqrt(np.einsum("rij,ri,rj->r", g,
-                               np.repeat(chords, order, axis=0),
-                               np.repeat(chords, order, axis=0)))
-    return float(np.sum(speeds.reshape(-1, order) @ w))
+    chords = vertices[1:] - vertices[:-1]
+    return float(np.sum(_chord_lengths(metric, vertices[:-1], chords, order)))
 
 
 @dataclass(frozen=True)
@@ -145,13 +145,7 @@ def sample_graph(metric, grid, mask_radius=None, order=8):
         pairs.append(np.stack([a[valid], b[valid]], axis=1))
     edges = np.concatenate(pairs, axis=0)
     starts = nodes[edges[:, 0]]
-    chords = nodes[edges[:, 1]] - starts
-    t, w = _gauss_rule(order)
-    samples = (starts[:, None, :] + t[None, :, None] * chords[:, None, :]).reshape(-1, n)
-    g = metric.value(samples)
-    tangents = np.repeat(chords, order, axis=0)
-    speeds = np.sqrt(np.einsum("rij,ri,rj->r", g, tangents, tangents))
-    lengths = speeds.reshape(-1, order) @ w
+    lengths = _chord_lengths(metric, starts, nodes[edges[:, 1]] - starts, order)
     return SampleGraph(nodes, edges, lengths, grid.counts)
 
 

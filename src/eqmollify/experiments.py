@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .curvature import curvature_bounds
-from .currents import equivariant_sample, evaluate, smooth_by_shift, smooth_by_translation
+from .currents import (equivariant_sample, evaluate, invariance_residual, smooth_by_shift,
+                       smooth_by_translation)
 from .distances import dilation_estimate, seeded_point_pairs
 from .kernel import MollifierKernel
 from .metrics import (
@@ -25,7 +26,7 @@ from .metrics import (
     chart_smooth_metric,
     compose_chart_stages,
     default_level_schedule,
-    haar_average_metric,
+    isometry_residual,
     mollify_metric,
     sobolev_seminorm,
     EpsilonSelector,
@@ -98,6 +99,12 @@ def _kernel_for(epsilon, config, dimension):
     return MollifierKernel.create(dimension, epsilon, level=level)
 
 
+def _group_average(scenario, kernel):
+    """The true group average of the scenario's chart stages at one kernel."""
+    return compose_chart_stages(scenario.metric, list(scenario.atlas),
+                                [kernel] * len(scenario.atlas), scenario.group)
+
+
 def _smoothed_field(scenario, epsilon, config):
     """The scenario's smoothed metric at one epsilon.
 
@@ -108,17 +115,12 @@ def _smoothed_field(scenario, epsilon, config):
     invariance-check kind certifies the residual separately.
     """
     kernel = _kernel_for(epsilon, config, scenario.dimension)
-    if scenario.group_kind == "torus":
-        field = scenario.metric
-        for cutoff in scenario.atlas:
-            field = chart_smooth_metric(field, cutoff, kernel)
-        return field
-    if len(scenario.atlas) == 1:
-        return haar_average_metric(scenario.metric, scenario.atlas[0], kernel,
-                                   scenario.group)
-    kernels = [kernel] * len(scenario.atlas)
-    return compose_chart_stages(scenario.metric, list(scenario.atlas), kernels,
-                                scenario.group)
+    if scenario.group_kind != "torus":
+        return _group_average(scenario, kernel)
+    field = scenario.metric
+    for cutoff in scenario.atlas:
+        field = chart_smooth_metric(field, cutoff, kernel)
+    return field
 
 
 def _series_step_ratio(values, floor=1e-13):
@@ -154,25 +156,6 @@ def _probe_points(scenario, count=40, seed=42):
 def _rotation(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
-
-
-def _metric_residual(field, matrices, points):
-    base = field.value(points)
-    worst = 0.0
-    for mat in matrices:
-        moved = field.value(points @ mat.T)
-        pulled = np.einsum("ji,rjk,kl->ril", mat, moved, mat)
-        worst = max(worst, float(np.max(np.abs(pulled - base))))
-    return worst
-
-
-def _sample_residual(sample, matrices, forms):
-    base = sample.pair_many(forms)
-    worst = 0.0
-    for mat in matrices:
-        rotated = sample.rotated(mat)
-        worst = max(worst, float(np.max(np.abs(rotated.pair_many(forms) - base))))
-    return worst
 
 
 def _run_mollify_current(scenario, config):
@@ -224,9 +207,7 @@ def _run_mollify_current(scenario, config):
 
 def _run_smooth_metric(scenario, config):
     delta = config.delta if config.delta is not None else 0.01
-    radius = scenario.scan_radius
-    grid = BoxGrid((-radius,) * scenario.dimension, (radius,) * scenario.dimension,
-                   (config.grid,) * scenario.dimension)
+    grid = scenario.scan_grid(config.grid)
 
     def stage(epsilon):
         kernel = _kernel_for(epsilon, config, scenario.dimension)
@@ -250,12 +231,11 @@ def _run_smooth_metric(scenario, config):
 
 def _run_curvature_report(scenario, config):
     delta = config.delta if config.delta is not None else 0.05
-    radius = scenario.scan_radius
-    grid = BoxGrid((-radius,) * scenario.dimension, (radius,) * scenario.dimension,
-                   (config.grid,) * scenario.dimension)
+    grid = scenario.scan_grid(config.grid)
     declared = scenario.curvature_bounds
     width = max(0.02, 2.0 * FD_STEP)
-    kw = dict(mask_radius=radius, exclusion_radii=scenario.discontinuity_radii,
+    kw = dict(mask_radius=scenario.scan_radius,
+              exclusion_radii=scenario.discontinuity_radii,
               exclusion_width=width, seed=config.seed)
     raw = curvature_bounds(scenario.metric, grid, **kw)
     rows = [
@@ -291,9 +271,7 @@ def _run_curvature_report(scenario, config):
 
 def _run_lipschitz_sweep(scenario, config):
     delta = config.delta if config.delta is not None else 0.02
-    radius = scenario.scan_radius
-    grid = BoxGrid((-radius,) * scenario.dimension, (radius,) * scenario.dimension,
-                   (config.graph_grid,) * scenario.dimension)
+    grid = scenario.scan_grid(config.graph_grid)
     pairs = seeded_point_pairs(config.pairs, config.seed,
                                0.9 * scenario.domain_radius,
                                dimension=scenario.dimension,
@@ -302,7 +280,7 @@ def _run_lipschitz_sweep(scenario, config):
     def stage(epsilon):
         field = _smoothed_field(scenario, epsilon, config)
         report = dilation_estimate(scenario.metric, field, pairs, grid,
-                                   mask_radius=radius, epsilon=epsilon)
+                                   mask_radius=scenario.scan_radius, epsilon=epsilon)
         return epsilon, report.max_deviation, delta
 
     rows = _sweep(stage, config.epsilons)
@@ -321,28 +299,19 @@ def _run_invariance_check(scenario, config):
     metric_tol = 1e-10 if finite else 1e-6
     current_tol = 1e-10
     points = _probe_points(scenario, seed=config.seed)
-    if finite:
-        matrices = list(scenario.group.matrices)
-    else:
-        matrices = [_rotation(angle) for angle in OFF_NODE_ANGLES]
+    matrices = scenario.group if finite else [_rotation(a) for a in OFF_NODE_ANGLES]
 
     def stage(epsilon):
         kernel = _kernel_for(epsilon, config, scenario.dimension)
-        if len(scenario.atlas) == 1:
-            field = haar_average_metric(scenario.metric, scenario.atlas[0],
-                                        kernel, scenario.group)
-        else:
-            field = compose_chart_stages(scenario.metric, list(scenario.atlas),
-                                         [kernel] * len(scenario.atlas),
-                                         scenario.group)
+        field = _group_average(scenario, kernel)
         out = [(epsilon, "smoothed_metric",
-                _metric_residual(field, matrices, points), metric_tol)]
+                isometry_residual(field, matrices, points), metric_tol)]
         for ci, current in enumerate(scenario.currents):
             forms = [f for f in scenario.forms if f.degree == current.degree]
             sample = equivariant_sample(current, kernel, scenario.atlas[0],
                                         scenario.group)
             out.append((epsilon, "smoothed_current_%d" % ci,
-                        _sample_residual(sample, scenario.group.matrices, forms),
+                        invariance_residual(sample, scenario.group, forms),
                         current_tol))
         return out
 
@@ -361,9 +330,7 @@ def _run_invariance_check(scenario, config):
 
 
 def _run_select_epsilon(scenario, config):
-    radius = scenario.scan_radius
-    grid = BoxGrid((-radius,) * scenario.dimension, (radius,) * scenario.dimension,
-                   (config.grid,) * scenario.dimension)
+    grid = scenario.scan_grid(config.grid)
     unit_grid = BoxGrid((-1.0,) * scenario.dimension, (1.0,) * scenario.dimension,
                         (41,) * scenario.dimension)
     floor = a_nu(scenario.metric, unit_grid)

@@ -6,7 +6,7 @@ Everything here is affine, so Jacobians are constant per map; the nonlinear
 shift maps live in ``ballmap``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from .ballmap import smooth_step
 
 __all__ = [
     "GroupError",
-    "LinearMap",
     "AffineChart",
     "ChartCutoff",
     "GroupAction",
@@ -29,40 +28,25 @@ class GroupError(ValueError):
 
 
 @dataclass(frozen=True)
-class LinearMap:
-    """x -> A x with constant Jacobian A."""
-
-    matrix: np.ndarray
-
-    def __init__(self, matrix):
-        object.__setattr__(self, "matrix", np.asarray(matrix, dtype=float))
-
-    def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        return x @ self.matrix.T
-
-    def jacobian(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.broadcast_to(self.matrix, (x.shape[0],) + self.matrix.shape).copy()
-
-    def inverse(self):
-        return LinearMap(np.linalg.inv(self.matrix))
-
-
-@dataclass(frozen=True)
 class AffineChart:
     """Chart map u = A (x - center) from a neighborhood onto the unit ball.
 
-    ``apply`` goes to chart coordinates, ``apply_inverse`` back.  The chart
-    domain (where |u| < 1) is the preimage of the open unit ball.
+    ``apply`` goes to chart coordinates, ``apply_inverse`` back; ``inverse``
+    is the way back as a map of its own.  With a zero center this is the
+    linear map x -> A x.  The chart domain (where |u| < 1) is the preimage
+    of the open unit ball.
     """
 
     matrix: np.ndarray
     center: np.ndarray
 
     def __init__(self, matrix, center):
-        object.__setattr__(self, "matrix", np.asarray(matrix, dtype=float))
+        matrix = np.asarray(matrix, dtype=float)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "center", np.asarray(center, dtype=float))
+        object.__setattr__(self, "_inverse", np.linalg.inv(matrix))
+        # translation added after the linear part; only inverse maps carry one
+        object.__setattr__(self, "_offset", None)
 
     @classmethod
     def scaled(cls, center, radius):
@@ -73,19 +57,30 @@ class AffineChart:
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        return (x - self.center) @ self.matrix.T
+        u = (x - self.center) @ self.matrix.T
+        return u if self._offset is None else u + self._offset
 
     def apply_inverse(self, u):
         u = np.asarray(u, dtype=float)
-        inv = np.linalg.inv(self.matrix)
-        return u @ inv.T + self.center
+        if self._offset is not None:
+            u = u - self._offset
+        return u @ self._inverse.T + self.center
+
+    def inverse(self):
+        """The map u -> A^{-1} u + center; it agrees with ``apply_inverse``
+        bit for bit."""
+        offset = np.zeros_like(self.center) if self._offset is None else self._offset
+        made = AffineChart(self._inverse, offset)
+        object.__setattr__(made, "_inverse", self.matrix)
+        object.__setattr__(made, "_offset", self.center)
+        return made
 
     def jacobian(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.broadcast_to(self.matrix, (x.shape[0],) + self.matrix.shape).copy()
 
     def jacobian_inverse(self):
-        return np.linalg.inv(self.matrix)
+        return self._inverse
 
     def chart_radius(self, x):
         """Norm of the chart image; < 1 inside the chart domain."""
@@ -106,12 +101,15 @@ class ChartCutoff:
     inner: float = 0.5
     outer: float = 1.0
 
+    def profile(self, rho):
+        """The bump as a function of the chart radius."""
+        return smooth_step((self.outer - rho) / (self.outer - self.inner))
+
     def value(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 1
         rho = self.chart.chart_radius(np.atleast_2d(x))
-        vals = smooth_step((self.outer - rho) / (self.outer - self.inner))
-        vals = np.atleast_1d(vals)
+        vals = np.atleast_1d(self.profile(rho))
         return float(vals[0]) if scalar else vals
 
     def __call__(self, x):

@@ -12,7 +12,9 @@ shift depends only on the evaluation point, so it is computed once per
 point and only the compression half runs per kernel node.  Points at
 radius R_IDENTITY or beyond skip the quadrature entirely and reproduce the
 input bit for bit, which is what makes the locality guarantees exact
-rather than merely small.
+rather than merely small.  For the same reason multi-chart stages are
+composed exactly and never cached on a grid: interpolation would break that
+locality and the finite-difference curvature taken on top.
 """
 
 import math
@@ -24,7 +26,6 @@ from .ballmap import (
     R_IDENTITY,
     _compress_with_jacobian,
     _expand_with_jacobian,
-    smooth_step,
 )
 from .maps import GroupAction
 
@@ -40,8 +41,6 @@ __all__ = [
     "chart_smooth_metric",
     "haar_average_metric",
     "compose_chart_stages",
-    "GridCachedMetric",
-    "metric_invariance_residual",
     "isometry_residual",
     "SeminormReport",
     "sobolev_seminorm",
@@ -57,6 +56,18 @@ _MAX_ROWS = 1 << 20
 
 class MetricError(RuntimeError):
     """Loss of positive definiteness, isometry violation, or domain abuse."""
+
+
+def _require_spd(values, points, what):
+    """Smallest eigenvalue of a matrix stack; raises MetricError naming the
+    worst point when it is not positive."""
+    eigs = np.linalg.eigvalsh(values)
+    low = float(np.min(eigs)) if eigs.size else np.inf
+    if low <= 0.0:
+        bad = int(np.argmin(eigs[:, 0]))
+        raise MetricError("%s positive definiteness at %s (min eigenvalue %.3e)"
+                          % (what, points[bad], eigs[bad, 0]))
+    return low
 
 
 @dataclass(frozen=True)
@@ -131,14 +142,7 @@ class MetricField:
         sym_defect = float(np.max(np.abs(vals - np.swapaxes(vals, 1, 2)))) if vals.size else 0.0
         if sym_defect > tolerance:
             raise MetricError("metric asymmetric by %.3e" % sym_defect)
-        eigs = np.linalg.eigvalsh(vals)
-        worst = int(np.argmin(eigs[:, 0])) if eigs.size else 0
-        if eigs.size and eigs[worst, 0] <= 0.0:
-            raise MetricError(
-                "matrix not positive definite at %s (min eigenvalue %.3e)"
-                % (np.atleast_2d(points)[worst], eigs[worst, 0])
-            )
-        return float(np.min(eigs)) if eigs.size else np.inf
+        return _require_spd(vals, np.atleast_2d(points), "matrix fails")
 
 
 def constant_metric(matrix):
@@ -279,12 +283,7 @@ def _mollify_values(metric_fn, kernel, points, spd_check=False):
             acc += np.einsum("j,jrik->rik", node_w[j0:j1], congruent)
         out[inner] = 0.5 * (acc + np.swapaxes(acc, 1, 2))
     if spd_check:
-        eigs = np.linalg.eigvalsh(out)
-        if eigs.size and np.min(eigs) <= 0.0:
-            bad = int(np.argmin(eigs[:, 0]))
-            raise MetricError(
-                "mollified metric lost positive definiteness at %s" % points[bad]
-            )
+        _require_spd(out, points, "mollified metric lost")
     return out
 
 
@@ -306,10 +305,6 @@ def mollify_metric(metric, kernel, spd_check=True):
                        fd_step=metric.fd_step)
 
 
-def _cutoff_profile(cutoff, chart_radii):
-    return smooth_step((cutoff.outer - chart_radii) / (cutoff.outer - cutoff.inner))
-
-
 def chart_smooth_metric(metric, cutoff, kernel, spd_check=True):
     """Chart-localized smoothing: bump-weighted part mollified in chart
     coordinates, remainder untouched.
@@ -325,7 +320,7 @@ def chart_smooth_metric(metric, cutoff, kernel, spd_check=True):
     def weighted_chart_metric(u):
         # the bump-weighted metric pushed to chart coordinates; only
         # positive semidefinite where the bump decays, on purpose
-        weight = _cutoff_profile(cutoff, np.linalg.norm(u, axis=1))
+        weight = cutoff.profile(np.linalg.norm(u, axis=1))
         vals = metric.value(chart.apply_inverse(u))
         congruent = np.einsum("ji,rjk,kl->ril", jac_inv, vals, jac_inv)
         return weight[:, None, None] * congruent
@@ -339,19 +334,13 @@ def chart_smooth_metric(metric, cutoff, kernel, spd_check=True):
             out[outside] = metric.value(pts[outside])
         inside = ~outside
         if np.any(inside):
-            u = chart.apply(pts[inside])
-            smoothed = _mollify_values(weighted_chart_metric, kernel, u)
+            inner = pts[inside]
+            smoothed = _mollify_values(weighted_chart_metric, kernel, chart.apply(inner))
             pulled = np.einsum("ji,rjk,kl->ril", jac_fwd, smoothed, jac_fwd)
-            remainder = 1.0 - _cutoff_profile(cutoff, rho[inside])
-            total = pulled + remainder[:, None, None] * metric.value(pts[inside])
+            remainder = 1.0 - cutoff.profile(rho[inside])
+            total = pulled + remainder[:, None, None] * metric.value(inner)
             if spd_check:
-                eigs = np.linalg.eigvalsh(total)
-                if np.min(eigs) <= 0.0:
-                    bad = int(np.argmin(eigs[:, 0]))
-                    raise MetricError(
-                        "chart smoothing lost positive definiteness at %s"
-                        % pts[inside][bad]
-                    )
+                _require_spd(total, inner, "chart smoothing lost")
             out[inside] = total
         return out
 
@@ -359,19 +348,18 @@ def chart_smooth_metric(metric, cutoff, kernel, spd_check=True):
 
 
 def isometry_residual(metric, group, points):
-    """max over group elements and points of the pullback defect of g itself."""
+    """max over group elements and points of the pullback defect of g.
+
+    Measures an input metric or a smoothed field alike; ``group`` is any
+    iterable of orthogonal matrices, a GroupAction or a plain list of probes.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     base = metric.value(points)
     worst = 0.0
-    for mat in group.matrices:
+    for mat in group:
         pulled = np.einsum("ji,rjk,kl->ril", mat, metric.value(points @ mat.T), mat)
         worst = max(worst, float(np.max(np.abs(pulled - base))))
     return worst
-
-
-def metric_invariance_residual(metric, group, points):
-    """Same defect measured on an arbitrary field (typically a smoothed one)."""
-    return isometry_residual(metric, group, points)
 
 
 def haar_average_metric(metric, cutoff, kernel, group, isometry_points=None,
@@ -405,84 +393,14 @@ def haar_average_metric(metric, cutoff, kernel, group, isometry_points=None,
                        fd_step=metric.fd_step)
 
 
-@dataclass(frozen=True)
-class GridCachedMetric:
-    """Multilinear interpolation of a field precomputed on a box grid.
-
-    Queries outside the box fall through to the raw field; inside, values
-    come from the cached lattice, which makes repeated evaluation cheap at
-    the cost of an interpolation term documented in downstream tolerances.
-    Exact at the lattice nodes themselves up to float comparison.
-    """
-
-    base: MetricField
-    grid: BoxGrid
-    values: np.ndarray
-
-    def __init__(self, base, grid):
-        n = grid.dimension
-        vals = base.value(grid.points()).reshape(grid.counts + (n, n))
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def dimension(self):
-        return self.base.dimension
-
-    @property
-    def regularity(self):
-        return "interpolated"
-
-    @property
-    def fd_step(self):
-        return self.base.fd_step
-
-    @property
-    def first_derivative(self):
-        return None
-
-    @property
-    def second_derivative(self):
-        return None
-
-    @property
-    def discontinuity_radii(self):
-        return ()
-
-    def value(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.dimension
-        out = np.empty((pts.shape[0], n, n))
-        eps = 1e-12
-        inside = np.all((pts >= self.grid.lo - eps) & (pts <= self.grid.hi + eps), axis=1)
-        if np.any(~inside):
-            out[~inside] = self.base.value(pts[~inside])
-        if np.any(inside):
-            local = pts[inside]
-            rel = (local - self.grid.lo) / self.grid.spacing
-            idx = np.clip(np.floor(rel).astype(int), 0,
-                          np.array(self.grid.counts) - 2)
-            frac = np.clip(rel - idx, 0.0, 1.0)
-            acc = np.zeros((local.shape[0], n, n))
-            for corner in range(1 << self.dimension):
-                offs = np.array([(corner >> a) & 1 for a in range(self.dimension)])
-                weight = np.ones(local.shape[0])
-                for a in range(self.dimension):
-                    weight = weight * (frac[:, a] if offs[a] else 1.0 - frac[:, a])
-                node = tuple((idx[:, a] + offs[a]) for a in range(self.dimension))
-                acc += weight[:, None, None] * self.values[node]
-            out[inside] = acc
-        return out
-
-
-def compose_chart_stages(metric, cutoffs, kernels, group, cache_grid=None,
+def compose_chart_stages(metric, cutoffs, kernels, group,
                          isometry_points=None, spd_check=True):
     """Sequential chart-by-chart averaged smoothing over a finite atlas.
 
-    Every stage but the last may be cached on ``cache_grid`` so later
-    stages sample it cheaply; a single-chart atlas reduces to one group
-    average with no caching involved.
+    Stages compose exactly: each one evaluates the previous field itself,
+    never an interpolated grid cache, so locality stays bit-exact and finite
+    differences see the true field.  A single-chart atlas is exactly one
+    ``haar_average_metric``.
     """
     if len(cutoffs) != len(kernels):
         raise MetricError("need one kernel per chart stage")
@@ -493,8 +411,6 @@ def compose_chart_stages(metric, cutoffs, kernels, group, cache_grid=None,
             isometry_points=isometry_points if index == 0 else None,
             spd_check=spd_check,
         )
-        if cache_grid is not None and index < len(cutoffs) - 1:
-            current = GridCachedMetric(current, cache_grid)
     return current
 
 

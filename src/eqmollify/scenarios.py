@@ -7,7 +7,7 @@ on: the group really is an isometry of the metric, the atlas inner balls
 cover the declared domain, and the current bank is invariant.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .maps import (
     trivial_group,
 )
 from .metrics import (
-    MetricError,
+    BoxGrid,
     constant_metric,
     isometry_residual,
     radial_conformal_metric,
@@ -57,6 +57,12 @@ class Scenario:
     discontinuity_radii: tuple = ()
     domain_radius: float = 0.75
     scan_radius: float = 0.95
+
+    def scan_grid(self, n):
+        """Tensor grid with n nodes per axis on the scan box
+        [-scan_radius, scan_radius]^dimension."""
+        lo, hi = (-self.scan_radius,) * self.dimension, (self.scan_radius,) * self.dimension
+        return BoxGrid(lo, hi, (n,) * self.dimension)
 
     def matched_pairs(self):
         """(current, form) pairs of equal degree, in bank order."""
@@ -197,19 +203,10 @@ def _build_strip_two_charts(group_quadrature):
 
 
 def _build_orbit_currents(group_quadrature):
-    group = cyclic_rotation_group(4)
-    masses, tangents = _orbit_diracs(group)
-    return Scenario(
-        name="orbit_currents",
-        dimension=2,
-        metric=constant_metric(np.eye(2)),
-        curvature_bounds=(0.0, 0.0),
-        atlas=_unit_atlas(),
-        group=group,
-        group_kind="cyclic",
-        currents=(masses, tangents, _square_loop()),
-        forms=standard_form_bank(),
-    )
+    # the euclid_z4 setting with a square loop added to its current bank
+    base = _build_euclid_z4(group_quadrature)
+    return replace(base, name="orbit_currents",
+                   currents=base.currents + (_square_loop(),))
 
 
 _BUILDERS = {
@@ -225,11 +222,16 @@ def available_scenarios():
     return sorted(_BUILDERS)
 
 
+def _domain_points(scenario, per_axis):
+    """Lattice points of the declared domain, per_axis nodes across it."""
+    axis = np.linspace(-scenario.domain_radius, scenario.domain_radius, per_axis)
+    pts = np.stack(np.meshgrid(*([axis] * scenario.dimension), indexing="ij"),
+                   axis=-1).reshape(-1, scenario.dimension)
+    return pts[np.linalg.norm(pts, axis=1) <= scenario.domain_radius]
+
+
 def _check_isometry(scenario, tolerance=1e-8):
-    axis = np.linspace(-scenario.domain_radius, scenario.domain_radius, 13)
-    probes = np.stack(np.meshgrid(*([axis] * scenario.dimension), indexing="ij"),
-                      axis=-1).reshape(-1, scenario.dimension)
-    probes = probes[np.linalg.norm(probes, axis=1) <= scenario.domain_radius]
+    probes = _domain_points(scenario, 13)
     residual = isometry_residual(scenario.metric, scenario.group, probes)
     if residual > tolerance:
         raise ScenarioError(
@@ -241,10 +243,7 @@ def _check_isometry(scenario, tolerance=1e-8):
 def _check_cover(scenario):
     # the declared domain must sit inside the union of inner chart balls,
     # checked on a dense sample including the boundary sphere
-    rng_axis = np.linspace(-scenario.domain_radius, scenario.domain_radius, 41)
-    pts = np.stack(np.meshgrid(*([rng_axis] * scenario.dimension), indexing="ij"),
-                   axis=-1).reshape(-1, scenario.dimension)
-    pts = pts[np.linalg.norm(pts, axis=1) <= scenario.domain_radius]
+    pts = _domain_points(scenario, 41)
     theta = np.linspace(0.0, 2.0 * np.pi, 181)
     ring = scenario.domain_radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     pts = np.concatenate([pts, ring])

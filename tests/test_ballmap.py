@@ -135,6 +135,36 @@ def test_expand_compress_round_trip_property(a, b, c):
     assert np.linalg.norm(back - u) <= 1e-9 * max(1.0, np.linalg.norm(x))
 
 
+# the three profile regimes: identity up to BRIDGE_LO, the bridge, and the
+# exp branch up to R_OVERFLOW
+REGIMES = ((0.0, bm.BRIDGE_LO), (bm.BRIDGE_LO, bm.BRIDGE_HI),
+           (bm.BRIDGE_HI, bm.R_OVERFLOW))
+
+
+@st.composite
+def regime_points(draw):
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        lo, hi = REGIMES[draw(st.integers(0, 2))]
+        radius = draw(st.floats(lo, hi, exclude_max=True))
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        rows.append(radius * np.array([np.cos(angle), np.sin(angle)]))
+    return np.array(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(regime_points())
+def test_twins_agree_bit_for_bit_in_every_regime(u):
+    u = u[np.linalg.norm(u, axis=1) < bm.R_OVERFLOW]
+    assert np.array_equal(bm.ball_expand(u), bm._expand_with_jacobian(u)[0])
+    # expanding u puts the compression inputs in the same three regimes;
+    # compression needs |x|^2 to stay finite
+    x = bm.ball_expand(u)
+    with np.errstate(over="ignore"):
+        x = x[np.isfinite(np.sum(x * x, axis=1))]
+    assert np.array_equal(bm.ball_compress(x), bm._compress_with_jacobian(x)[0])
+
+
 def test_shift_identity_outside_is_bit_exact():
     y = np.array([0.07, -0.02])
     pts = np.array([

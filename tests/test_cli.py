@@ -7,8 +7,10 @@ suite.
 
 import json
 
+import numpy as np
 import pytest
 
+from eqmollify.ballmap import ConvergenceError
 from eqmollify.cli import main
 
 
@@ -60,6 +62,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 3
         assert "numerical abort" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [
+        ConvergenceError("bridge inversion did not converge"),
+        np.linalg.LinAlgError("Singular matrix"),
+    ], ids=["convergence", "linalg"])
+    def test_profile_and_linear_algebra_failures_are_three(self, tmp_path, capsys,
+                                                           monkeypatch, error):
+        def fail(kind, config):
+            raise error
+
+        monkeypatch.setattr("eqmollify.cli.run_experiment", fail)
+        path = config_file(tmp_path, {"scenario": "euclid_z4"})
+        code = main(["invariance-check", "--config", path])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numerical abort" in err and str(error) in err
+        assert "Traceback" not in err
 
     def test_unknown_kind_errors_in_argparse(self):
         with pytest.raises(SystemExit):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqmollify.kernel import MollifierKernel
-from eqmollify.maps import LinearMap
+from eqmollify.maps import AffineChart
 from eqmollify.curvature import (
     BoundsComparison,
     CurvatureError,
@@ -147,10 +147,10 @@ class TestSectionalCurvature:
         assert abs(float(k1[0]) - float(k2[0])) < 1e-6
 
     def test_isometry_invariance(self):
-        skewed = pullback_metric(sphere_metric(), LinearMap([[1.2, 0.3], [0.0, 0.9]]))
+        skewed = pullback_metric(sphere_metric(), AffineChart([[1.2, 0.3], [0.0, 0.9]], np.zeros(2)))
         theta = 0.83
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        pushed = pullback_metric(skewed, LinearMap(rot.T))
+        pushed = pullback_metric(skewed, AffineChart(rot.T, np.zeros(2)))
         x = np.array([[0.3, -0.2], [0.1, 0.4]])
         u = np.array([[1.0, 0.4], [0.2, 1.0]])
         v = np.array([[-0.3, 1.0], [1.0, -0.1]])

@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 
 from eqmollify.ballmap import R_IDENTITY
 from eqmollify.kernel import MollifierKernel
-from eqmollify.maps import AffineChart, ChartCutoff, GroupAction, LinearMap, cyclic_rotation_group, torus_group, trivial_group
+from eqmollify.maps import AffineChart, ChartCutoff, GroupAction, cyclic_rotation_group, torus_group, trivial_group
 from eqmollify.metrics import (
     BoxGrid,
     EpsilonSelector,
-    GridCachedMetric,
     MetricError,
     MetricField,
     a_nu,
@@ -32,7 +31,6 @@ from eqmollify.metrics import (
     default_level_schedule,
     haar_average_metric,
     isometry_residual,
-    metric_invariance_residual,
     mollify_metric,
     pullback_metric,
     select_epsilon_for_k,
@@ -133,12 +131,12 @@ class TestPullback:
         theta = 0.7
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         m = np.array([[2.0, 0.5], [0.5, 1.0]])
-        pulled = pullback_metric(constant_metric(m), LinearMap(rot))
+        pulled = pullback_metric(constant_metric(m), AffineChart(rot, np.zeros(2)))
         pts = np.array([[0.2, 0.1]])
         assert np.allclose(pulled.value(pts)[0], rot.T @ m @ rot, atol=1e-15)
 
     def test_linear_chain_keeps_analytic_mode(self):
-        rot = LinearMap(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        rot = AffineChart(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
         pulled = pullback_metric(sphere_metric(), rot)
         assert pulled.derivative_mode == "analytic"
         pts = np.array([[0.25, -0.4], [0.1, 0.3]])
@@ -217,6 +215,24 @@ class TestMollify:
         assert np.min(np.linalg.eigvalsh(vals)) > 0.0
 
 
+class TestAffineChart:
+    def test_inverse_map_matches_apply_inverse_bit_for_bit(self):
+        from eqmollify.scenarios import build_scenario
+
+        charts = [c.chart for name in ("euclid_z4", "strip_two_charts")
+                  for c in build_scenario(name).atlas]
+        assert len(charts) == 3
+        u = np.random.default_rng(5).uniform(-1.0, 1.0, size=(64, 2))
+        for chart in charts:
+            inverse = chart.inverse()
+            assert np.array_equal(inverse.apply(u), chart.apply_inverse(u))
+            jac = inverse.jacobian(u)
+            assert np.array_equal(jac, np.broadcast_to(chart.jacobian_inverse(), jac.shape))
+            # and the inverse of the inverse is the chart again
+            assert np.array_equal(inverse.apply_inverse(u), chart.apply(u))
+            assert np.array_equal(inverse.inverse().apply(u), chart.apply(u))
+
+
 class TestChartSmoothing:
     def test_outside_chart_is_bit_exact(self):
         g = sphere_metric()
@@ -251,7 +267,7 @@ class TestHaarAverage:
         probe = np.array([[0.45, 0.2], [0.7, 0.1], [-0.3, 0.55], [0.9, 0.3], [1.2, 0.4]])
         averaged = haar_average_metric(constant_metric(np.eye(2)), cutoff, kernel, group,
                                        isometry_points=probe)
-        assert metric_invariance_residual(averaged, group, probe) <= 1e-10
+        assert isometry_residual(averaged, group, probe) <= 1e-10
 
     def test_sphere_octic_invariance_residual(self):
         cutoff = unit_chart_cutoff()
@@ -260,7 +276,7 @@ class TestHaarAverage:
         probe = np.array([[0.5, 0.1], [0.05, -0.62], [0.33, 0.41]])
         averaged = haar_average_metric(sphere_metric(), cutoff, kernel, group,
                                        isometry_points=probe)
-        assert metric_invariance_residual(averaged, group, probe) <= 1e-10
+        assert isometry_residual(averaged, group, probe) <= 1e-10
 
     def test_torus_quadrature_sizes_agree(self):
         cutoff = unit_chart_cutoff()
@@ -280,7 +296,7 @@ class TestHaarAverage:
         ])
         probes = GroupAction(mats, weights=np.full(5, 0.2), is_quadrature=True, check=False)
         pts = np.array([[0.3, 0.1], [0.5, -0.2], [0.44, 0.12]])
-        assert metric_invariance_residual(averaged, probes, pts) <= 1e-6
+        assert isometry_residual(averaged, probes, pts) <= 1e-6
 
     def test_non_isometric_input_rejected(self):
         skew = conformal_metric(lambda p: 1.0 + p[..., 0])
@@ -299,31 +315,6 @@ class TestHaarAverage:
         assert np.array_equal(averaged.value(pts), single.value(pts))
 
 
-class TestGridCache:
-    def test_exact_at_nodes_and_outside_box(self):
-        g = sphere_metric()
-        grid = BoxGrid([-0.8, -0.8], [0.8, 0.8], (17, 17))
-        cached = GridCachedMetric(g, grid)
-        nodes = grid.points()[::7]
-        assert np.max(np.abs(cached.value(nodes) - g.value(nodes))) < 1e-14
-        outside = np.array([[0.9, 0.0], [-1.2, 0.4]])
-        assert np.array_equal(cached.value(outside), g.value(outside))
-
-    def test_interpolation_error_scale(self):
-        g = sphere_metric()
-        cached = GridCachedMetric(g, BoxGrid([-0.8, -0.8], [0.8, 0.8], (41, 41)))
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-0.75, 0.75, size=(50, 2))
-        gap = np.max(np.abs(cached.value(pts) - g.value(pts)))
-        assert 0.0 < gap < 5e-3
-
-    def test_constant_field_interpolates_exactly(self):
-        m = np.array([[2.0, 0.3], [0.3, 1.0]])
-        cached = GridCachedMetric(constant_metric(m), BoxGrid([-1.0, -1.0], [1.0, 1.0], (9, 9)))
-        pts = np.array([[0.013, -0.41], [0.77, 0.31]])
-        assert np.max(np.abs(cached.value(pts) - m)) < 1e-15
-
-
 class TestCompose:
     def test_single_chart_reduces_to_one_average(self):
         cutoff = unit_chart_cutoff()
@@ -340,10 +331,8 @@ class TestCompose:
         cut_right = ChartCutoff(AffineChart.scaled([0.25, 0.0], 2.0))
         cut_left = ChartCutoff(AffineChart.scaled([-0.25, 0.0], 2.0))
         kernel = MollifierKernel.create(2, 0.08, level=2)
-        cache = BoxGrid([-0.8, -0.8], [0.8, 0.8], (41, 41))
         composed = compose_chart_stages(constant_metric(m), [cut_right, cut_left],
-                                        [kernel, kernel], trivial_group(2),
-                                        cache_grid=cache)
+                                        [kernel, kernel], trivial_group(2))
         overlap = np.array([[0.0, 0.0], [0.03, -0.02], [-0.04, 0.01], [0.02, 0.035]])
         assert np.max(np.abs(composed.value(overlap) - m)) < 1e-13
 
@@ -505,7 +494,7 @@ def test_property_identity_zone_for_generic_conformal_metrics(scale, bump, x, y)
 def test_property_orthogonal_pullback_round_trip(theta):
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     g = sphere_metric()
-    once = pullback_metric(g, LinearMap(rot))
-    back = pullback_metric(once, LinearMap(rot.T))
+    once = pullback_metric(g, AffineChart(rot, np.zeros(2)))
+    back = pullback_metric(once, AffineChart(rot.T, np.zeros(2)))
     pts = np.array([[0.3, -0.2], [0.7, 0.5]])
     assert np.max(np.abs(back.value(pts) - g.value(pts))) < 1e-14
