@@ -16,6 +16,7 @@ profile.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,9 @@ R_IDENTITY = 1.0 - 1.0 / math.sqrt(math.log(1e12))
 
 # Where exp(1/(1-r)^2) overflows double precision (with margin).
 R_OVERFLOW = 0.96
+
+# Largest |x| whose square is finite: the norms overflow past it.
+_NORM_LIMIT = math.sqrt(sys.float_info.max)
 
 
 def _flat_exp(u):
@@ -242,9 +246,17 @@ def _radial_map(x, inverse, jacobian):
     the inverse profile (compress) or the profile (expand), and with the
     Jacobians too when ``jacobian`` is set.  Rows with |x| <= BRIDGE_LO are
     exact passthrough for both maps; the profile itself rejects expansion
-    from R_OVERFLOW outward."""
+    from R_OVERFLOW outward, and rows whose norm is not finite are rejected
+    here rather than sent to the origin or into the bridge inversion."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    r = _norms(pts)
+    with np.errstate(over="ignore"):
+        r = _norms(pts)
+    if not np.all(np.isfinite(r)):
+        bad = int(np.argmin(np.isfinite(r)))
+        raise BallDomainError(
+            "%s needs finite coordinates with |x| below %.3g, where |x|^2 still"
+            " fits in double precision (row %d has |x| = %g)"
+            % ("ball_compress" if inverse else "ball_expand", _NORM_LIMIT, bad, r[bad]))
     ident = r <= BRIDGE_LO
     move = ~ident
     out = pts.copy()
@@ -272,7 +284,9 @@ def _radial_map(x, inverse, jacobian):
 def ball_compress(x):
     """Diffeomorphism h from R^n onto the open unit ball; identity near 0.
 
-    Radially maps |x| to g^{-1}(|x|).  Accepts (n,) or (N, n).
+    Radially maps |x| to g^{-1}(|x|).  Accepts (n,) or (N, n).  Raises
+    BallDomainError for a row whose norm is not finite (a nan or inf
+    coordinate, or |x| past about 1.3e154).
     """
     out = _radial_map(x, inverse=True, jacobian=False)
     return out[0] if np.ndim(x) == 1 else out
@@ -293,24 +307,17 @@ def _radial_jacobians(points, radii, value_over_r, derivative, identity_mask):
 
     For a radial map the Jacobian splits into the tangential stretch
     phi(r)/r on the orthogonal complement of x and the radial stretch
-    phi'(r) along x.  Rows in identity_mask get an exact identity matrix.
+    phi'(r) along x, in closed form tang * I + (rad - tang) * u u^T with u
+    the unit radial direction.  Rows in identity_mask get an exact identity
+    matrix: their radial term is an exact zero and their diagonal a 1.
     """
-    count, n = points.shape
-    out = np.zeros((count, n, n))
-    idx = np.arange(n)
-    out[:, idx, idx] = 1.0
     move = ~identity_mask
-    if not np.any(move):
-        return out
-    p = points[move]
-    r = radii[move]
-    unit = p / r[:, None]
-    proj = unit[:, :, None] * unit[:, None, :]
-    tang = value_over_r[move]
-    rad = derivative[move]
-    eye = np.zeros((p.shape[0], n, n))
-    eye[:, idx, idx] = 1.0
-    out[move] = tang[:, None, None] * (eye - proj) + rad[:, None, None] * proj
+    unit = np.zeros(points.shape)
+    np.divide(points, radii[:, None], out=unit, where=move[:, None])
+    excess = np.where(move, derivative - value_over_r, 0.0)
+    out = (excess[:, None] * unit)[:, :, None] * unit[:, None, :]
+    idx = np.arange(points.shape[1])
+    out[:, idx, idx] += np.where(move, value_over_r, 1.0)[:, None]
     return out
 
 

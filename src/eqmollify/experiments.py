@@ -7,6 +7,7 @@ sweep are independent and may run on a small thread pool capped by the
 EQMOLLIFY_THREADS environment variable.
 """
 
+import itertools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -16,8 +17,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .curvature import curvature_bounds
-from .currents import (equivariant_sample, evaluate, invariance_residual, smooth_by_shift,
-                       smooth_by_translation)
+from .currents import equivariant_sample, evaluate, invariance_residual, mollified_sample
 from .distances import dilation_estimate, seeded_point_pairs
 from .kernel import MollifierKernel
 from .metrics import (
@@ -76,12 +76,19 @@ class ExperimentReport:
 
 
 def thread_cap():
-    raw = os.environ.get("EQMOLLIFY_THREADS", "")
+    """Sweep thread count: EQMOLLIFY_THREADS when set, else up to four.
+
+    A set value that is not an integer of at least 1 is a ConfigError."""
+    raw = os.environ.get("EQMOLLIFY_THREADS", "").strip()
+    if not raw:
+        return min(4, os.cpu_count() or 1)
     try:
         cap = int(raw)
     except ValueError:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, cap)
+        cap = 0
+    if cap < 1:
+        raise ConfigError("EQMOLLIFY_THREADS must be an integer >= 1, got %r" % raw)
+    return cap
 
 
 def _sweep(fn, items):
@@ -171,16 +178,19 @@ def _run_mollify_current(scenario, config):
     def stage(epsilon):
         kernel = _kernel_for(epsilon, config, scenario.dimension)
         out = []
-        for ci, fi in pairs:
-            current, form = scenario.currents[ci], scenario.forms[fi]
-            reference = references[(ci, fi)]
-            tolerance = delta * max(1.0, abs(reference))
-            for route, smoother in (("translation", smooth_by_translation),
-                                    ("shift", smooth_by_shift)):
-                observed = smoother(current, form, kernel)
-                out.append((epsilon, "current%d" % ci, "form%02d" % fi, route,
-                            observed, reference, abs(observed - reference),
-                            tolerance))
+        # one smoothed sample per (current, route), paired with each form
+        for ci, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
+            current = scenario.currents[ci]
+            samples = [(route, mollified_sample(current, kernel, ball_shifts=shifts))
+                       for route, shifts in (("translation", False), ("shift", True))]
+            for _, fi in group:
+                reference = references[(ci, fi)]
+                tolerance = delta * max(1.0, abs(reference))
+                for route, sample in samples:
+                    observed = sample.pair(scenario.forms[fi])
+                    out.append((epsilon, "current%d" % ci, "form%02d" % fi, route,
+                                observed, reference, abs(observed - reference),
+                                tolerance))
         return out
 
     stages = _sweep(stage, config.epsilons)
@@ -402,6 +412,7 @@ def run_experiment(kind, config, write=True):
         )
     if not isinstance(config, ExperimentConfig):
         raise ConfigError("run_experiment expects an ExperimentConfig")
+    thread_cap()  # a bad EQMOLLIFY_THREADS fails before any work starts
     scenario = build_scenario(config.scenario,
                               group_quadrature=config.group_quadrature)
     header, rows, checks = _RUNNERS[kind](scenario, config)

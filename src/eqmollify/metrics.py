@@ -220,7 +220,7 @@ def pullback_metric(metric, mapping):
         moved = mapping.apply(pts)
         jac = mapping.jacobian(pts)
         vals = metric.value(moved)
-        return np.einsum("rji,rjk,rkl->ril", jac, vals, jac)
+        return np.swapaxes(jac, -1, -2) @ vals @ jac
 
     first = None
     second = None
@@ -266,21 +266,29 @@ def _mollify_values(metric_fn, kernel, points, spd_check=False):
         out[~inner] = metric_fn(points[~inner])
     if np.any(inner):
         pts_in = points[inner]
-        expanded, jac_expand = _expand_with_jacobian(pts_in)
         nodes, node_w = kernel.convex_weights()
         inner_count = pts_in.shape[0]
         acc = np.zeros((inner_count, n, n))
-        block = max(1, _MAX_ROWS // max(inner_count, 1))
-        for j0 in range(0, nodes.shape[0], block):
-            j1 = min(j0 + block, nodes.shape[0])
-            b = j1 - j0
-            translated = (expanded[None, :, :] + nodes[j0:j1, None, :]).reshape(-1, n)
-            compressed, jac_compress = _compress_with_jacobian(translated)
-            vals = metric_fn(compressed)
-            chain = np.matmul(jac_compress, np.tile(jac_expand, (b, 1, 1)))
-            congruent = np.einsum("rji,rjk,rkl->ril", chain, vals, chain)
-            congruent = congruent.reshape(b, inner_count, n, n)
-            acc += np.einsum("j,jrik->rik", node_w[j0:j1], congruent)
+        # Past _MAX_ROWS inner points the points are split as well.  Every
+        # split then takes one node at a time, as the unsplit call would,
+        # so the ordered node sum and hence every output bit stay the same.
+        span = min(inner_count, _MAX_ROWS)
+        block = max(1, _MAX_ROWS // span)
+        for p0 in range(0, inner_count, span):
+            part = slice(p0, p0 + span)
+            expanded, jac_expand = _expand_with_jacobian(pts_in[part])
+            m = expanded.shape[0]
+            for j0 in range(0, nodes.shape[0], block):
+                j1 = min(j0 + block, nodes.shape[0])
+                b = j1 - j0
+                translated = (expanded[None, :, :] + nodes[j0:j1, None, :]).reshape(-1, n)
+                compressed, jac_compress = _compress_with_jacobian(translated)
+                vals = metric_fn(compressed).reshape(b, m, n, n)
+                chain = jac_compress.reshape(b, m, n, n) @ jac_expand
+                congruent = np.swapaxes(chain, -1, -2) @ vals @ chain
+                # a plain ordered sum over the nodes, no BLAS: reruns and
+                # thread counts reproduce it bit for bit
+                acc[part] += np.einsum("j,jrik->rik", node_w[j0:j1], congruent)
         out[inner] = 0.5 * (acc + np.swapaxes(acc, 1, 2))
     if spd_check:
         _require_spd(out, points, "mollified metric lost")
@@ -322,8 +330,7 @@ def chart_smooth_metric(metric, cutoff, kernel, spd_check=True):
         # positive semidefinite where the bump decays, on purpose
         weight = cutoff.profile(np.linalg.norm(u, axis=1))
         vals = metric.value(chart.apply_inverse(u))
-        congruent = np.einsum("ji,rjk,kl->ril", jac_inv, vals, jac_inv)
-        return weight[:, None, None] * congruent
+        return weight[:, None, None] * (jac_inv.T @ vals @ jac_inv)
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -336,7 +343,7 @@ def chart_smooth_metric(metric, cutoff, kernel, spd_check=True):
         if np.any(inside):
             inner = pts[inside]
             smoothed = _mollify_values(weighted_chart_metric, kernel, chart.apply(inner))
-            pulled = np.einsum("ji,rjk,kl->ril", jac_fwd, smoothed, jac_fwd)
+            pulled = jac_fwd.T @ smoothed @ jac_fwd
             remainder = 1.0 - cutoff.profile(rho[inside])
             total = pulled + remainder[:, None, None] * metric.value(inner)
             if spd_check:
@@ -386,7 +393,7 @@ def haar_average_metric(metric, cutoff, kernel, group, isometry_points=None,
         acc = np.zeros((pts.shape[0], metric.dimension, metric.dimension))
         for mat, weight in zip(group.matrices, group.weights):
             vals = stage.value(pts @ mat.T)
-            acc += weight * np.einsum("ji,rjk,kl->ril", mat, vals, mat)
+            acc += weight * (mat.T @ vals @ mat)
         return acc
 
     return MetricField(fn=fn, dimension=metric.dimension, regularity="smooth",

@@ -131,6 +131,12 @@ def test_expand_compress_round_trip_property(a, b, c):
     if r >= 0.95:  # stay clear of the overflow guard
         return
     x = bm.ball_expand(u)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.linalg.norm(x)):
+            # past r = 0.9469 the expansion exceeds 1.3e154 and |x|^2 overflows
+            with pytest.raises(bm.BallDomainError):
+                bm.ball_compress(x)
+            return
     back = bm.ball_compress(x)
     assert np.linalg.norm(back - u) <= 1e-9 * max(1.0, np.linalg.norm(x))
 
@@ -254,3 +260,78 @@ def test_shift_jacobian_in_three_dimensions():
         e[axis] = h
         fd = (bm.shift_points(pts + e, y) - bm.shift_points(pts - e, y)) / (2 * h)
         assert np.max(np.abs(fd - jac[:, :, axis])) <= 1e-5
+
+
+def _projector_jacobians(points, value_over_r, derivative, identity_mask):
+    """Reference radial Jacobians built from explicit identity and radial
+    projector stacks: tang * (I - P) + rad * P."""
+    n = points.shape[1]
+    out = np.broadcast_to(np.eye(n), (points.shape[0], n, n)).copy()
+    move = ~identity_mask
+    unit = points[move] / np.linalg.norm(points[move], axis=1)[:, None]
+    proj = unit[:, :, None] * unit[:, None, :]
+    eye = np.broadcast_to(np.eye(n), proj.shape)
+    out[move] = (value_over_r[move][:, None, None] * (eye - proj)
+                 + derivative[move][:, None, None] * proj)
+    return out
+
+
+def _assert_rows_close(new, ref, rel=1e-14):
+    scale = np.max(np.abs(ref), axis=(1, 2))
+    assert np.all(np.max(np.abs(new - ref), axis=(1, 2)) <= rel * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(regime_points())
+def test_closed_form_jacobians_match_projector_formula(u):
+    # identity rows take no part in the reference, so they get a dummy radius
+    r = np.linalg.norm(u, axis=1)
+    ident = r <= bm.BRIDGE_LO
+    r = np.where(ident, 0.5, r)
+    _, jac = bm._expand_with_jacobian(u)
+    _assert_rows_close(jac, _projector_jacobians(
+        u, bm.radial_profile(r) / r, bm.radial_profile_derivative(r), ident))
+    # compression of the expanded rows walks back through the same regimes
+    x = bm.ball_expand(u)
+    with np.errstate(over="ignore"):
+        x = x[np.isfinite(np.sum(x * x, axis=1))]
+    s = np.linalg.norm(x, axis=1)
+    ident = s <= bm.BRIDGE_LO
+    s = np.where(ident, 1.0, s)
+    rho, jac = bm._compress_with_jacobian(x)
+    rho = np.where(ident, 0.5, np.linalg.norm(rho, axis=1))
+    _assert_rows_close(jac, _projector_jacobians(
+        x, rho / s, 1.0 / bm.radial_profile_derivative(rho), ident))
+    # identity rows stay exact identities, not merely close ones
+    assert np.array_equal(jac[ident], np.broadcast_to(np.eye(2), jac[ident].shape))
+
+
+def test_identity_rows_are_exact_even_at_the_origin():
+    pts = np.array([[0.0, 0.0], [0.2, -0.1], [0.5, 0.3], [-1e-300, 0.0]])
+    radii = np.linalg.norm(pts, axis=1)
+    ident = radii <= bm.BRIDGE_LO
+    jac = bm._radial_jacobians(pts, radii, np.full(4, 1.7), np.full(4, 0.4), ident)
+    assert np.array_equal(jac[ident], np.broadcast_to(np.eye(2), (3, 2, 2)))
+    assert np.array_equal(np.signbit(jac[ident]), np.zeros((3, 2, 2), dtype=bool))
+    for pts in (np.zeros((3, 3)), np.array([[bm.BRIDGE_LO, 0.0]])):
+        _, jac = bm._compress_with_jacobian(pts)
+        assert np.array_equal(jac, np.broadcast_to(np.eye(pts.shape[1]), jac.shape))
+        _, jac = bm._expand_with_jacobian(pts)
+        assert np.array_equal(jac, np.broadcast_to(np.eye(pts.shape[1]), jac.shape))
+
+
+@pytest.mark.parametrize("row", [[2e154, 0.0], [1e200, -1e200], [np.inf, 0.0],
+                                 [0.1, np.nan]])
+def test_nonfinite_norms_are_rejected_not_mapped(row):
+    pts = np.array([[0.3, 0.1], row])
+    for fn in (bm.ball_compress, bm._compress_with_jacobian, bm.ball_expand):
+        with pytest.raises(bm.BallDomainError, match=r"1\.34e\+154.*row 1"):
+            fn(pts)
+    with pytest.raises(bm.BallDomainError, match="ball_compress"):
+        bm.ball_compress(np.array(row))
+
+
+def test_largest_finite_norm_still_compresses():
+    x = np.array([1.3e154, 0.0])
+    out = bm.ball_compress(x)
+    assert np.all(np.isfinite(out)) and 0.9 < out[0] < 1.0

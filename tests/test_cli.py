@@ -53,6 +53,17 @@ class TestExitCodes:
         path = config_file(tmp_path, {"scenario": "euclid_z4", "wild": 1})
         assert main(["invariance-check", "--config", path]) == 2
 
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_thread_setting_is_two(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("EQMOLLIFY_THREADS", raw)
+        path = config_file(tmp_path, {"scenario": "euclid_z4",
+                                      "epsilons": [0.1]})
+        code = main(["select-epsilon", "--config", path,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "EQMOLLIFY_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_abort_is_three(self, tmp_path, capsys):
         # a 2x2 lattice has no nodes inside the scan disk, so the distance
         # graph is empty and the sweep aborts

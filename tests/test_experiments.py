@@ -33,18 +33,48 @@ class TestThreadCap:
         monkeypatch.setenv("EQMOLLIFY_THREADS", "2")
         assert thread_cap() == 2
 
-    def test_env_floor_at_one(self, monkeypatch):
-        monkeypatch.setenv("EQMOLLIFY_THREADS", "0")
-        assert thread_cap() == 1
-        monkeypatch.setenv("EQMOLLIFY_THREADS", "-3")
-        assert thread_cap() == 1
+    def test_env_below_one_rejected(self, monkeypatch):
+        for raw in ("0", "-3"):
+            monkeypatch.setenv("EQMOLLIFY_THREADS", raw)
+            with pytest.raises(ConfigError, match="EQMOLLIFY_THREADS"):
+                thread_cap()
 
-    def test_invalid_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("EQMOLLIFY_THREADS", "fast")
-        fallback = thread_cap()
-        monkeypatch.delenv("EQMOLLIFY_THREADS")
-        assert thread_cap() == fallback
-        assert 1 <= fallback <= 4
+    def test_invalid_env_rejected(self, monkeypatch):
+        for raw in ("fast", "2.5", "1e3"):
+            monkeypatch.setenv("EQMOLLIFY_THREADS", raw)
+            with pytest.raises(ConfigError, match="EQMOLLIFY_THREADS"):
+                thread_cap()
+
+    def test_unset_or_blank_env_uses_default(self, monkeypatch):
+        monkeypatch.delenv("EQMOLLIFY_THREADS", raising=False)
+        default = thread_cap()
+        assert 1 <= default <= 4
+        for raw in ("", "  "):
+            monkeypatch.setenv("EQMOLLIFY_THREADS", raw)
+            assert thread_cap() == default
+
+
+# the benchmark's smallest sizes of its sphere-seminorm and orbit-currents
+# workloads: three and two stages, so two threads really run side by side
+THREAD_SAMPLES = {
+    "smooth-metric": dict(scenario="round_sphere_chart", grid=17, delta=0.01,
+                          epsilons=(4.8828125e-05, 2.44140625e-05, 1.220703125e-05)),
+    "mollify-current": dict(scenario="orbit_currents", delta=0.02,
+                            epsilons=(0.0125, 0.00625)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(THREAD_SAMPLES))
+def test_thread_count_changes_no_output_byte(tmp_path, monkeypatch, kind):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("EQMOLLIFY_THREADS", threads)
+        config = ExperimentConfig(out=str(tmp_path / threads), **THREAD_SAMPLES[kind])
+        report = run_experiment(kind, config)
+        assert report.passed
+        outputs.append([open(path, "rb").read()
+                        for path in (report.csv_path, report.summary_path)])
+    assert outputs[0] == outputs[1]
 
 
 class TestSeriesStepRatio:

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqmollify.ballmap import R_IDENTITY
+from eqmollify import metrics
+from eqmollify.ballmap import (BRIDGE_HI, BRIDGE_LO, R_IDENTITY, _compress_with_jacobian,
+                               _expand_with_jacobian)
 from eqmollify.kernel import MollifierKernel
 from eqmollify.maps import AffineChart, ChartCutoff, GroupAction, cyclic_rotation_group, torus_group, trivial_group
 from eqmollify.metrics import (
@@ -498,3 +500,130 @@ def test_property_orthogonal_pullback_round_trip(theta):
     back = pullback_metric(once, AffineChart(rot.T, np.zeros(2)))
     pts = np.array([[0.3, -0.2], [0.7, 0.5]])
     assert np.max(np.abs(back.value(pts) - g.value(pts))) < 1e-14
+
+
+def aniso_fn(points):
+    """A position-dependent metric with off-diagonal terms, so a transposed
+    congruence factor cannot pass for the right one."""
+    a = 2.0 + 0.5 * np.sin(3.0 * points[:, 0])
+    c = 1.5 + 0.4 * np.cos(2.0 * points[:, 1])
+    b = 0.3 * np.sin(points[:, 0] + 2.0 * points[:, 1])
+    return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+
+
+def einsum_mollify(metric_fn, kernel, points):
+    """Reference quadrature: the three-operand einsum congruence, one kernel
+    node at a time."""
+    n = points.shape[1]
+    out = metric_fn(points)
+    inner = np.linalg.norm(points, axis=1) < R_IDENTITY
+    expanded, jac_expand = _expand_with_jacobian(points[inner])
+    nodes, node_w = kernel.convex_weights()
+    acc = np.zeros((expanded.shape[0], n, n))
+    for node, weight in zip(nodes, node_w):
+        compressed, jac_compress = _compress_with_jacobian(expanded + node)
+        chain = np.matmul(jac_compress, jac_expand)
+        acc += weight * np.einsum("rji,rjk,rkl->ril", chain, metric_fn(compressed), chain)
+    out[inner] = 0.5 * (acc + np.swapaxes(acc, 1, 2))
+    return out
+
+
+def einsum_group_average(metric, cutoff, kernel, group, points):
+    """Reference chart stage and group average with einsum congruences."""
+    chart = cutoff.chart
+    jac_inv = chart.jacobian_inverse()
+
+    def weighted(u):
+        vals = metric.value(chart.apply_inverse(u))
+        return (cutoff.profile(np.linalg.norm(u, axis=1))[:, None, None]
+                * np.einsum("ji,rjk,kl->ril", jac_inv, vals, jac_inv))
+
+    def stage(pts):
+        rho = chart.chart_radius(pts)
+        inside = rho < cutoff.outer
+        out = metric.value(pts)
+        smoothed = einsum_mollify(weighted, kernel, chart.apply(pts[inside]))
+        out[inside] = (np.einsum("ji,rjk,kl->ril", chart.matrix, smoothed, chart.matrix)
+                       + (1.0 - cutoff.profile(rho[inside]))[:, None, None]
+                       * metric.value(pts[inside]))
+        return out
+
+    return sum(weight * np.einsum("ji,rjk,kl->ril", mat, stage(points @ mat.T), mat)
+               for mat, weight in zip(group.matrices, group.weights))
+
+
+def assert_rows_close(new, ref, rel=1e-14):
+    scale = np.max(np.abs(ref), axis=(1, 2))
+    assert np.all(np.max(np.abs(new - ref), axis=(1, 2)) <= rel * scale)
+
+
+# radius bands: the identity zone, the bridge, the exp branch inside
+# R_IDENTITY, and the bit-exact zone outside it
+BANDS = ((0.0, BRIDGE_LO), (BRIDGE_LO, BRIDGE_HI), (BRIDGE_HI, R_IDENTITY),
+         (R_IDENTITY, 1.2))
+
+
+@st.composite
+def banded_points(draw):
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo, hi = BANDS[draw(st.integers(0, 3))]
+        radius = draw(st.floats(lo, hi, exclude_max=True))
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        rows.append(radius * np.array([np.cos(angle), np.sin(angle)]))
+    return np.array(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=banded_points(), epsilon=st.sampled_from([0.2, 0.05, 0.0125]))
+def test_matmul_congruences_match_einsum_reference(points, epsilon):
+    kernel = MollifierKernel.create(2, epsilon, level=1)
+    new = metrics._mollify_values(aniso_fn, kernel, points)
+    ref = einsum_mollify(aniso_fn, kernel, points)
+    assert_rows_close(new, ref)
+    outside = np.linalg.norm(points, axis=1) >= R_IDENTITY
+    assert np.array_equal(new[outside], aniso_fn(points[outside]))
+
+
+@pytest.mark.parametrize("chart", [
+    AffineChart(np.array([[1.3, 0.4], [-0.2, 0.9]]), np.array([0.1, -0.05])),
+    AffineChart.scaled([0.25, 0.0], 2.0),
+], ids=["sheared", "scaled"])
+def test_chart_stage_and_group_average_match_einsum_reference(chart):
+    metric = MetricField(fn=aniso_fn, dimension=2)
+    cutoff = ChartCutoff(chart)
+    kernel = MollifierKernel.create(2, 0.05, level=1)
+    group = cyclic_rotation_group(3)  # non-symmetric rotation matrices
+    rng = np.random.default_rng(4)
+    points = rng.uniform(-0.9, 0.9, size=(40, 2))
+    new = haar_average_metric(metric, cutoff, kernel, group).value(points)
+    assert_rows_close(new, einsum_group_average(metric, cutoff, kernel, group, points))
+
+
+def test_pullback_congruence_uses_the_row_jacobian():
+    rng = np.random.default_rng(8)
+    mat = np.array([[1.1, 0.7], [-0.3, 0.8]])
+    pulled = pullback_metric(MetricField(fn=aniso_fn, dimension=2),
+                             AffineChart(mat, np.array([0.2, 0.1])))
+    points = rng.uniform(-0.5, 0.5, size=(9, 2))
+    vals = aniso_fn((points - [0.2, 0.1]) @ mat.T)
+    assert_rows_close(pulled.value(points), np.einsum("ji,rjk,kl->ril", mat, vals, mat))
+
+
+def test_point_blocking_moves_no_bit(monkeypatch):
+    # 60 points over 128 nodes fit one node block; with the cap at 7 they
+    # are split into nine point blocks, each summed one node at a time
+    rng = np.random.default_rng(2)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 60)
+    radii = rng.uniform(0.0, R_IDENTITY, 60)
+    points = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
+    kernel = MollifierKernel.create(2, 0.1, level=1)
+    whole = metrics._mollify_values(aniso_fn, kernel, points)
+    monkeypatch.setattr(metrics, "_MAX_ROWS", 7)
+    calls = []
+    expand = metrics._expand_with_jacobian
+    monkeypatch.setattr(metrics, "_expand_with_jacobian",
+                        lambda pts: calls.append(len(pts)) or expand(pts))
+    split = metrics._mollify_values(aniso_fn, kernel, points)
+    assert calls == [7] * 8 + [4]
+    assert np.array_equal(split, whole)
