@@ -6,14 +6,14 @@ Schema (all keys optional except ``scenario``):
     epsilons          positive strictly decreasing list (default 0.2 halved 4x)
     level             fixed kernel quadrature level, or null for the
                       per-epsilon default schedule
-    grid              metric grid nodes per axis (default 65)
-    graph_grid        distance graph nodes per axis (default 25)
-    group_quadrature  torus quadrature node count (default 64)
-    pairs             dilation sample pair count (default 64)
+    grid              metric grid nodes per axis (default 65, at most 513)
+    graph_grid        distance graph nodes per axis (default 25, at most 129)
+    group_quadrature  torus quadrature node count (default 64, at most 512)
+    pairs             dilation sample pair count (default 64, at most 256)
     delta             target tolerance where a kind needs one, or null for
                       the kind default
     k_values          targets for epsilon selection (default [1, 2, 4])
-    max_halvings      epsilon selector lattice depth (default 16)
+    max_halvings      epsilon selector lattice depth (default 16, at most 40)
     out               output directory, or null for runs/<scenario>-<kind>
     seed              RNG seed (default 42)
 
@@ -28,6 +28,17 @@ from .scenarios import available_scenarios
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
 DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025)
+
+# positive integer fields and their upper bounds (None: unbounded); the
+# bounds keep a typo from allocating the machine away before it fails
+_INT_FIELDS = {
+    "grid": 513,
+    "graph_grid": 129,
+    "group_quadrature": 512,
+    "pairs": 256,
+    "max_halvings": 40,
+    "seed": None,
+}
 
 
 class ConfigError(ValueError):
@@ -61,12 +72,16 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("field 'epsilons' must be strictly decreasing")
         object.__setattr__(self, "epsilons", eps)
-        for name in ("grid", "graph_grid", "group_quadrature", "pairs",
-                     "max_halvings", "seed"):
+        for name, upper in _INT_FIELDS.items():
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            # bool is an int subclass, so JSON true would run as 1
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError("field %r must be a positive integer" % name)
+            if upper is not None and value > upper:
+                raise ConfigError("field %r must be at most %d, got %d"
+                                  % (name, upper, value))
         if self.level is not None and (not isinstance(self.level, int)
+                                       or isinstance(self.level, bool)
                                        or not 1 <= self.level <= 3):
             raise ConfigError("field 'level' must be 1, 2, or 3")
         if self.delta is not None and not self.delta > 0.0:

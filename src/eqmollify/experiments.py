@@ -112,17 +112,65 @@ def _group_average(scenario, kernel):
                                 [kernel] * len(scenario.atlas), scenario.group)
 
 
+def _chart_stage_commutes(scenario, kernel):
+    """Whether the structure certifies that every chart stage of the
+    scenario commutes with its group, so the group average of the chart
+    stages is the chart stages themselves up to rounding.
+
+    Three conditions, all checked here:
+
+    - every chart matrix is a scalar multiple of the identity;
+    - every group element fixes every chart centre within 1e-14;
+    - every group element maps the kernel's nodes onto its nodes within
+      1e-14 * epsilon, each onto a node of equal convex weight within
+      1e-14 of the largest weight.
+
+    The cutoffs are radial in the chart variable and the ball shift maps
+    are rotation equivariant, so under these conditions conjugating a
+    chart stage by a group element only permutes its quadrature sum.  The
+    fourth ingredient, that the group acts by isometries of the input
+    metric, is enforced when the scenario is built
+    (``scenarios._check_isometry``).
+    """
+    for cutoff in scenario.atlas:
+        chart = cutoff.chart
+        scale = chart.matrix[0, 0] * np.eye(scenario.dimension)
+        if not np.array_equal(chart.matrix, scale):
+            return False
+        for mat in scenario.group:
+            if np.max(np.abs(mat @ chart.center - chart.center)) > 1e-14:
+                return False
+    # pair the nodes with their images by sorting both along one generic
+    # direction: O(N log N), with no N x N distance matrix.  At levels 1-3
+    # the projections of distinct nodes lie 1.1e-7 * epsilon apart or more,
+    # so images within the tolerance sort into the order of their nodes.
+    nodes, weights = kernel.convex_weights()
+    direction = np.sqrt(np.arange(1.0, scenario.dimension + 1.0))
+    order = np.argsort(nodes @ direction, kind="stable")
+    for mat in scenario.group:
+        moved = nodes @ mat.T
+        image = np.argsort(moved @ direction, kind="stable")
+        gap = np.linalg.norm(moved[image] - nodes[order], axis=1)
+        if (np.max(gap) > 1e-14 * kernel.epsilon
+                or np.max(np.abs(weights[image] - weights[order]))
+                > 1e-14 * np.max(weights)):
+            return False
+    return True
+
+
 def _smoothed_field(scenario, epsilon, config):
     """The scenario's smoothed metric at one epsilon.
 
-    Finite groups run the full chart-then-average pipeline.  For the torus
-    the Haar quadrature multiplies cost by its node count while the
-    rotation-symmetric chart construction already reproduces the average
-    to quadrature accuracy, so sweeps evaluate the chart stage and the
-    invariance-check kind certifies the residual separately.
+    The chart stages, composed in order, when the group is the torus
+    quadrature or ``_chart_stage_commutes`` certifies that they already
+    commute with the group; otherwise the true group average.  Averaging
+    an equivariant stage again only multiplies its cost by |G|.  The torus
+    is decided first: its quadrature angles do not permute the kernel's,
+    so the guard would reject it, and its shortcut rests on quadrature
+    accuracy instead, which the invariance-check kind certifies.
     """
     kernel = _kernel_for(epsilon, config, scenario.dimension)
-    if scenario.group_kind != "torus":
+    if not (scenario.group.is_quadrature or _chart_stage_commutes(scenario, kernel)):
         return _group_average(scenario, kernel)
     field = scenario.metric
     for cutoff in scenario.atlas:
@@ -305,7 +353,7 @@ def _run_lipschitz_sweep(scenario, config):
 
 
 def _run_invariance_check(scenario, config):
-    finite = scenario.group_kind != "torus"
+    finite = not scenario.group.is_quadrature
     metric_tol = 1e-10 if finite else 1e-6
     current_tol = 1e-10
     points = _probe_points(scenario, seed=config.seed)

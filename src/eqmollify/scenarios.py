@@ -51,7 +51,6 @@ class Scenario:
     curvature_bounds: tuple
     atlas: tuple
     group: GroupAction
-    group_kind: str
     currents: tuple = ()
     forms: tuple = ()
     discontinuity_radii: tuple = ()
@@ -153,7 +152,6 @@ def _build_euclid_z4(group_quadrature):
         curvature_bounds=(0.0, 0.0),
         atlas=_unit_atlas(),
         group=group,
-        group_kind="cyclic",
         currents=(masses, tangents),
         forms=standard_form_bank(),
     )
@@ -167,7 +165,6 @@ def _build_round_sphere_chart(group_quadrature):
         curvature_bounds=(1.0, 1.0),
         atlas=_unit_atlas(),
         group=cyclic_rotation_group(8),
-        group_kind="cyclic",
     )
 
 
@@ -179,7 +176,6 @@ def _build_radial_c11(group_quadrature):
         curvature_bounds=RADIAL_BOUNDS,
         atlas=_unit_atlas(),
         group=torus_group(group_quadrature or 64),
-        group_kind="torus",
         discontinuity_radii=(KINK_RADIUS,),
     )
 
@@ -196,7 +192,6 @@ def _build_strip_two_charts(group_quadrature):
         curvature_bounds=(0.0, 0.0),
         atlas=atlas,
         group=trivial_group(2),
-        group_kind="trivial",
         domain_radius=0.3,
         scan_radius=0.6,
     )

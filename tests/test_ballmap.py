@@ -208,6 +208,25 @@ def test_shift_group_law_and_inverse():
     assert np.max(np.linalg.norm(back - x, axis=1)) <= 1e-8
 
 
+@st.composite
+def disc_points(draw):
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        radius = draw(st.floats(0.0, bm.R_IDENTITY, exclude_max=True))
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        rows.append(radius * np.array([np.cos(angle), np.sin(angle)]))
+    return np.array(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(disc_points(), st.floats(0.0, 0.2), st.floats(0.0, 2.0 * np.pi))
+def test_shift_group_law_property(x, size, angle):
+    # s_{-y} undoes s_y on points inside R_IDENTITY, for |y| <= 0.2
+    y = size * np.array([np.cos(angle), np.sin(angle)])
+    back = bm.shift_points(bm.shift_points(x, y), -y)
+    assert np.max(np.linalg.norm(back - x, axis=1)) <= 1e-10
+
+
 def test_shift_stays_inside_ball():
     rng = np.random.default_rng(3)
     x = rng.uniform(-0.99, 0.99, size=(500, 2))

@@ -53,6 +53,11 @@ class TestExitCodes:
         path = config_file(tmp_path, {"scenario": "euclid_z4", "wild": 1})
         assert main(["invariance-check", "--config", path]) == 2
 
+    def test_config_past_a_bound_is_two(self, tmp_path, capsys):
+        path = config_file(tmp_path, {"scenario": "euclid_z4", "grid": 100000})
+        assert main(["smooth-metric", "--config", path]) == 2
+        assert "'grid' must be at most" in capsys.readouterr().err
+
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_bad_thread_setting_is_two(self, tmp_path, capsys, monkeypatch, raw):
         monkeypatch.setenv("EQMOLLIFY_THREADS", raw)

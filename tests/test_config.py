@@ -61,6 +61,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig(scenario="euclid_z4", **{name: 2.5})
 
+    @pytest.mark.parametrize("name", ["grid", "graph_grid", "group_quadrature",
+                                      "pairs", "max_halvings", "seed", "level"])
+    def test_bools_are_not_integers(self, name):
+        # bool is an int subclass: JSON true must not run as 1
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig(scenario="euclid_z4", **{name: True})
+
+    @pytest.mark.parametrize("name, upper", [("grid", 513), ("graph_grid", 129),
+                                             ("group_quadrature", 512),
+                                             ("pairs", 256), ("max_halvings", 40)])
+    def test_upper_bounds(self, name, upper):
+        assert getattr(ExperimentConfig(scenario="euclid_z4", **{name: upper}),
+                       name) == upper
+        with pytest.raises(ConfigError, match="%r must be at most %d" % (name, upper)):
+            ExperimentConfig(scenario="euclid_z4", **{name: upper + 1})
+
+    def test_seed_has_no_upper_bound(self):
+        assert ExperimentConfig(scenario="euclid_z4", seed=2**40).seed == 2**40
+
     @pytest.mark.parametrize("level", [0, 4, 1.5])
     def test_level_range(self, level):
         with pytest.raises(ConfigError, match="level"):

@@ -6,6 +6,7 @@ small and asserts structure, determinism, and the documented check
 semantics.
 """
 
+import dataclasses
 import json
 import os
 
@@ -16,7 +17,9 @@ from eqmollify.config import ConfigError, ExperimentConfig
 from eqmollify.experiments import (
     EXPERIMENT_KINDS,
     CheckResult,
+    _chart_stage_commutes,
     _fmt,
+    _group_average,
     _kernel_for,
     _probe_points,
     _series_step_ratio,
@@ -24,6 +27,8 @@ from eqmollify.experiments import (
     run_experiment,
     thread_cap,
 )
+from eqmollify.kernel import MollifierKernel, QuadratureRule
+from eqmollify.maps import AffineChart, cyclic_rotation_group, trivial_group
 from eqmollify.metrics import haar_average_metric
 from eqmollify.scenarios import build_scenario
 
@@ -55,12 +60,20 @@ class TestThreadCap:
 
 
 # the benchmark's smallest sizes of its sphere-seminorm and orbit-currents
-# workloads: three and two stages, so two threads really run side by side
+# workloads, a two-stage sphere curvature report on the guarded chart-stage
+# path, and the cheap sizes of acceptance criterion 12 for the other kinds;
+# the sweeps have two or more stages, so two threads really run side by side
 THREAD_SAMPLES = {
     "smooth-metric": dict(scenario="round_sphere_chart", grid=17, delta=0.01,
                           epsilons=(4.8828125e-05, 2.44140625e-05, 1.220703125e-05)),
     "mollify-current": dict(scenario="orbit_currents", delta=0.02,
                             epsilons=(0.0125, 0.00625)),
+    "curvature-report": dict(scenario="round_sphere_chart", grid=9, delta=0.05,
+                             epsilons=(0.05, 0.025)),
+    "lipschitz-sweep": dict(scenario="euclid_z4", epsilons=(0.05, 0.025),
+                            graph_grid=9, pairs=8),
+    "invariance-check": dict(scenario="euclid_z4", epsilons=(0.1, 0.05)),
+    "select-epsilon": dict(scenario="euclid_z4", k_values=(1,), grid=33),
 }
 
 
@@ -198,15 +211,72 @@ class TestTorusSweepField:
         assert gaps[0] <= 1e-5
         assert gaps[1] <= 1e-10
 
-    def test_finite_group_uses_true_average(self):
-        scenario = build_scenario("euclid_z4")
-        config = ExperimentConfig(scenario="euclid_z4")
-        kernel = _kernel_for(0.1, config, 2)
-        field = _smoothed_field(scenario, 0.1, config)
-        full = haar_average_metric(scenario.metric, scenario.atlas[0],
-                                   kernel, scenario.group)
-        pts = _probe_points(scenario, count=10)
-        assert np.array_equal(field.value(pts), full.value(pts))
+
+def _sweep_and_average(scenario, epsilon):
+    """The sweep field and the true group average on the probe points."""
+    config = ExperimentConfig(scenario=scenario.name)
+    kernel = _kernel_for(epsilon, config, scenario.dimension)
+    pts = _probe_points(scenario)
+    field = _smoothed_field(scenario, epsilon, config).value(pts)
+    full = _group_average(scenario, kernel).value(pts)
+    return field, full
+
+
+class TestChartStageGuard:
+    @pytest.mark.parametrize("name", ["round_sphere_chart", "euclid_z4"])
+    @pytest.mark.parametrize("epsilon", [0.2, 0.05, 0.0125])
+    def test_chart_stage_matches_group_average(self, name, epsilon):
+        scenario = build_scenario(name)
+        config = ExperimentConfig(scenario=name)
+        assert _chart_stage_commutes(scenario, _kernel_for(epsilon, config, 2))
+        field, full = _sweep_and_average(scenario, epsilon)
+        assert np.max(np.abs(field - full)) <= 1e-12
+
+    @pytest.mark.parametrize("group", [trivial_group(2), cyclic_rotation_group(4),
+                                       cyclic_rotation_group(8)],
+                             ids=["trivial", "z4", "z8"])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_guard_accepts_permuting_groups(self, group, level):
+        scenario = dataclasses.replace(build_scenario("round_sphere_chart"),
+                                       group=group)
+        for epsilon in (0.2, 0.0125):
+            kernel = MollifierKernel.create(2, epsilon, level=level)
+            assert _chart_stage_commutes(scenario, kernel)
+
+    def test_guard_rejects_nodes_that_land_on_unequal_weights(self):
+        # the Z8 node set is kept, but one node's raw weight is changed
+        scenario = build_scenario("round_sphere_chart")
+        kernel = MollifierKernel.create(2, 0.05, level=1)
+        rule = kernel.quadrature
+        weights = rule.weights.copy()
+        weights[3] *= 1.5
+        skewed = MollifierKernel(kernel.profile, kernel.epsilon,
+                                 QuadratureRule(rule.nodes, weights, rule.level))
+        assert _chart_stage_commutes(scenario, kernel)
+        assert not _chart_stage_commutes(scenario, skewed)
+
+    @staticmethod
+    def _rejected(case):
+        sphere = build_scenario("round_sphere_chart")
+        cutoff = sphere.atlas[0]
+        if case == "z3":
+            return dataclasses.replace(sphere, group=cyclic_rotation_group(3))
+        chart = (AffineChart.scaled([0.1, 0.0], 1.0) if case == "off-centre"
+                 else AffineChart(np.diag([1.0, 1.25]), np.zeros(2)))
+        return dataclasses.replace(
+            sphere, atlas=(dataclasses.replace(cutoff, chart=chart),))
+
+    @pytest.mark.parametrize("case", ["off-centre", "non-scalar", "z3"])
+    def test_guard_rejects_and_falls_back_bit_for_bit(self, case):
+        """A 120 degree rotation does not permute the 16/32/64 midpoint
+        angles; an off-centre or anisotropic chart does not commute with
+        the rotations.  Each falls back to the true average."""
+        scenario = self._rejected(case)
+        for level in (1, 2, 3):
+            kernel = MollifierKernel.create(2, 0.05, level=level)
+            assert not _chart_stage_commutes(scenario, kernel)
+        field, full = _sweep_and_average(scenario, 0.05)
+        assert np.array_equal(field, full)
 
 
 class TestReportFiles:

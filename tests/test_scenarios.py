@@ -93,7 +93,6 @@ class TestLoadChecks:
             curvature_bounds=(0.0, 0.0),
             atlas=_unit_atlas(),
             group=cyclic_rotation_group(4),
-            group_kind="cyclic",
         )
         base.update(kw)
         return Scenario(**base)
