@@ -13,6 +13,14 @@ Beyond ``R_IDENTITY`` (where the profile exceeds 1e12) a shift moves points
 by less than double precision can resolve, so the maps return their input
 bit for bit from that radius outward instead of round-tripping through the
 profile.
+
+Averaging the shifts over kernel nodes, as both the metric quadrature and
+the current smoothing do, is fused: the expansion half of every shift
+depends only on the point, so ``_shift_blocks`` computes it once per point
+and runs only the compression half per node.  Points at radius R_IDENTITY
+or beyond never enter it; the callers reproduce their input there bit for
+bit, which is what makes the locality guarantees exact rather than merely
+small.
 """
 
 import math
@@ -70,6 +78,9 @@ R_OVERFLOW = 0.96
 
 # Largest |x| whose square is finite: the norms overflow past it.
 _NORM_LIMIT = math.sqrt(sys.float_info.max)
+
+# Row cap for every (shift x point) block of ``_shift_blocks``.
+_MAX_ROWS = 1 << 20
 
 
 def _flat_exp(u):
@@ -329,12 +340,10 @@ def _expand_with_jacobian(x):
     return _radial_map(x, inverse=False, jacobian=True)
 
 
-def shift_points(x, y):
-    """Apply the compactly supported shift s_y row-wise: x, y of shape (N, n).
-
-    Equals x + y wherever the compression is the identity around both points,
-    and returns x bit for bit from R_IDENTITY outward.
-    """
+def _shift(x, y, jacobian):
+    """Shared body of the shift maps: s_y row-wise, with the Jacobians too
+    when ``jacobian`` is set.  Rows from R_IDENTITY outward are returned
+    bit for bit, with an exact identity Jacobian."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     scalar = x.ndim == 1
@@ -342,13 +351,28 @@ def shift_points(x, y):
     shifts = np.atleast_2d(y)
     if shifts.shape[0] == 1 and pts.shape[0] > 1:
         shifts = np.broadcast_to(shifts, pts.shape)
-    r = _norms(pts)
     out = pts.copy()
-    inner = r < R_IDENTITY
+    inner = _norms(pts) < R_IDENTITY
+    if not jacobian:
+        if np.any(inner):
+            out[inner] = ball_compress(ball_expand(pts[inner]) + shifts[inner])
+        return out[0] if scalar else out
+    count, n = pts.shape
+    jac = np.broadcast_to(np.eye(n), (count, n, n)).copy()
     if np.any(inner):
-        expanded = ball_expand(pts[inner])
-        out[inner] = ball_compress(expanded + shifts[inner])
-    return out[0] if scalar else out
+        expanded, jac_expand = _expand_with_jacobian(pts[inner])
+        out[inner], jac_compress = _compress_with_jacobian(expanded + shifts[inner])
+        jac[inner] = jac_compress @ jac_expand
+    return (out[0], jac[0]) if scalar else (out, jac)
+
+
+def shift_points(x, y):
+    """Apply the compactly supported shift s_y row-wise: x, y of shape (N, n).
+
+    Equals x + y wherever the compression is the identity around both points,
+    and returns x bit for bit from R_IDENTITY outward.
+    """
+    return _shift(x, y, jacobian=False)
 
 
 def shift_with_jacobian(x, y):
@@ -358,27 +382,32 @@ def shift_with_jacobian(x, y):
     compression Jacobian at the translated point; exact identity outside
     R_IDENTITY and wherever both factors reduce to the identity.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x)
-    shifts = np.atleast_2d(y)
-    if shifts.shape[0] == 1 and pts.shape[0] > 1:
-        shifts = np.broadcast_to(shifts, pts.shape)
-    count, n = pts.shape
-    out = pts.copy()
-    jac = np.zeros((count, n, n))
-    idx = np.arange(n)
-    jac[:, idx, idx] = 1.0
-    r = _norms(pts)
-    inner = r < R_IDENTITY
-    if np.any(inner):
-        expanded, jac_expand = _expand_with_jacobian(pts[inner])
-        translated = expanded + shifts[inner]
-        compressed, jac_compress = _compress_with_jacobian(translated)
-        out[inner] = compressed
-        jac[inner] = np.matmul(jac_compress, jac_expand)
-    return (out[0], jac[0]) if scalar else (out, jac)
+    return _shift(x, y, jacobian=True)
+
+
+def _shift_blocks(points, shifts):
+    """Every shift in ``shifts`` (M, n) applied to every row of ``points``
+    (N, n), which must lie inside R_IDENTITY.  Yields node-major blocks
+    (point slice, shift slice, moved (b, m, n), jac (b, m, n, n)) of at
+    most _MAX_ROWS rows; each point block is expanded once and only the
+    compression runs per shift block.  Points are split first, then
+    shifts, and no output bit depends on the blocking."""
+    count, n = points.shape
+    span = max(1, min(count, _MAX_ROWS))
+    block = max(1, _MAX_ROWS // span)
+    for p0 in range(0, count, span):
+        part = slice(p0, p0 + span)
+        expanded, jac_expand = _expand_with_jacobian(points[part])
+        m = expanded.shape[0]
+        for j0 in range(0, shifts.shape[0], block):
+            nodes = slice(j0, min(j0 + block, shifts.shape[0]))
+            moved, jac = _compress_with_jacobian(
+                (expanded[None, :, :] + shifts[nodes, None, :]).reshape(-1, n))
+            b = moved.shape[0] // m
+            # rebinding frees the translated points and the compression
+            # Jacobians before the caller evaluates its block
+            jac = jac.reshape(b, m, n, n) @ jac_expand
+            yield part, nodes, moved.reshape(b, m, n), jac
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .ballmap import BallDomainError, ConvergenceError
-from .config import ConfigError, load_config
+from .config import _INT_FIELDS, ConfigError, load_config
 from .currents import CurrentError
 from .curvature import CurvatureError
 from .distances import DistanceError
@@ -56,8 +56,10 @@ def main(argv=None):
         config = load_config(args.config)
         config = config.override(out=args.out, seed=args.seed, grid=args.grid)
         if args.epsilon_steps is not None:
-            if args.epsilon_steps < 1:
-                raise ConfigError("--epsilon-steps must be at least 1")
+            # the same bound as max_halvings, checked before the list is built
+            top = _INT_FIELDS["max_halvings"]
+            if not 1 <= args.epsilon_steps <= top:
+                raise ConfigError("--epsilon-steps must be at least 1 and at most %d" % top)
             start = config.epsilons[0]
             config = config.override(
                 epsilons=tuple(start * 0.5**j for j in range(args.epsilon_steps))

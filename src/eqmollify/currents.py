@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ballmap import shift_with_jacobian
+from .ballmap import R_IDENTITY, _shift_blocks
 from .maps import GroupAction, smooth_step
 
 __all__ = [
@@ -41,9 +41,6 @@ __all__ = [
     "equivariant_smooth",
     "invariance_residual",
 ]
-
-# row cap for the (kernel node x sample point) product batches
-_MAX_ROWS = 1 << 20
 
 
 class CurrentError(ValueError):
@@ -407,25 +404,24 @@ def _translation_product(sample, kernel):
 
 
 def _shift_product(sample, kernel):
+    """Node-major shift pushforwards of the sample, one copy per kernel
+    node; rows from R_IDENTITY outward keep their point and frame bit for
+    bit."""
     nodes, node_w = kernel.convex_weights()
     k = sample.points.shape[0]
     m = nodes.shape[0]
     dim, deg = sample.dimension, sample.degree
-    block = max(1, _MAX_ROWS // max(k, 1))
-    pts_out = np.empty((m * k, dim))
-    frames_out = np.empty((m * k, deg, dim))
-    for j0 in range(0, m, block):
-        j1 = min(j0 + block, m)
-        rows = (j1 - j0) * k
-        x = np.tile(sample.points, (j1 - j0, 1))
-        y = np.repeat(nodes[j0:j1], k, axis=0)
-        moved, jac = shift_with_jacobian(x, y)
-        sl = slice(j0 * k, j0 * k + rows)
-        pts_out[sl] = moved
-        tiled = np.tile(sample.frames, (j1 - j0, 1, 1))
-        frames_out[sl] = np.einsum("kij,kaj->kai", jac, tiled)
+    pts_out = np.broadcast_to(sample.points, (m, k, dim)).copy()
+    frames_out = np.broadcast_to(sample.frames, (m, k, deg, dim)).copy()
+    inner = np.flatnonzero(np.linalg.norm(sample.points, axis=1) < R_IDENTITY)
+    frames_in = sample.frames[inner]
+    for part, block, moved, jac in _shift_blocks(sample.points[inner], nodes):
+        rows = inner[part]
+        pts_out[block, rows] = moved
+        frames_out[block, rows] = np.einsum("bkij,kaj->bkai", jac, frames_in[part])
     weights = (node_w[:, None] * sample.weights[None, :]).ravel()
-    return WeightedSample(pts_out, frames_out, weights)
+    return WeightedSample(pts_out.reshape(m * k, dim),
+                          frames_out.reshape(m * k, deg, dim), weights)
 
 
 def _iter_parts(current):

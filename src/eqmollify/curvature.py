@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 
+# central-difference step of the finite-difference jets, unless one is given
+FD_STEP = 1e-4
+
+
 class CurvatureError(RuntimeError):
     """Degenerate section, missing derivatives, or an empty scan."""
 
@@ -83,7 +87,7 @@ def _metric_jet(metric, points, mode="auto", step=None):
             np.asarray(metric.first_derivative(points), dtype=float),
             np.asarray(metric.second_derivative(points), dtype=float),
         )
-    return _finite_difference_jet(metric, points, step or metric.fd_step)
+    return _finite_difference_jet(metric, points, step or FD_STEP)
 
 
 def _christoffel_terms(g, dg, d2g=None):
@@ -186,7 +190,7 @@ def curvature_bounds(metric, grid, sections=8, seed=42, mode="auto", step=None,
     radii = tuple(exclusion_radii) + tuple(getattr(metric, "discontinuity_radii", ()))
     width = exclusion_width
     if width is None:
-        width = 2.0 * (step or metric.fd_step)
+        width = 2.0 * (step or FD_STEP)
     for radius in radii:
         points = points[np.abs(np.linalg.norm(points, axis=1) - radius) >= width]
     if points.shape[0] == 0:

@@ -7,14 +7,11 @@ smooths the weighted half in chart coordinates and reassembles, and the
 group average symmetrizes the result over a compact group of orthogonal
 matrices acting by isometries.
 
-The pointwise quadrature is fused for speed: the expansion half of every
-shift depends only on the evaluation point, so it is computed once per
-point and only the compression half runs per kernel node.  Points at
-radius R_IDENTITY or beyond skip the quadrature entirely and reproduce the
-input bit for bit, which is what makes the locality guarantees exact
-rather than merely small.  For the same reason multi-chart stages are
-composed exactly and never cached on a grid: interpolation would break that
-locality and the finite-difference curvature taken on top.
+The pointwise quadrature runs on the fused shift product of ``ballmap``;
+points at radius R_IDENTITY or beyond skip it and reproduce the input bit
+for bit.  Multi-chart stages are therefore composed exactly and never
+cached on a grid: interpolation would break that locality and the
+finite-difference curvature taken on top.
 """
 
 import math
@@ -22,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ballmap import (
-    R_IDENTITY,
-    _compress_with_jacobian,
-    _expand_with_jacobian,
-)
+from .ballmap import R_IDENTITY, _shift_blocks
 from .maps import GroupAction
 
 __all__ = [
@@ -50,8 +43,6 @@ __all__ = [
     "EpsilonSelector",
     "default_level_schedule",
 ]
-
-_MAX_ROWS = 1 << 20
 
 
 class MetricError(RuntimeError):
@@ -116,18 +107,16 @@ class MetricField:
     ``fn`` maps point batches (N, n) to matrices (N, n, n).  Analytic first
     and second derivatives, when supplied, have shapes (N, n, n, n) for
     d_a g_ij and (N, n, n, n, n) for d_a d_b g_ij; consumers fall back to
-    central differences with ``fd_step`` otherwise.  ``discontinuity_radii``
-    lists radii of spheres where second derivatives jump, so curvature
-    sampling can excise them.
+    central differences otherwise.  ``discontinuity_radii`` lists radii of
+    spheres where second derivatives jump, so curvature sampling can excise
+    them.
     """
 
     fn: object
     dimension: int
-    regularity: str = "smooth"
     first_derivative: object = None
     second_derivative: object = None
     discontinuity_radii: tuple = ()
-    fd_step: float = 1e-4
 
     def value(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -242,60 +231,38 @@ def pullback_metric(metric, mapping):
     return MetricField(
         fn=fn,
         dimension=metric.dimension,
-        regularity=metric.regularity,
         first_derivative=first,
         second_derivative=second,
-        discontinuity_radii=(),
-        fd_step=metric.fd_step,
     )
 
 
-def _mollify_values(metric_fn, kernel, points, spd_check=False):
+def _mollify_values(metric_fn, kernel, points):
     """Fused quadrature of the shifted pullbacks at each point.
 
     Rows at radius >= R_IDENTITY bypass the quadrature and copy the input
-    value; for the rest, the expansion Jacobian is reused across all kernel
-    nodes and only the compression side runs per node.
+    value; the rest average the congruences over the blocks of the shift
+    product.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     count, n = points.shape
-    radii = np.linalg.norm(points, axis=1)
-    inner = radii < R_IDENTITY
+    inner = np.linalg.norm(points, axis=1) < R_IDENTITY
     out = np.empty((count, n, n))
     if np.any(~inner):
         out[~inner] = metric_fn(points[~inner])
     if np.any(inner):
-        pts_in = points[inner]
         nodes, node_w = kernel.convex_weights()
-        inner_count = pts_in.shape[0]
-        acc = np.zeros((inner_count, n, n))
-        # Past _MAX_ROWS inner points the points are split as well.  Every
-        # split then takes one node at a time, as the unsplit call would,
-        # so the ordered node sum and hence every output bit stay the same.
-        span = min(inner_count, _MAX_ROWS)
-        block = max(1, _MAX_ROWS // span)
-        for p0 in range(0, inner_count, span):
-            part = slice(p0, p0 + span)
-            expanded, jac_expand = _expand_with_jacobian(pts_in[part])
-            m = expanded.shape[0]
-            for j0 in range(0, nodes.shape[0], block):
-                j1 = min(j0 + block, nodes.shape[0])
-                b = j1 - j0
-                translated = (expanded[None, :, :] + nodes[j0:j1, None, :]).reshape(-1, n)
-                compressed, jac_compress = _compress_with_jacobian(translated)
-                vals = metric_fn(compressed).reshape(b, m, n, n)
-                chain = jac_compress.reshape(b, m, n, n) @ jac_expand
-                congruent = np.swapaxes(chain, -1, -2) @ vals @ chain
-                # a plain ordered sum over the nodes, no BLAS: reruns and
-                # thread counts reproduce it bit for bit
-                acc[part] += np.einsum("j,jrik->rik", node_w[j0:j1], congruent)
+        acc = np.zeros((int(np.count_nonzero(inner)), n, n))
+        for part, block, moved, chain in _shift_blocks(points[inner], nodes):
+            vals = metric_fn(moved.reshape(-1, n)).reshape(chain.shape)
+            congruent = np.swapaxes(chain, -1, -2) @ vals @ chain
+            # a plain ordered sum over the nodes, no BLAS: reruns and
+            # thread counts reproduce it bit for bit
+            acc[part] += np.einsum("j,jrik->rik", node_w[block], congruent)
         out[inner] = 0.5 * (acc + np.swapaxes(acc, 1, 2))
-    if spd_check:
-        _require_spd(out, points, "mollified metric lost")
     return out
 
 
-def mollify_metric(metric, kernel, spd_check=True):
+def mollify_metric(metric, kernel):
     """Kernel average of the shift pullbacks of the metric.
 
     Equals the input bit for bit from R_IDENTITY outward, and in particular
@@ -307,13 +274,14 @@ def mollify_metric(metric, kernel, spd_check=True):
         raise MetricError("kernel dimension does not match the metric")
 
     def fn(pts):
-        return _mollify_values(metric.value, kernel, pts, spd_check=spd_check)
+        vals = _mollify_values(metric.value, kernel, pts)
+        _require_spd(vals, pts, "mollified metric lost")
+        return vals
 
-    return MetricField(fn=fn, dimension=metric.dimension, regularity="smooth",
-                       fd_step=metric.fd_step)
+    return MetricField(fn=fn, dimension=metric.dimension)
 
 
-def chart_smooth_metric(metric, cutoff, kernel, spd_check=True):
+def chart_smooth_metric(metric, cutoff, kernel):
     """Chart-localized smoothing: bump-weighted part mollified in chart
     coordinates, remainder untouched.
 
@@ -346,12 +314,11 @@ def chart_smooth_metric(metric, cutoff, kernel, spd_check=True):
             pulled = jac_fwd.T @ smoothed @ jac_fwd
             remainder = 1.0 - cutoff.profile(rho[inside])
             total = pulled + remainder[:, None, None] * metric.value(inner)
-            if spd_check:
-                _require_spd(total, inner, "chart smoothing lost")
+            _require_spd(total, inner, "chart smoothing lost")
             out[inside] = total
         return out
 
-    return MetricField(fn=fn, dimension=n, regularity="smooth", fd_step=metric.fd_step)
+    return MetricField(fn=fn, dimension=n)
 
 
 def isometry_residual(metric, group, points):
@@ -370,7 +337,7 @@ def isometry_residual(metric, group, points):
 
 
 def haar_average_metric(metric, cutoff, kernel, group, isometry_points=None,
-                        isometry_tolerance=1e-8, spd_check=True):
+                        isometry_tolerance=1e-8):
     """Group average of the chart-localized smoothing.
 
     For finite groups this is the exact uniform average of pullbacks; the
@@ -386,7 +353,7 @@ def haar_average_metric(metric, cutoff, kernel, group, isometry_points=None,
             raise MetricError(
                 "group does not act by isometries (residual %.3e)" % residual
             )
-    stage = chart_smooth_metric(metric, cutoff, kernel, spd_check=spd_check)
+    stage = chart_smooth_metric(metric, cutoff, kernel)
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -396,12 +363,11 @@ def haar_average_metric(metric, cutoff, kernel, group, isometry_points=None,
             acc += weight * (mat.T @ vals @ mat)
         return acc
 
-    return MetricField(fn=fn, dimension=metric.dimension, regularity="smooth",
-                       fd_step=metric.fd_step)
+    return MetricField(fn=fn, dimension=metric.dimension)
 
 
 def compose_chart_stages(metric, cutoffs, kernels, group,
-                         isometry_points=None, spd_check=True):
+                         isometry_points=None):
     """Sequential chart-by-chart averaged smoothing over a finite atlas.
 
     Stages compose exactly: each one evaluates the previous field itself,
@@ -416,7 +382,6 @@ def compose_chart_stages(metric, cutoffs, kernels, group,
         current = haar_average_metric(
             current, cutoff, kernel, group,
             isometry_points=isometry_points if index == 0 else None,
-            spd_check=spd_check,
         )
     return current
 

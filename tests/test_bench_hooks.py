@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from eqmollify import ballmap, currents, kernel, maps
+from eqmollify import ballmap, currents, kernel, maps, metrics
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
 PATCHED_CLASSES = (maps.AffineChart, maps.ChartCutoff, currents.WeightedSample,
@@ -66,20 +66,30 @@ def test_install_then_uninstall_restores_every_original(bench_modules):
 
 def test_ballmap_spans_never_nest_in_their_own_kind(bench_modules):
     # a hooked name calling another hooked name of the same span would count
-    # its rows twice
+    # its rows twice; the metric quadrature and the current smoothing reach
+    # the ball maps through the shared shift product
     layers, tracer = bench_modules
     hooks = tracer.Tracer()
     x = np.array([[0.1, 0.0], [0.5, 0.2], [0.7, -0.1], [0.9, 0.0]])
     y = np.array([0.05, -0.02])
+    mollifier = kernel.MollifierKernel.create(2, 0.1, level=1)
+    sample = currents.WeightedSample(x, np.ones((4, 1, 2)), np.ones(4))
     try:
         layers.install(hooks)
         ballmap.shift_points(x, y)
         ballmap.shift_with_jacobian(x, y)
         ballmap.ball_compress(ballmap.ball_expand(x[:3]))
+        metrics._mollify_values(lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)),
+                                mollifier, x)
+        currents._shift_product(sample, mollifier)
     finally:
         hooks.uninstall()
     names = {span.name for span in hooks.spans}
-    assert {"ballmap.shift", "ballmap.compress", "ballmap.expand"} <= names
+    assert {"ballmap.shift", "ballmap.compress", "ballmap.expand",
+            "metrics.mollify", "currents.shift_product"} <= names
+    fused = [span.parent.name for span in hooks.spans
+             if span.name == "ballmap.expand" and span.parent is not None]
+    assert {"metrics.mollify", "currents.shift_product"} <= set(fused)
     nested = [span.name for span in hooks.spans
               if span.name.startswith("ballmap.") and span.parent is not None
               and span.parent.name == span.name]

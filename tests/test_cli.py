@@ -129,6 +129,14 @@ class TestFlags:
         assert code == 2
         assert "at least 1" in capsys.readouterr().err
 
+    def test_epsilon_steps_are_bounded_before_the_schedule_is_built(self, tmp_path, capsys):
+        # a trillion halvings would need terabytes if the schedule were built
+        path = config_file(tmp_path, {"scenario": "euclid_z4"})
+        code = main(["invariance-check", "--config", path,
+                     "--epsilon-steps", "1000000000000"])
+        assert code == 2
+        assert "at most 40" in capsys.readouterr().err
+
     def test_seed_override_changes_rows(self, tmp_path):
         payload = {"scenario": "euclid_z4", "epsilons": [0.1]}
         path = config_file(tmp_path, payload)

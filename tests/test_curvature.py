@@ -64,7 +64,6 @@ def radial_c11_metric():
                            RADIAL_C0 + RADIAL_C1 * (t - KINK_T) + 0.8 * (t - KINK_T) ** 2),
         lambda t: np.where(t <= KINK_T, 0.3 - t, RADIAL_C1 + 1.6 * (t - KINK_T)),
         lambda t: np.where(t <= KINK_T, -1.0, 1.6),
-        regularity="c11",
         discontinuity_radii=(0.45,),
     )
 
@@ -221,8 +220,7 @@ class TestCurvatureBounds:
                              exclusion_radii=(0.0,), exclusion_width=0.2)
 
     def test_mollified_sphere_stays_near_unit_curvature(self):
-        smoothed = mollify_metric(sphere_metric(), MollifierKernel.create(2, 1.22e-5, level=1),
-                                  spd_check=False)
+        smoothed = mollify_metric(sphere_metric(), MollifierKernel.create(2, 1.22e-5, level=1))
         pts = np.array([[0.5, 0.1], [0.3, -0.3]])
         k = sectional_curvature(smoothed, pts, E1[:2], E2[:2], step=5e-3)
         assert np.max(np.abs(k - 1.0)) < 1e-3

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqmollify import metrics
+from eqmollify import ballmap, currents, metrics
 from eqmollify.ballmap import (BRIDGE_HI, BRIDGE_LO, R_IDENTITY, _compress_with_jacobian,
                                _expand_with_jacobian)
 from eqmollify.kernel import MollifierKernel
@@ -85,8 +85,7 @@ def sphere_metric():
 
 
 def radial_metric():
-    return conformal_metric(radial_factor, regularity="c11",
-                            discontinuity_radii=(0.45,))
+    return conformal_metric(radial_factor, discontinuity_radii=(0.45,))
 
 
 def unit_chart_cutoff():
@@ -487,7 +486,7 @@ def test_property_identity_zone_for_generic_conformal_metrics(scale, bump, x, y)
     # x >= 0.82 keeps the point past R_IDENTITY for every drawn y
     point = np.array([[x, y]])
     g = conformal_metric(lambda p: scale + bump * np.sin(p[..., 0] + 2.0 * p[..., 1]))
-    smoothed = mollify_metric(g, MollifierKernel.create(2, 0.1, level=1), spd_check=False)
+    smoothed = mollify_metric(g, MollifierKernel.create(2, 0.1, level=1))
     assert np.array_equal(smoothed.value(point), g.value(point))
 
 
@@ -610,20 +609,40 @@ def test_pullback_congruence_uses_the_row_jacobian():
     assert_rows_close(pulled.value(points), np.einsum("ji,rjk,kl->ril", mat, vals, mat))
 
 
-def test_point_blocking_moves_no_bit(monkeypatch):
-    # 60 points over 128 nodes fit one node block; with the cap at 7 they
-    # are split into nine point blocks, each summed one node at a time
+def _mollified_arrays(points):
+    return (metrics._mollify_values(aniso_fn, MollifierKernel.create(2, 0.1, level=1),
+                                    points),)
+
+
+def _shift_product_arrays(degree):
+    def arrays(points):
+        frames = np.random.default_rng(3).normal(size=(points.shape[0], degree, 2))
+        sample = currents.WeightedSample(points, frames, np.ones(points.shape[0]))
+        out = currents._shift_product(sample, MollifierKernel.create(2, 0.1, level=1))
+        return out.points, out.frames, out.weights
+    return arrays
+
+
+@pytest.mark.parametrize("arrays", [_mollified_arrays, _shift_product_arrays(0),
+                                    _shift_product_arrays(1)],
+                         ids=["mollify_values", "shift_product_degree0",
+                              "shift_product_degree1"])
+def test_point_blocking_moves_no_bit(monkeypatch, arrays):
+    # 60 inner points over 128 nodes fit one block; with the cap at 7 they
+    # are split into nine point blocks, each taken one node at a time.  The
+    # five points past R_IDENTITY, mixed in among them, enter no block.
     rng = np.random.default_rng(2)
-    angles = rng.uniform(0.0, 2.0 * np.pi, 60)
-    radii = rng.uniform(0.0, R_IDENTITY, 60)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 65)
+    radii = rng.permutation(np.concatenate([rng.uniform(0.0, R_IDENTITY, 60),
+                                            rng.uniform(R_IDENTITY, 1.5, 5)]))
     points = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
-    kernel = MollifierKernel.create(2, 0.1, level=1)
-    whole = metrics._mollify_values(aniso_fn, kernel, points)
-    monkeypatch.setattr(metrics, "_MAX_ROWS", 7)
+    whole = arrays(points)
+    monkeypatch.setattr(ballmap, "_MAX_ROWS", 7)
     calls = []
-    expand = metrics._expand_with_jacobian
-    monkeypatch.setattr(metrics, "_expand_with_jacobian",
+    expand = ballmap._expand_with_jacobian
+    monkeypatch.setattr(ballmap, "_expand_with_jacobian",
                         lambda pts: calls.append(len(pts)) or expand(pts))
-    split = metrics._mollify_values(aniso_fn, kernel, points)
+    split = arrays(points)
     assert calls == [7] * 8 + [4]
-    assert np.array_equal(split, whole)
+    assert len(split) == len(whole)
+    assert all(np.array_equal(a, b) for a, b in zip(split, whole))
