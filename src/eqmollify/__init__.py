@@ -14,17 +14,14 @@ Verification runs on small built-in scenarios through ``eqmollify.cli``.
 
 from .ballmap import (
     BallDomainError,
-    ShiftMap,
     ball_compress,
     ball_expand,
     shift_points,
     shift_with_jacobian,
 )
 from .curvature import (
-    BoundsComparison,
     CurvatureBounds,
     CurvatureError,
-    bounds_comparison,
     christoffel,
     curvature_bounds,
     sectional_curvature,
@@ -35,12 +32,11 @@ from .currents import (
     DiracCurrent,
     PolyhedralCurrent,
     TestForm,
-    equivariant_smooth,
+    equivariant_sample,
     evaluate,
     invariance_residual,
     localize,
-    smooth_by_shift,
-    smooth_by_translation,
+    mollified_sample,
 )
 from .distances import (
     DilationReport,
@@ -51,7 +47,6 @@ from .distances import (
     graph_distance,
     sample_graph,
     seeded_point_pairs,
-    shortest_path,
 )
 from .kernel import (
     BumpProfile,
@@ -59,7 +54,6 @@ from .kernel import (
     QuadratureError,
     QuadratureRule,
     ball_quadrature,
-    ball_volume,
     normalization_constant,
     sphere_area,
     unit_bump,
@@ -88,7 +82,6 @@ from .metrics import (
     haar_average_metric,
     isometry_residual,
     mollify_metric,
-    pullback_metric,
     radial_conformal_metric,
     select_epsilon_for_k,
     sobolev_seminorm,

@@ -25,7 +25,6 @@ small.
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +40,10 @@ __all__ = [
     "radial_profile",
     "radial_profile_derivative",
     "radial_profile_inverse",
-    "monotonicity_certificate",
     "ball_compress",
     "ball_expand",
     "shift_points",
     "shift_with_jacobian",
-    "ShiftMap",
 ]
 
 
@@ -81,6 +78,11 @@ _NORM_LIMIT = math.sqrt(sys.float_info.max)
 
 # Row cap for every (shift x point) block of ``_shift_blocks``.
 _MAX_ROWS = 1 << 20
+
+# Bridge inversion: residual bound |g(r) - s| <= _INVERSE_TOLERANCE *
+# max(1, s), reached within _INVERSE_ITERATIONS Newton/bisection steps.
+_INVERSE_TOLERANCE = 1e-12
+_INVERSE_ITERATIONS = 80
 
 
 def _flat_exp(u):
@@ -180,27 +182,12 @@ def radial_profile_derivative(r):
                       _bridge_derivative, _outer_derivative)
 
 
-def monotonicity_certificate(samples=10001):
-    """Dense sample of the profile derivative over the whole domain.
-
-    Returns (radii, derivatives).  Raises ConvergenceError if any sampled
-    derivative is nonpositive; everything downstream assumes strict
-    monotonicity.
-    """
-    r = np.linspace(1e-6, R_OVERFLOW - 1e-9, samples)
-    d = radial_profile_derivative(r)
-    if np.any(d <= 0.0):
-        bad = r[np.argmin(d)]
-        raise ConvergenceError("profile derivative nonpositive near r = %.6f" % bad)
-    return r, d
-
-
-def radial_profile_inverse(s, tolerance=1e-12, max_iterations=80):
+def radial_profile_inverse(s):
     """Inverse of the profile on (0, infinity).
 
     Exact passthrough for s <= BRIDGE_LO, closed form on the exp branch, and
     a bracketed Newton iteration with bisection safeguard on the bridge.
-    Residuals satisfy |g(r) - s| <= tolerance * max(1, s).
+    Residuals satisfy |g(r) - s| <= _INVERSE_TOLERANCE * max(1, s).
     """
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
@@ -214,17 +201,17 @@ def radial_profile_inverse(s, tolerance=1e-12, max_iterations=80):
     out[low] = s[low]
     out[high] = 1.0 - 1.0 / np.sqrt(np.log(s[high]))
     if np.any(mid):
-        out[mid] = _invert_bridge(s[mid], tolerance, max_iterations)
+        out[mid] = _invert_bridge(s[mid])
     return float(out[0]) if scalar else out
 
 
-def _invert_bridge(s, tolerance, max_iterations):
+def _invert_bridge(s):
     lo = np.full(s.shape, BRIDGE_LO)
     hi = np.full(s.shape, BRIDGE_HI)
     r = 0.5 * (lo + hi)
     f = _bridge(r) - s
-    for _ in range(max_iterations):
-        converged = np.abs(f) <= tolerance * np.maximum(1.0, np.abs(s))
+    for _ in range(_INVERSE_ITERATIONS):
+        converged = np.abs(f) <= _INVERSE_TOLERANCE * np.maximum(1.0, np.abs(s))
         if np.all(converged):
             break
         active = ~converged
@@ -243,7 +230,7 @@ def _invert_bridge(s, tolerance, max_iterations):
     else:
         raise ConvergenceError(
             "bridge inversion did not converge to %g in %d iterations"
-            % (tolerance, max_iterations)
+            % (_INVERSE_TOLERANCE, _INVERSE_ITERATIONS)
         )
     return r
 
@@ -408,22 +395,3 @@ def _shift_blocks(points, shifts):
             # Jacobians before the caller evaluates its block
             jac = jac.reshape(b, m, n, n) @ jac_expand
             yield part, nodes, moved.reshape(b, m, n), jac
-
-
-@dataclass(frozen=True)
-class ShiftMap:
-    """The shift s_y as a map object with batched value and Jacobian."""
-
-    y: np.ndarray
-
-    def __init__(self, y):
-        object.__setattr__(self, "y", np.asarray(y, dtype=float))
-
-    def apply(self, x):
-        return shift_points(x, self.y)
-
-    def jacobian(self, x):
-        return shift_with_jacobian(x, self.y)[1]
-
-    def inverse(self):
-        return ShiftMap(-self.y)

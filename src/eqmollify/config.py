@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 from .scenarios import available_scenarios
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config"]
+__all__ = ["DEFAULT_EPSILONS", "ConfigError", "ExperimentConfig", "load_config"]
 
 DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025)
 

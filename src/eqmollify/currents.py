@@ -7,13 +7,14 @@ are then realized as pullbacks on forms, which at the sample level means
 mapping the points and multiplying the frames by Jacobians.  This is exact
 for the pairing and never re-meshes geometry under the nonlinear shifts.
 
-Two smoothing operators act on a current: translation smoothing averages the
-pushforwards under tau_y over the mollifier ball, and shift smoothing uses
-the ball-preserving maps from ``ballmap`` instead, so the open unit ball is
-mapped to itself and everything outside is left untouched.  The equivariant
-operator splits the current with a chart cutoff, smooths the chart part by
-shifts in chart coordinates and averages the result over a group of
-orthogonal matrices.
+Two smoothing operators act on a current, both through ``mollified_sample``:
+translation smoothing averages the pushforwards under tau_y over the
+mollifier ball, and shift smoothing (``ball_shifts``) uses the ball-preserving
+maps from ``ballmap`` instead, so the open unit ball is mapped to itself and
+everything outside is left untouched.  The equivariant operator
+(``equivariant_sample``) splits the current with a chart cutoff, smooths the
+chart part by shifts in chart coordinates and averages the result over a
+group of orthogonal matrices.
 """
 
 from dataclasses import dataclass
@@ -32,13 +33,9 @@ __all__ = [
     "PolyhedralCurrent",
     "CombinedCurrent",
     "evaluate",
-    "pushforward_pairing",
     "mollified_sample",
-    "smooth_by_translation",
-    "smooth_by_shift",
     "localize",
     "equivariant_sample",
-    "equivariant_smooth",
     "invariance_residual",
 ]
 
@@ -104,15 +101,14 @@ class TestForm:
     def evaluate(self, points, frames=None):
         """Batched w(x; v_1, ..., v_m): points (N, n), frames (N, m, n)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        count = points.shape[0]
-        bump = self.cutoff(points)
-        out = np.zeros(count)
-        live = bump > 0.0
+        return self._times_cutoff(_cutoff_rows(self, points, frames))
+
+    def _times_cutoff(self, rows):
+        """The form at the points whose ``_cutoff_rows`` are given."""
+        bump, live, pts, frames = rows
+        out = np.zeros(live.shape[0])
         if not np.any(live) or not self.coefficients:
             return out
-        pts = points[live]
-        if self.degree > 0:
-            frames = np.asarray(frames, dtype=float)[live]
         total = np.zeros(pts.shape[0])
         for index, fn in self.coefficients.items():
             coef = np.asarray(fn(pts), dtype=float)
@@ -124,6 +120,17 @@ class TestForm:
                 total += coef * np.linalg.det(frames[:, :, list(index)])
         out[live] = bump[live] * total
         return out
+
+
+def _cutoff_rows(form, points, frames):
+    """The form's radial cutoff at the points, the mask of rows where it is
+    nonzero, and the points and frames of those rows.  Depends on the form
+    only through its cutoff, so forms sharing one can share the result."""
+    bump = form.cutoff(points)
+    live = bump > 0.0
+    if form.degree > 0:
+        frames = np.asarray(frames, dtype=float)[live]
+    return bump, live, points[live], frames
 
 
 @dataclass(frozen=True)
@@ -147,16 +154,31 @@ class WeightedSample:
         return self
 
     def pair(self, form):
-        if form.degree != self.degree:
-            raise CurrentError("form degree %d != current degree %d" % (form.degree, self.degree))
-        if form.dimension != self.dimension:
-            raise CurrentError("ambient dimensions differ")
-        if self.points.shape[0] == 0:
-            return 0.0
-        return float(np.dot(self.weights, form.evaluate(self.points, self.frames)))
+        return self._pairings([form])[0]
 
     def pair_many(self, forms):
-        return np.array([self.pair(form) for form in forms])
+        return np.array(self._pairings(forms))
+
+    def _pairings(self, forms):
+        """``pair`` of each form.  The cutoff rows are computed once per
+        distinct cutoff (support, flat radius, center), which a bank of
+        forms usually shares; no value depends on the other forms."""
+        shared = {}
+        values = []
+        for form in forms:
+            if form.degree != self.degree:
+                raise CurrentError("form degree %d != current degree %d"
+                                   % (form.degree, self.degree))
+            if form.dimension != self.dimension:
+                raise CurrentError("ambient dimensions differ")
+            if self.points.shape[0] == 0:
+                values.append(0.0)
+                continue
+            key = (form.support_radius, form.flat_radius, form.center.tobytes())
+            if key not in shared:
+                shared[key] = _cutoff_rows(form, self.points, self.frames)
+            values.append(float(np.dot(self.weights, form._times_cutoff(shared[key]))))
+        return values
 
     def pushforward(self, mapping):
         """Sample of the pushforward under a map with .apply and .jacobian."""
@@ -172,9 +194,6 @@ class WeightedSample:
         return WeightedSample(
             self.points @ matrix.T, self.frames @ matrix.T, self.weights * weight
         )
-
-    def scaled(self, factor):
-        return WeightedSample(self.points, self.frames, self.weights * float(factor))
 
     @staticmethod
     def concatenate(samples):
@@ -386,12 +405,6 @@ def evaluate(current, form):
     return current.sample().pair(form)
 
 
-def pushforward_pairing(current, mapping, form):
-    """Pairing of the pushforward of T under a differentiable map, taken
-    weakly: the sample is mapped and its frames multiplied by Jacobians."""
-    return current.sample().pushforward(mapping).pair(form)
-
-
 def _translation_product(sample, kernel):
     nodes, node_w = kernel.convex_weights()
     rows = nodes.shape[0] * sample.points.shape[0]
@@ -458,17 +471,6 @@ def mollified_sample(current, kernel, ball_shifts=False):
     return WeightedSample.concatenate(pieces)
 
 
-def smooth_by_translation(current, form, kernel):
-    """Mollification through translations: average of (tau_y)_* T over the
-    kernel ball, paired with the form."""
-    return mollified_sample(current, kernel, ball_shifts=False).pair(form)
-
-
-def smooth_by_shift(current, form, kernel):
-    """Mollification through ball-preserving shifts in place of translations."""
-    return mollified_sample(current, kernel, ball_shifts=True).pair(form)
-
-
 def _combine_weights(first, second):
     if first is None:
         return second
@@ -515,59 +517,35 @@ def localize(current, cutoff):
         return inside, outside
     if not isinstance(current, PolyhedralCurrent):
         raise CurrentError("cannot localize %r" % type(current).__name__)
+
+    def build(sims, mults, weight_fn):
+        if len(sims) == 0:
+            return PolyhedralCurrent(np.zeros((0,) + current.simplices.shape[1:]),
+                                     np.zeros(0), None, current.panels, current.order)
+        return PolyhedralCurrent(np.array(sims), np.array(mults),
+                                 _combine_weights(current.weight_fn, weight_fn),
+                                 current.panels, current.order)
+
+    rest = lambda pts: 1.0 - cutoff.value(pts)
     if current.degree != 1:
         # triangles are not subdivided; both halves integrate the bump
-        inside = PolyhedralCurrent(
-            current.simplices, current.multiplicities,
-            _combine_weights(current.weight_fn, cutoff.value),
-            current.panels, current.order,
-        )
-        outside = PolyhedralCurrent(
-            current.simplices, current.multiplicities,
-            _combine_weights(current.weight_fn, lambda pts: 1.0 - cutoff.value(pts)),
-            current.panels, current.order,
-        )
-        return inside, outside
-
-    plain_in, trans, plain_out = [], [], []
-    mult_in, mult_trans, mult_out = [], [], []
+        return (build(current.simplices, current.multiplicities, cutoff.value),
+                build(current.simplices, current.multiplicities, rest))
+    # (pieces, multiplicities) on the inner plateau, the band and outside
+    split = {"in": ([], []), "band": ([], []), "out": ([], [])}
     for sim, mult in zip(current.simplices, current.multiplicities):
         a, b = sim
         cuts = _segment_splits(cutoff.chart, a, b, (cutoff.inner, cutoff.outer))
         knots = [0.0] + cuts + [1.0]
         for t0, t1 in zip(knots[:-1], knots[1:]):
             piece = np.stack([a + t0 * (b - a), a + t1 * (b - a)])
-            # the shortened edge frame already carries the factor t1 - t0
-            weight = mult
             rho = float(cutoff.chart.chart_radius(piece.mean(axis=0))[0])
-            if rho <= cutoff.inner:
-                plain_in.append(piece)
-                mult_in.append(weight)
-            elif rho >= cutoff.outer:
-                plain_out.append(piece)
-                mult_out.append(weight)
-            else:
-                trans.append(piece)
-                mult_trans.append(weight)
-
-    def build(sims, mults, weight_fn):
-        if not sims:
-            return PolyhedralCurrent(
-                np.zeros((0, 2, current.dimension)), np.zeros(0),
-                None, current.panels, current.order,
-            )
-        return PolyhedralCurrent(
-            np.array(sims), np.array(mults),
-            _combine_weights(current.weight_fn, weight_fn),
-            current.panels, current.order,
-        )
-
-    inside_parts = [build(plain_in, mult_in, None), build(trans, mult_trans, cutoff.value)]
-    outside_parts = [
-        build(plain_out, mult_out, None),
-        build(trans, mult_trans, lambda pts: 1.0 - cutoff.value(pts)),
-    ]
-    return CombinedCurrent(inside_parts), CombinedCurrent(outside_parts)
+            key = "in" if rho <= cutoff.inner else "out" if rho >= cutoff.outer else "band"
+            split[key][0].append(piece)
+            # the shortened edge frame already carries the factor t1 - t0
+            split[key][1].append(mult)
+    return (CombinedCurrent([build(*split["in"], None), build(*split["band"], cutoff.value)]),
+            CombinedCurrent([build(*split["out"], None), build(*split["band"], rest)]))
 
 
 def equivariant_sample(current, kernel, cutoff, group):
@@ -598,23 +576,6 @@ def equivariant_sample(current, kernel, cutoff, group):
     if not pieces:
         return _empty_sample(current.dimension, current.degree)
     return WeightedSample.concatenate(pieces)
-
-
-def equivariant_smooth(current, form, kernel, cutoff, group,
-                       check_forms=None, invariance_tolerance=1e-8):
-    """Pairing of the equivariant smoothing with a form.
-
-    When ``check_forms`` is given the input current must itself be invariant
-    under the group on those forms; a residual above the tolerance raises,
-    since the averaging construction assumes an invariant input.
-    """
-    if check_forms is not None:
-        residual = invariance_residual(current, group, check_forms)
-        if residual > invariance_tolerance:
-            raise CurrentError(
-                "input current is not group invariant (residual %.3e)" % residual
-            )
-    return equivariant_sample(current, kernel, cutoff, group).pair(form)
 
 
 def invariance_residual(current, group, forms):

@@ -3,9 +3,9 @@
 Both derivative modes share one algebraic core: the Christoffel symbols
 and their derivatives are functions of the 2-jet (g, dg, d2g), and only
 the jet acquisition differs.  Analytic jets come from the field's own
-derivative callables; finite-difference jets from a 13-point (in two
-dimensions) central stencil evaluated in one batch, which matters when the
-field being measured is itself a quadrature.
+derivative callables; finite-difference jets from a central stencil of
+1 + 2n + 4 C(n, 2) points (9 in two dimensions) evaluated in one batch,
+which matters when the field being measured is itself a quadrature.
 """
 
 from dataclasses import dataclass
@@ -20,8 +20,6 @@ __all__ = [
     "sectional_curvature",
     "CurvatureBounds",
     "curvature_bounds",
-    "BoundsComparison",
-    "bounds_comparison",
 ]
 
 
@@ -212,24 +210,3 @@ def curvature_bounds(metric, grid, sections=8, seed=42, mode="auto", step=None,
             upper, upper_point = float(k[hi]), points[hi]
     return CurvatureBounds(lower, upper, lower_point, upper_point,
                            points.shape[0], sections, seed)
-
-
-@dataclass(frozen=True)
-class BoundsComparison:
-    lower_gap: float
-    upper_gap: float
-    tolerance: float
-
-    @property
-    def passed(self):
-        return self.lower_gap <= self.tolerance and self.upper_gap <= self.tolerance
-
-
-def bounds_comparison(measured, declared, tolerance=0.05):
-    """Gap between a measured scan and declared (lower, upper) bounds."""
-    lo, hi = float(declared[0]), float(declared[1])
-    return BoundsComparison(
-        lower_gap=abs(measured.lower - lo),
-        upper_gap=abs(measured.upper - hi),
-        tolerance=float(tolerance),
-    )

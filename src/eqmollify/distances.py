@@ -23,7 +23,6 @@ __all__ = [
     "SampleGraph",
     "sample_graph",
     "graph_distance",
-    "shortest_path",
     "DilationReport",
     "dilation_estimate",
     "seeded_point_pairs",
@@ -161,20 +160,6 @@ def graph_distance(graph, p, q):
     if not np.isfinite(dist):
         raise DistanceError("nodes are disconnected")
     return float(dist)
-
-
-def shortest_path(graph, p, q):
-    """The realized node chain along with its length."""
-    i, j = graph.snap(p), graph.snap(q)
-    dist, pred = csgraph.dijkstra(graph.matrix, directed=False, indices=[i],
-                                  return_predecessors=True)
-    if not np.isfinite(dist[0, j]):
-        raise DistanceError("nodes are disconnected")
-    chain = [j]
-    while chain[-1] != i:
-        chain.append(int(pred[0, chain[-1]]))
-    chain.reverse()
-    return float(dist[0, j]), graph.nodes[np.array(chain)]
 
 
 @dataclass(frozen=True)

@@ -226,18 +226,20 @@ def _run_mollify_current(scenario, config):
     def stage(epsilon):
         kernel = _kernel_for(epsilon, config, scenario.dimension)
         out = []
-        # one smoothed sample per (current, route), paired with each form
+        # one smoothed sample per (current, route), paired with all its forms
         for ci, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
             current = scenario.currents[ci]
-            samples = [(route, mollified_sample(current, kernel, ball_shifts=shifts))
-                       for route, shifts in (("translation", False), ("shift", True))]
-            for _, fi in group:
+            fis = [fi for _, fi in group]
+            forms = [scenario.forms[fi] for fi in fis]
+            observed = [(route, mollified_sample(current, kernel, ball_shifts=shifts)
+                         .pair_many(forms).tolist())
+                        for route, shifts in (("translation", False), ("shift", True))]
+            for k, fi in enumerate(fis):
                 reference = references[(ci, fi)]
                 tolerance = delta * max(1.0, abs(reference))
-                for route, sample in samples:
-                    observed = sample.pair(scenario.forms[fi])
+                for route, values in observed:
                     out.append((epsilon, "current%d" % ci, "form%02d" % fi, route,
-                                observed, reference, abs(observed - reference),
+                                values[k], reference, abs(values[k] - reference),
                                 tolerance))
         return out
 

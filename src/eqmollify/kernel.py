@@ -27,13 +27,15 @@ __all__ = [
     "normalization_constant",
     "ball_quadrature",
     "sphere_area",
-    "ball_volume",
 ]
 
 # Largest |t| at which the exponent t^2/(t^2-1) is still evaluated.  Beyond
 # this the true value underflows to zero anyway and the division approaches a
 # singularity, so the kernel is clamped to exact zero there.
 _T_EDGE = 1.0 - 2.0 ** -26
+
+# agreement of successive refinements required of the normalizer
+_NORMALIZATION_TOLERANCE = 1e-12
 
 
 class QuadratureError(RuntimeError):
@@ -64,11 +66,6 @@ def sphere_area(dimension):
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def ball_volume(dimension, radius=1.0):
-    """Lebesgue volume of a ball of the given radius in R^n."""
-    return sphere_area(dimension) / dimension * float(radius) ** dimension
-
-
 def _integrate_unit_interval(fn, tolerance, max_level=16):
     """Composite 16-point Gauss-Legendre on [0, 1] with panel doubling.
 
@@ -96,18 +93,18 @@ def _integrate_unit_interval(fn, tolerance, max_level=16):
 
 
 @lru_cache(maxsize=None)
-def normalization_constant(dimension, tolerance=1e-12):
+def normalization_constant(dimension):
     """Normalizer lambda_n making the dimension-n kernel integrate to one.
 
     lambda_n = surf(S^(n-1)) * int_0^1 exp(r^2/(r^2-1)) r^(n-1) dr.  Cached
-    per (dimension, tolerance); raises QuadratureError if the internal
-    refinement does not converge.
+    per dimension; raises QuadratureError if the internal refinement does
+    not reach _NORMALIZATION_TOLERANCE.
     """
     n = int(dimension)
     if n < 1:
         raise ValueError("dimension must be >= 1, got %r" % dimension)
     radial = _integrate_unit_interval(
-        lambda r: unit_bump(r) * r ** (n - 1), tolerance
+        lambda r: unit_bump(r) * r ** (n - 1), _NORMALIZATION_TOLERANCE
     )
     return sphere_area(n) * radial
 
@@ -120,8 +117,8 @@ class BumpProfile:
     lam: float
 
     @classmethod
-    def for_dimension(cls, dimension, tolerance=1e-12):
-        return cls(dimension=int(dimension), lam=normalization_constant(dimension, tolerance))
+    def for_dimension(cls, dimension):
+        return cls(dimension=int(dimension), lam=normalization_constant(dimension))
 
     def psi(self, t):
         """Normalized profile (1/lambda_n) exp(t^2/(t^2-1)), zero for |t| >= 1."""
@@ -237,11 +234,11 @@ class MollifierKernel:
         self._convex = None
 
     @classmethod
-    def create(cls, dimension, epsilon, level=None, tolerance=1e-12):
+    def create(cls, dimension, epsilon, level=None):
         n = int(dimension)
         if level is None:
             level = _DEFAULT_LEVEL.get(n, 3)
-        profile = BumpProfile.for_dimension(n, tolerance)
+        profile = BumpProfile.for_dimension(n)
         rule = ball_quadrature(epsilon, n, level)
         return cls(profile, epsilon, rule)
 

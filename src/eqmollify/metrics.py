@@ -29,7 +29,6 @@ __all__ = [
     "conformal_metric",
     "constant_metric",
     "radial_conformal_metric",
-    "pullback_metric",
     "mollify_metric",
     "chart_smooth_metric",
     "haar_average_metric",
@@ -41,8 +40,13 @@ __all__ = [
     "a_nu",
     "EpsilonSelection",
     "EpsilonSelector",
+    "select_epsilon_for_k",
     "default_level_schedule",
 ]
+
+
+# largest isometry residual of an input that haar_average_metric accepts
+_ISOMETRY_TOLERANCE = 1e-8
 
 
 class MetricError(RuntimeError):
@@ -122,17 +126,6 @@ class MetricField:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.asarray(self.fn(points), dtype=float)
 
-    @property
-    def derivative_mode(self):
-        return "analytic" if self.first_derivative is not None else "finite-difference"
-
-    def check_spd(self, points, tolerance=1e-12):
-        vals = self.value(points)
-        sym_defect = float(np.max(np.abs(vals - np.swapaxes(vals, 1, 2)))) if vals.size else 0.0
-        if sym_defect > tolerance:
-            raise MetricError("metric asymmetric by %.3e" % sym_defect)
-        return _require_spd(vals, np.atleast_2d(points), "matrix fails")
-
 
 def constant_metric(matrix):
     matrix = np.asarray(matrix, dtype=float)
@@ -196,44 +189,6 @@ def radial_conformal_metric(profile, dprofile=None, d2profile=None, dimension=2,
 
     return conformal_metric(factor, grad=grad, hessian=hessian,
                             dimension=dimension, **kw)
-
-
-def pullback_metric(metric, mapping):
-    """The congruence (D Phi)^T g(Phi(x)) (D Phi) as a field.
-
-    For a linear map with analytic input derivatives, the chain rule is
-    linear as well and the analytic mode survives; any other map drops to
-    finite differences.
-    """
-    def fn(pts):
-        moved = mapping.apply(pts)
-        jac = mapping.jacobian(pts)
-        vals = metric.value(moved)
-        return np.swapaxes(jac, -1, -2) @ vals @ jac
-
-    first = None
-    second = None
-    matrix = getattr(mapping, "matrix", None)
-    if matrix is not None and metric.first_derivative is not None:
-        mat = np.asarray(matrix, dtype=float)
-
-        def first(pts):
-            d = np.asarray(metric.first_derivative(mapping.apply(pts)), dtype=float)
-            d = np.einsum("ma,rmij->raij", mat, d)
-            return np.einsum("ji,rajk,kl->rail", mat, d, mat)
-
-        if metric.second_derivative is not None:
-            def second(pts):
-                d2 = np.asarray(metric.second_derivative(mapping.apply(pts)), dtype=float)
-                d2 = np.einsum("ma,qb,rmqij->rabij", mat, mat, d2)
-                return np.einsum("ji,rabjk,kl->rabil", mat, d2, mat)
-
-    return MetricField(
-        fn=fn,
-        dimension=metric.dimension,
-        first_derivative=first,
-        second_derivative=second,
-    )
 
 
 def _mollify_values(metric_fn, kernel, points):
@@ -336,8 +291,7 @@ def isometry_residual(metric, group, points):
     return worst
 
 
-def haar_average_metric(metric, cutoff, kernel, group, isometry_points=None,
-                        isometry_tolerance=1e-8):
+def haar_average_metric(metric, cutoff, kernel, group, isometry_points=None):
     """Group average of the chart-localized smoothing.
 
     For finite groups this is the exact uniform average of pullbacks; the
@@ -349,7 +303,7 @@ def haar_average_metric(metric, cutoff, kernel, group, isometry_points=None,
         raise MetricError("group must be a GroupAction")
     if isometry_points is not None:
         residual = isometry_residual(metric, group, isometry_points)
-        if residual > isometry_tolerance:
+        if residual > _ISOMETRY_TOLERANCE:
             raise MetricError(
                 "group does not act by isometries (residual %.3e)" % residual
             )
@@ -409,37 +363,22 @@ class SeminormReport:
 
 def _central_differences(values, spacing, spatial_dims):
     """First, pure-second and mixed central differences on the interior."""
-    firsts = {}
-    seconds = {}
-    core = tuple(slice(1, s - 1) for s in values.shape[:spatial_dims])
-    rest = (slice(None),) * (values.ndim - spatial_dims)
+    sizes = values.shape[:spatial_dims]
+
+    def at(steps):
+        # the interior moved by steps[a] nodes (+1 or -1) along each axis a
+        return values[tuple(slice(1 + steps.get(a, 0), s - 1 + steps.get(a, 0))
+                            for a, s in enumerate(sizes))]
+
+    firsts, seconds = {}, {}
     for a in range(spatial_dims):
-        plus = [slice(1, s - 1) for s in values.shape[:spatial_dims]]
-        minus = [slice(1, s - 1) for s in values.shape[:spatial_dims]]
-        plus[a] = slice(2, values.shape[a])
-        minus[a] = slice(0, values.shape[a] - 2)
-        vp = values[tuple(plus) + rest]
-        vm = values[tuple(minus) + rest]
-        v0 = values[core + rest]
+        vp, vm = at({a: 1}), at({a: -1})
         firsts[(a,)] = (vp - vm) / (2.0 * spacing[a])
-        seconds[(a, a)] = (vp - 2.0 * v0 + vm) / spacing[a] ** 2
+        seconds[(a, a)] = (vp - 2.0 * at({}) + vm) / spacing[a] ** 2
     for a in range(spatial_dims):
         for b in range(a + 1, spatial_dims):
-            pp = [slice(1, s - 1) for s in values.shape[:spatial_dims]]
-            pm = list(pp)
-            mp = list(pp)
-            mm = list(pp)
-            pp = list(pp)
-            pp[a], pp[b] = slice(2, values.shape[a]), slice(2, values.shape[b])
-            pm[a], pm[b] = slice(2, values.shape[a]), slice(0, values.shape[b] - 2)
-            mp[a], mp[b] = slice(0, values.shape[a] - 2), slice(2, values.shape[b])
-            mm[a], mm[b] = slice(0, values.shape[a] - 2), slice(0, values.shape[b] - 2)
-            seconds[(a, b)] = (
-                values[tuple(pp) + rest]
-                - values[tuple(pm) + rest]
-                - values[tuple(mp) + rest]
-                + values[tuple(mm) + rest]
-            ) / (4.0 * spacing[a] * spacing[b])
+            seconds[(a, b)] = (at({a: 1, b: 1}) - at({a: 1, b: -1}) - at({a: -1, b: 1})
+                               + at({a: -1, b: -1})) / (4.0 * spacing[a] * spacing[b])
     return firsts, seconds
 
 
@@ -495,11 +434,9 @@ def seminorm_from_values(values, grid, p=math.inf, order=(2, None),
     flat_grads = grads.reshape((dims,) + (-1,) + (n, n))
     rng = np.random.default_rng(seed)
     total = flat_pts.shape[0]
-    pairs = []
     # neighbor pairs along the leading axis of the flattened interior
-    stride = 1
-    idx = np.arange(total - stride)
-    pairs.append((idx, idx + stride))
+    idx = np.arange(total - 1)
+    pairs = [(idx, idx + 1)]
     if total > 4:
         left = rng.integers(0, total, size=pair_count)
         right = rng.integers(0, total, size=pair_count)

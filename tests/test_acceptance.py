@@ -15,13 +15,7 @@ import pytest
 
 from eqmollify.ballmap import shift_points, shift_with_jacobian
 from eqmollify.config import ExperimentConfig
-from eqmollify.currents import (
-    DiracCurrent,
-    TestForm,
-    evaluate,
-    smooth_by_shift,
-    smooth_by_translation,
-)
+from eqmollify.currents import DiracCurrent, TestForm, evaluate, mollified_sample
 from eqmollify.curvature import sectional_curvature
 from eqmollify.experiments import run_experiment
 from eqmollify.kernel import MollifierKernel
@@ -85,7 +79,7 @@ def test_criterion_03_support_exactness():
     far_form = TestForm(0, dimension=2,
                         coefficients={(): lambda x: np.ones(x.shape[0])},
                         support_radius=0.2, flat_radius=0.1)
-    assert smooth_by_translation(euclid.currents[0], far_form, kernel) == 0.0
+    assert mollified_sample(euclid.currents[0], kernel).pair(far_form) == 0.0
     # a current outside the closed unit ball is untouched by the shift route
     outside = DiracCurrent(np.array([[1.3, 0.2], [-0.2, 1.5]]))
     wide = TestForm(0, dimension=2,
@@ -93,7 +87,7 @@ def test_criterion_03_support_exactness():
                     support_radius=2.2, flat_radius=1.9)
     raw = evaluate(outside, wide)
     assert raw != 0.0
-    assert smooth_by_shift(outside, wide, kernel) == raw
+    assert mollified_sample(outside, kernel, ball_shifts=True).pair(wide) == raw
 
 
 def test_criterion_04_equivariant_current_residual(euclid_invariance):

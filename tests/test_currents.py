@@ -7,26 +7,27 @@ those fixtures is a genuine dual route: the library integrates with its
 own composite Gauss rule and never calls the adaptive integrator.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqmollify.ballmap import ShiftMap
+from eqmollify import scenarios
+from eqmollify.ballmap import shift_points, shift_with_jacobian
 from eqmollify.currents import (
     CombinedCurrent,
     CurrentError,
     DiracCurrent,
     PolyhedralCurrent,
     TestForm,
+    WeightedSample,
     equivariant_sample,
-    equivariant_smooth,
     evaluate,
     invariance_residual,
     localize,
-    pushforward_pairing,
-    smooth_by_shift,
-    smooth_by_translation,
+    mollified_sample,
 )
 from eqmollify.kernel import MollifierKernel
 from eqmollify.maps import AffineChart, ChartCutoff, GroupAction, cyclic_rotation_group, trivial_group
@@ -76,6 +77,19 @@ def scalar_form(fn, support=0.9, flat=0.5, center=None, dimension=2):
 ONE = scalar_form(lambda x: np.ones(x.shape[0]))
 
 
+class ShiftMap:
+    """The shift s_y as a map with .apply and .jacobian for pushforwards."""
+
+    def __init__(self, y):
+        self.y = np.asarray(y, dtype=float)
+
+    def apply(self, x):
+        return shift_points(x, self.y)
+
+    def jacobian(self, x):
+        return shift_with_jacobian(x, self.y)[1]
+
+
 class TestEvaluate:
     def test_dirac_mass_pairing(self):
         current = DiracCurrent(np.zeros((1, 2)))
@@ -121,6 +135,31 @@ class TestEvaluate:
         with pytest.raises(CurrentError):
             PolyhedralCurrent(np.array([[[0.0, 0.0], [0.0, 0.0]]]))
 
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["masses", "tangents", "loop"])
+    def test_bank_pairing_shares_the_cutoff_bit_for_bit(self, monkeypatch, index):
+        # the orbit bank's current smoothed by shifts, paired with its forms
+        # of equal degree plus one form under a narrower cutoff in between
+        scenario = scenarios.build_scenario("orbit_currents")
+        current = scenario.currents[index]
+        sample = mollified_sample(current, MollifierKernel.create(2, 0.1, level=1),
+                                  ball_shifts=True)
+        bank = [f for f in scenario.forms if f.degree == current.degree]
+        # the narrow form copies the bank form that pairs largest, so a
+        # pairing served from the wrong cutoff would show
+        largest = max(bank, key=lambda form: abs(sample.pair(form)))
+        narrow = TestForm(current.degree, 2, largest.coefficients, 0.6, 0.3)
+        forms = bank[:2] + [narrow] + bank[2:]
+        one_by_one = np.array([sample.pair(form) for form in forms])
+        assert sample.pair(narrow) != sample.pair(largest)
+        cutoffs = []
+        original = TestForm.cutoff
+        monkeypatch.setattr(TestForm, "cutoff",
+                            lambda form, points: cutoffs.append(form) or original(form, points))
+        together = sample.pair_many(forms)
+        assert np.array_equal(together, one_by_one)
+        # one cutoff for the whole bank, one for the narrow form
+        assert len(cutoffs) == 2 and cutoffs[0] is bank[0] and cutoffs[1] is narrow
+
 
 class TestPushforward:
     def test_translation_moves_dirac(self):
@@ -136,7 +175,7 @@ class TestPushforward:
             def jacobian(self, x):
                 return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
 
-        moved = pushforward_pairing(current, Translate(), form)
+        moved = current.sample().pushforward(Translate()).pair(form)
         assert moved == float(form.evaluate((p + y)[None, :])[0])
 
     def test_identity_map_is_plain_pairing(self):
@@ -148,7 +187,7 @@ class TestPushforward:
                 return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
 
         loop = square_loop()
-        assert pushforward_pairing(loop, Identity(), form_b()) == evaluate(loop, form_b())
+        assert loop.sample().pushforward(Identity()).pair(form_b()) == evaluate(loop, form_b())
 
     def test_shift_equals_translation_on_inner_ball(self):
         # both the point and its translate stay where the compression is
@@ -157,7 +196,7 @@ class TestPushforward:
         y = np.array([0.08, 0.05])
         current = DiracCurrent(p[None, :])
         form = scalar_form(lambda x: np.sin(x[:, 0] * x[:, 1] + 0.3))
-        value = pushforward_pairing(current, ShiftMap(y), form)
+        value = current.sample().pushforward(ShiftMap(y)).pair(form)
         assert value == float(form.evaluate((p + y)[None, :])[0])
 
 
@@ -165,27 +204,27 @@ class TestTranslationSmoothing:
     def test_mass_preserved(self):
         kernel = MollifierKernel.create(2, 0.1)
         current = DiracCurrent(np.zeros((1, 2)))
-        assert smooth_by_translation(current, ONE, kernel) == pytest.approx(1.0, abs=1e-9)
+        assert mollified_sample(current, kernel).pair(ONE) == pytest.approx(1.0, abs=1e-9)
 
     def test_odd_moment_vanishes(self):
         kernel = MollifierKernel.create(2, 0.1)
         current = DiracCurrent(np.zeros((1, 2)))
         form = scalar_form(lambda x: x[:, 0])
-        assert abs(smooth_by_translation(current, form, kernel)) <= 1e-8
+        assert abs(mollified_sample(current, kernel).pair(form)) <= 1e-8
 
     def test_second_moment_against_polar_oracle(self):
         epsilon = 0.1
         kernel = MollifierKernel.create(2, epsilon)
         current = DiracCurrent(np.zeros((1, 2)))
         form = scalar_form(lambda x: x[:, 0] ** 2 + x[:, 1] ** 2)
-        value = smooth_by_translation(current, form, kernel)
+        value = mollified_sample(current, kernel).pair(form)
         assert value == pytest.approx(KERNEL_SECOND_MOMENT_2D * epsilon**2, rel=2e-7)
 
     def test_disjoint_support_is_exactly_zero(self):
         kernel = MollifierKernel.create(2, 0.05)
         form = scalar_form(lambda x: np.ones(x.shape[0]), support=0.5, flat=0.25,
                            center=np.array([2.0, 0.0]))
-        assert smooth_by_translation(DiracCurrent(np.zeros((1, 2))), form, kernel) == 0.0
+        assert mollified_sample(DiracCurrent(np.zeros((1, 2))), kernel).pair(form) == 0.0
 
     def test_linearity(self):
         kernel = MollifierKernel.create(2, 0.08)
@@ -193,10 +232,9 @@ class TestTranslationSmoothing:
         seg2 = PolyhedralCurrent(np.array([[[-0.2, 0.1], [0.1, -0.2]]]), np.array([-1.25]))
         combined = CombinedCurrent([seg1, seg2])
         form = form_b()
-        total = smooth_by_translation(combined, form, kernel)
-        parts = smooth_by_translation(seg1, form, kernel) + smooth_by_translation(
-            seg2, form, kernel
-        )
+        total = mollified_sample(combined, kernel).pair(form)
+        parts = (mollified_sample(seg1, kernel).pair(form)
+                 + mollified_sample(seg2, kernel).pair(form))
         assert total == pytest.approx(parts, abs=1e-10)
 
     def test_dirac_family_has_bounded_derivatives(self):
@@ -209,7 +247,7 @@ class TestTranslationSmoothing:
 
         def pairing(shift):
             current = DiracCurrent(np.array([[0.05 + shift, 0.02]]))
-            return smooth_by_translation(current, form, kernel)
+            return mollified_sample(current, kernel).pair(form)
 
         values = np.array([pairing(k * h) for k in offsets])
         d1 = (values[3] - values[1]) / (2 * h)
@@ -224,14 +262,14 @@ class TestShiftSmoothing:
         outer = PolyhedralCurrent(np.array([[[1.2, -0.5], [1.3, 0.8]]]))
         kernel = MollifierKernel.create(2, 0.1)
         form = TestForm(1, 2, {(0,): lambda x: x[:, 1] ** 2}, 2.5, 2.0)
-        assert smooth_by_shift(outer, form, kernel) == evaluate(outer, form)
+        assert mollified_sample(outer, kernel, ball_shifts=True).pair(form) == evaluate(outer, form)
 
     def test_inner_ball_matches_translation_smoothing(self):
         kernel = MollifierKernel.create(2, 0.05)
         current = DiracCurrent(np.array([[0.1, -0.05]]))
         form = scalar_form(lambda x: np.cos(3.0 * x[:, 0]) + x[:, 1])
-        by_shift = smooth_by_shift(current, form, kernel)
-        by_translation = smooth_by_translation(current, form, kernel)
+        by_shift = mollified_sample(current, kernel, ball_shifts=True).pair(form)
+        by_translation = mollified_sample(current, kernel).pair(form)
         assert by_shift == by_translation
 
     def test_far_form_pairs_to_exact_zero(self):
@@ -241,7 +279,7 @@ class TestShiftSmoothing:
         form = scalar_form(lambda x: np.ones(x.shape[0]), support=0.4, flat=0.2,
                            center=np.array([1.8, -0.7]))
         vertex_masses = DiracCurrent(LOOP_VERTICES)
-        assert smooth_by_shift(vertex_masses, form, kernel) == 0.0
+        assert mollified_sample(vertex_masses, kernel, ball_shifts=True).pair(form) == 0.0
 
     def test_halving_sweep_converges(self):
         loop = square_loop(panels=4)
@@ -250,7 +288,8 @@ class TestShiftSmoothing:
         errors = []
         for epsilon in (0.1, 0.05, 0.025):
             kernel = MollifierKernel.create(2, epsilon)
-            errors.append(abs(smooth_by_shift(loop, form, kernel) - target))
+            smoothed = mollified_sample(loop, kernel, ball_shifts=True).pair(form)
+            errors.append(abs(smoothed - target))
         assert errors[0] > errors[1] > errors[2]
         assert errors[0] / errors[1] >= 1.3
         assert errors[1] / errors[2] >= 1.3
@@ -306,9 +345,9 @@ class TestEquivariant:
         cutoff = centered_cutoff()
         current, _ = self.orbit_current()
         form = scalar_form(lambda x: np.cos(x[:, 0] + 2.0 * x[:, 1]))
-        averaged = equivariant_smooth(current, form, kernel, cutoff, trivial_group(2))
+        averaged = equivariant_sample(current, kernel, cutoff, trivial_group(2)).pair(form)
         inside, outside = localize(current, cutoff)
-        chart_part = smooth_by_shift(inside, form, kernel)
+        chart_part = mollified_sample(inside, kernel, ball_shifts=True).pair(form)
         plain_part = evaluate(outside, form)
         assert averaged == pytest.approx(chart_part + plain_part, abs=1e-13)
 
@@ -316,7 +355,7 @@ class TestEquivariant:
         kernel = MollifierKernel.create(2, 0.05)
         cutoff = centered_cutoff()
         current, group = self.orbit_current()
-        value = equivariant_smooth(current, ONE, kernel, cutoff, group)
+        value = equivariant_sample(current, kernel, cutoff, group).pair(ONE)
         assert value == pytest.approx(4.0, abs=1e-6)
 
     def test_orbit_value_against_direct_sum(self):
@@ -328,7 +367,7 @@ class TestEquivariant:
         cutoff = centered_cutoff()
         current, group = self.orbit_current()
         form = scalar_form(lambda x: np.exp(-x[:, 0]) + 0.5 * x[:, 1] ** 2)
-        value = equivariant_smooth(current, form, kernel, cutoff, group)
+        value = equivariant_sample(current, kernel, cutoff, group).pair(form)
         nodes, weights = kernel.convex_weights()
         direct = 0.0
         for rot in group.matrices:
@@ -347,15 +386,15 @@ class TestEquivariant:
         for rot in group.matrices:
             assert sample.rotated(rot).pair(form) == pytest.approx(base, abs=1e-10)
 
-    def test_non_invariant_input_rejected(self):
-        kernel = MollifierKernel.create(2, 0.05)
-        cutoff = centered_cutoff()
-        group = cyclic_rotation_group(4)
+    def test_non_invariant_input_rejected(self, monkeypatch):
+        # the averaging assumes an invariant input; building a scenario is
+        # what guards every current an experiment smooths
         lopsided = DiracCurrent(np.array([[0.2, 0.1]]))
-        probe = scalar_form(lambda x: x[:, 0] * x[:, 1])
-        with pytest.raises(CurrentError):
-            equivariant_smooth(lopsided, probe, kernel, cutoff, group,
-                               check_forms=[probe])
+        base = scenarios._BUILDERS["euclid_z4"]
+        monkeypatch.setitem(scenarios._BUILDERS, "euclid_z4",
+                            lambda quadrature: replace(base(quadrature), currents=(lopsided,)))
+        with pytest.raises(scenarios.ScenarioError, match="not group invariant"):
+            scenarios.build_scenario("euclid_z4")
 
 
 class TestInvarianceResidual:

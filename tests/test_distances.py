@@ -7,6 +7,7 @@ resolution used here.
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from eqmollify.distances import (
     DistanceError,
@@ -17,7 +18,6 @@ from eqmollify.distances import (
     graph_distance,
     sample_graph,
     seeded_point_pairs,
-    shortest_path,
 )
 from eqmollify.kernel import MollifierKernel
 from eqmollify.metrics import (
@@ -179,6 +179,18 @@ class TestGraphDistance:
     def test_graph_dominates_chord_length(self):
         d = graph_distance(self.sphere_graph(), *OFFSET_PAIR)
         assert d > SPHERE_OFFSET_CHORD - 1e-12
+
+
+def shortest_path(graph, p, q):
+    """The node chain Dijkstra realizes between the snapped p and q, with
+    its length, read back from the predecessor tree."""
+    i, j = graph.snap(p), graph.snap(q)
+    dist, pred = csgraph.dijkstra(graph.matrix, directed=False, indices=[i],
+                                  return_predecessors=True)
+    chain = [j]
+    while chain[-1] != i:
+        chain.append(int(pred[0, chain[-1]]))
+    return float(dist[0, j]), graph.nodes[np.array(chain[::-1])]
 
 
 class TestShortestPath:

@@ -108,7 +108,7 @@ def test_density_depends_on_norm_only(a, b):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_weights_sum_to_ball_volume(n):
     rule = kn.ball_quadrature(0.17, n, level=3)
-    assert abs(rule.weights.sum() - kn.ball_volume(n, 0.17)) <= 1e-10
+    assert abs(rule.weights.sum() - kn.sphere_area(n) / n * 0.17**n) <= 1e-10
     assert np.all(np.linalg.norm(rule.nodes, axis=1) <= 0.17 + 1e-15)
 
 

@@ -34,7 +34,6 @@ from eqmollify.metrics import (
     haar_average_metric,
     isometry_residual,
     mollify_metric,
-    pullback_metric,
     select_epsilon_for_k,
     seminorm_from_values,
     sobolev_seminorm,
@@ -100,14 +99,15 @@ class TestMetricField:
         assert np.array_equal(g.value(pts), np.stack([m, m]))
         assert np.all(g.first_derivative(pts) == 0.0)
         assert np.all(g.second_derivative(pts) == 0.0)
-        assert g.derivative_mode == "analytic"
 
     def test_check_spd_accepts_and_rejects(self):
-        good = constant_metric(np.eye(2))
-        assert good.check_spd(np.zeros((1, 2))) == 1.0
-        bad = constant_metric(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # mollify_metric checks every value it returns
+        kernel = MollifierKernel.create(2, 0.1, level=1)
+        good = mollify_metric(constant_metric(np.eye(2)), kernel)
+        assert np.allclose(good.value(np.zeros((1, 2))), np.eye(2), atol=1e-15)
+        bad = mollify_metric(constant_metric(np.array([[1.0, 2.0], [2.0, 1.0]])), kernel)
         with pytest.raises(MetricError, match="positive definite"):
-            bad.check_spd(np.zeros((1, 2)))
+            bad.value(np.zeros((1, 2)))
 
     def test_conformal_analytic_derivatives_match_differences(self):
         g = sphere_metric()
@@ -127,41 +127,22 @@ class TestMetricField:
             assert np.max(np.abs(second[:, axis] - fd)) < 1e-6
 
 
+def pullback(metric, chart):
+    """The congruence (D Phi)^T g(Phi(x)) (D Phi) of a chart's row Jacobian."""
+    def fn(pts):
+        jac = chart.jacobian(pts)
+        return np.swapaxes(jac, -1, -2) @ metric.value(chart.apply(pts)) @ jac
+    return MetricField(fn=fn, dimension=metric.dimension)
+
+
 class TestPullback:
     def test_rotation_congruence(self):
         theta = 0.7
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         m = np.array([[2.0, 0.5], [0.5, 1.0]])
-        pulled = pullback_metric(constant_metric(m), AffineChart(rot, np.zeros(2)))
+        pulled = pullback(constant_metric(m), AffineChart(rot, np.zeros(2)))
         pts = np.array([[0.2, 0.1]])
         assert np.allclose(pulled.value(pts)[0], rot.T @ m @ rot, atol=1e-15)
-
-    def test_linear_chain_keeps_analytic_mode(self):
-        rot = AffineChart(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(2))
-        pulled = pullback_metric(sphere_metric(), rot)
-        assert pulled.derivative_mode == "analytic"
-        pts = np.array([[0.25, -0.4], [0.1, 0.3]])
-        h = 1e-6
-        first = pulled.first_derivative(pts)
-        for axis in range(2):
-            step = np.zeros(2)
-            step[axis] = h
-            fd = (pulled.value(pts + step) - pulled.value(pts - step)) / (2.0 * h)
-            assert np.max(np.abs(first[:, axis] - fd)) < 1e-7
-        second = pulled.second_derivative(pts)
-        fd00 = (pulled.first_derivative(pts + [h, 0]) - pulled.first_derivative(pts - [h, 0])) / (2.0 * h)
-        assert np.max(np.abs(second[:, 0] - fd00)) < 1e-6
-
-    def test_nonlinear_map_drops_to_differences(self):
-        from eqmollify.ballmap import ShiftMap, shift_with_jacobian
-
-        shift = ShiftMap(np.array([0.05, -0.02]))
-        pulled = pullback_metric(sphere_metric(), shift)
-        assert pulled.derivative_mode == "finite-difference"
-        x = np.array([[0.5, 0.1]])
-        moved, jac = shift_with_jacobian(x, np.array([0.05, -0.02]))
-        expected = jac[0].T @ sphere_metric().value(moved)[0] @ jac[0]
-        assert np.allclose(pulled.value(x)[0], expected, atol=1e-15)
 
 
 class TestMollify:
@@ -495,8 +476,8 @@ def test_property_identity_zone_for_generic_conformal_metrics(scale, bump, x, y)
 def test_property_orthogonal_pullback_round_trip(theta):
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     g = sphere_metric()
-    once = pullback_metric(g, AffineChart(rot, np.zeros(2)))
-    back = pullback_metric(once, AffineChart(rot.T, np.zeros(2)))
+    once = pullback(g, AffineChart(rot, np.zeros(2)))
+    back = pullback(once, AffineChart(rot.T, np.zeros(2)))
     pts = np.array([[0.3, -0.2], [0.7, 0.5]])
     assert np.max(np.abs(back.value(pts) - g.value(pts))) < 1e-14
 
@@ -602,8 +583,8 @@ def test_chart_stage_and_group_average_match_einsum_reference(chart):
 def test_pullback_congruence_uses_the_row_jacobian():
     rng = np.random.default_rng(8)
     mat = np.array([[1.1, 0.7], [-0.3, 0.8]])
-    pulled = pullback_metric(MetricField(fn=aniso_fn, dimension=2),
-                             AffineChart(mat, np.array([0.2, 0.1])))
+    pulled = pullback(MetricField(fn=aniso_fn, dimension=2),
+                      AffineChart(mat, np.array([0.2, 0.1])))
     points = rng.uniform(-0.5, 0.5, size=(9, 2))
     vals = aniso_fn((points - [0.2, 0.1]) @ mat.T)
     assert_rows_close(pulled.value(points), np.einsum("ji,rjk,kl->ril", mat, vals, mat))
