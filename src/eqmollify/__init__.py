@@ -72,7 +72,6 @@ from .metrics import (
     EpsilonSelector,
     MetricError,
     MetricField,
-    SeminormReport,
     a_nu,
     chart_smooth_metric,
     compose_chart_stages,

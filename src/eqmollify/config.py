@@ -17,10 +17,13 @@ Schema (all keys optional except ``scenario``):
     out               output directory, or null for runs/<scenario>-<kind>
     seed              RNG seed (default 42)
 
-Unknown keys are rejected rather than ignored, so typos fail loudly.
+Unknown keys are rejected rather than ignored, so typos fail loudly, and
+a value of the wrong JSON type (a string, a bool, a non-finite number)
+is a ConfigError rather than a traceback.
 """
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 from .scenarios import available_scenarios
@@ -45,6 +48,17 @@ class ConfigError(ValueError):
     """Unusable experiment configuration."""
 
 
+def _real(value):
+    """Whether a JSON value is a finite number.  bool is an int subclass, so
+    JSON true would otherwise run as 1; JSON reads 1e400 as inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
@@ -66,6 +80,8 @@ class ExperimentConfig:
                 "unknown scenario %r; available: %s"
                 % (self.scenario, ", ".join(available_scenarios()))
             )
+        if not all(_real(e) for e in self.epsilons):
+            raise ConfigError("field 'epsilons' must list finite numbers")
         eps = tuple(float(e) for e in self.epsilons)
         if not eps or any(e <= 0.0 for e in eps):
             raise ConfigError("field 'epsilons' must be a nonempty positive list")
@@ -84,13 +100,17 @@ class ExperimentConfig:
                                        or isinstance(self.level, bool)
                                        or not 1 <= self.level <= 3):
             raise ConfigError("field 'level' must be 1, 2, or 3")
-        if self.delta is not None and not self.delta > 0.0:
-            raise ConfigError("field 'delta' must be positive")
-        ks = tuple(int(k) for k in self.k_values)
+        if self.delta is not None and not (_real(self.delta) and self.delta > 0.0):
+            raise ConfigError("field 'delta' must be a positive number or null")
+        ks = tuple(self.k_values)
+        if not all(isinstance(k, int) and not isinstance(k, bool) for k in ks):
+            raise ConfigError("field 'k_values' must list integers")
         if not ks or any(k < 1 for k in ks) or any(b < a for a, b in zip(ks, ks[1:])):
             raise ConfigError("field 'k_values' must be a nondecreasing list of"
                               " integers >= 1")
         object.__setattr__(self, "k_values", ks)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("field 'out' must be a string or null")
 
     def override(self, **kw):
         """Config with the given fields replaced; None values are ignored."""

@@ -3,16 +3,19 @@
 Both derivative modes share one algebraic core: the Christoffel symbols
 and their derivatives are functions of the 2-jet (g, dg, d2g), and only
 the jet acquisition differs.  Analytic jets come from the field's own
-derivative callables; finite-difference jets from a central stencil of
-1 + 2n + 4 C(n, 2) points (9 in two dimensions) evaluated in one batch,
-which matters when the field being measured is itself a quadrature.
+derivative callables; finite-difference jets from the 3^n stencil around
+each point (9 points in two dimensions, 27 in three) evaluated in one
+batch, which matters when the field being measured is itself a
+quadrature.  The differences are the seminorm's own
+``metrics._central_differences``, taken on that stencil.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import BoxGrid, MetricError
+from .metrics import BoxGrid, MetricError, _central_differences
 
 __all__ = [
     "CurvatureError",
@@ -34,42 +37,16 @@ class CurvatureError(RuntimeError):
 def _finite_difference_jet(metric, points, step):
     n = metric.dimension
     count = points.shape[0]
-    offsets = [np.zeros(n)]
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = step
-        offsets.append(e)
-        offsets.append(-e)
-    crosses = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            ea, eb = np.zeros(n), np.zeros(n)
-            ea[a], eb[b] = step, step
-            for sa in (1.0, -1.0):
-                for sb in (1.0, -1.0):
-                    offsets.append(sa * ea + sb * eb)
-                    crosses.append((a, b, sa, sb))
-    stencil = np.asarray(offsets)
-    batch = (points[:, None, :] + stencil[None, :, :]).reshape(-1, n)
-    values = metric.value(batch).reshape(count, stencil.shape[0], n, n)
-    g0 = values[:, 0]
-    dg = np.empty((count, n, n, n))
+    # stencil axes first: the jet is the interior node of a 3^n grid
+    offsets = step * np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+    batch = (offsets[:, None, :] + points[None, :, :]).reshape(-1, n)
+    values = metric.value(batch).reshape((3,) * n + (count, n, n))
+    firsts, seconds = _central_differences(values, (step,) * n, n)
+    dg = np.stack([firsts[(a,)].reshape(count, n, n) for a in range(n)], axis=1)
     d2g = np.empty((count, n, n, n, n))
-    for a in range(n):
-        plus, minus = values[:, 1 + 2 * a], values[:, 2 + 2 * a]
-        dg[:, a] = (plus - minus) / (2.0 * step)
-        d2g[:, a, a] = (plus - 2.0 * g0 + minus) / step**2
-    base = 1 + 2 * n
-    for index, (a, b, sa, sb) in enumerate(crosses):
-        if sa == 1.0 and sb == 1.0:
-            pp = values[:, base + index]
-            pm = values[:, base + index + 1]
-            mp = values[:, base + index + 2]
-            mm = values[:, base + index + 3]
-            mixed = (pp - pm - mp + mm) / (4.0 * step**2)
-            d2g[:, a, b] = mixed
-            d2g[:, b, a] = mixed
-    return g0, dg, d2g
+    for (a, b), d in seconds.items():
+        d2g[:, a, b] = d2g[:, b, a] = d.reshape(count, n, n)
+    return values[(1,) * n], dg, d2g
 
 
 def _metric_jet(metric, points, mode="auto", step=None):

@@ -169,11 +169,9 @@ class DilationReport:
     pairs: np.ndarray
     deviations: np.ndarray
     max_deviation: float
-    epsilon: float = None
 
 
-def dilation_estimate(reference, smoothed, pairs, grid, mask_radius=None,
-                      order=8, epsilon=None):
+def dilation_estimate(reference, smoothed, pairs, grid, mask_radius=None, order=8):
     """max over the pair sample of |d_smoothed / d_reference - 1|.
 
     Both graphs share one node set, so every ratio compares shortest paths
@@ -200,7 +198,6 @@ def dilation_estimate(reference, smoothed, pairs, grid, mask_radius=None,
         pairs=snapped,
         deviations=deviations,
         max_deviation=float(np.max(deviations)),
-        epsilon=epsilon,
     )
 
 

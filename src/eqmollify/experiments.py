@@ -108,8 +108,7 @@ def _kernel_for(epsilon, config, dimension):
 
 def _group_average(scenario, kernel):
     """The true group average of the scenario's chart stages at one kernel."""
-    return compose_chart_stages(scenario.metric, list(scenario.atlas),
-                                [kernel] * len(scenario.atlas), scenario.group)
+    return compose_chart_stages(scenario.metric, scenario.atlas, kernel, scenario.group)
 
 
 def _chart_stage_commutes(scenario, kernel):
@@ -272,7 +271,7 @@ def _run_smooth_metric(scenario, config):
     def stage(epsilon):
         kernel = _kernel_for(epsilon, config, scenario.dimension)
         smooth = mollify_metric(scenario.metric, kernel)
-        deviation = sobolev_seminorm(smooth, grid, reference=scenario.metric).value
+        deviation = sobolev_seminorm(smooth, grid, reference=scenario.metric)
         return epsilon, kernel.quadrature.level, deviation, delta
 
     rows = _sweep(stage, config.epsilons)
@@ -340,7 +339,7 @@ def _run_lipschitz_sweep(scenario, config):
     def stage(epsilon):
         field = _smoothed_field(scenario, epsilon, config)
         report = dilation_estimate(scenario.metric, field, pairs, grid,
-                                   mask_radius=scenario.scan_radius, epsilon=epsilon)
+                                   mask_radius=scenario.scan_radius)
         return epsilon, report.max_deviation, delta
 
     rows = _sweep(stage, config.epsilons)

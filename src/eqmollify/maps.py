@@ -147,17 +147,16 @@ class GroupAction:
     weights: np.ndarray
     is_quadrature: bool = False
 
-    def __init__(self, matrices, weights=None, is_quadrature=False, check=True, tol=1e-12):
+    def __init__(self, matrices, weights=None, is_quadrature=False, tol=1e-12):
         matrices = np.asarray(matrices, dtype=float)
         if weights is None:
             weights = np.full(matrices.shape[0], 1.0 / matrices.shape[0])
         weights = np.asarray(weights, dtype=float)
-        if check:
-            _check_orthogonal(matrices, tol)
-            if not is_quadrature:
-                _check_closure(matrices, tol)
-            if abs(float(np.sum(weights)) - 1.0) > 1e-12:
-                raise GroupError("averaging weights must sum to one")
+        _check_orthogonal(matrices, tol)
+        if not is_quadrature:
+            _check_closure(matrices, tol)
+        if abs(float(np.sum(weights)) - 1.0) > 1e-12:
+            raise GroupError("averaging weights must sum to one")
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "is_quadrature", bool(is_quadrature))

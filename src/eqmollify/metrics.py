@@ -14,7 +14,6 @@ cached on a grid: interpolation would break that locality and the
 finite-difference curvature taken on top.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +33,7 @@ __all__ = [
     "haar_average_metric",
     "compose_chart_stages",
     "isometry_residual",
-    "SeminormReport",
     "sobolev_seminorm",
-    "seminorm_from_values",
     "a_nu",
     "EpsilonSelection",
     "EpsilonSelector",
@@ -99,9 +96,6 @@ class BoxGrid:
     def points(self):
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def refined(self):
-        return BoxGrid(self.lo, self.hi, tuple(2 * c - 1 for c in self.counts))
 
 
 @dataclass(frozen=True)
@@ -320,8 +314,7 @@ def haar_average_metric(metric, cutoff, kernel, group, isometry_points=None):
     return MetricField(fn=fn, dimension=metric.dimension)
 
 
-def compose_chart_stages(metric, cutoffs, kernels, group,
-                         isometry_points=None):
+def compose_chart_stages(metric, cutoffs, kernel, group, isometry_points=None):
     """Sequential chart-by-chart averaged smoothing over a finite atlas.
 
     Stages compose exactly: each one evaluates the previous field itself,
@@ -329,36 +322,13 @@ def compose_chart_stages(metric, cutoffs, kernels, group,
     differences see the true field.  A single-chart atlas is exactly one
     ``haar_average_metric``.
     """
-    if len(cutoffs) != len(kernels):
-        raise MetricError("need one kernel per chart stage")
     current = metric
-    for index, (cutoff, kernel) in enumerate(zip(cutoffs, kernels)):
+    for index, cutoff in enumerate(cutoffs):
         current = haar_average_metric(
             current, cutoff, kernel, group,
             isometry_points=isometry_points if index == 0 else None,
         )
     return current
-
-
-@dataclass(frozen=True)
-class SeminormReport:
-    """A measured Sobolev-type seminorm with its grid pedigree."""
-
-    value: float
-    p: float
-    order: tuple
-    grid_counts: tuple
-    grid_spacing: tuple
-    refined_value: float = None
-
-    __test__ = False
-
-    @property
-    def stable(self):
-        if self.refined_value is None:
-            return None
-        scale = max(abs(self.value), 1e-30)
-        return abs(self.refined_value - self.value) <= 0.1 * scale
 
 
 def _central_differences(values, spacing, spatial_dims):
@@ -382,102 +352,19 @@ def _central_differences(values, spacing, spatial_dims):
     return firsts, seconds
 
 
-def _lp_reduce(arr, p, cell_volume):
-    flat = np.abs(np.asarray(arr, dtype=float)).ravel()
-    if flat.size == 0:
-        return 0.0
-    if math.isinf(p):
-        return float(np.max(flat))
-    return float((np.sum(flat**p) * cell_volume) ** (1.0 / p))
-
-
-def seminorm_from_values(values, grid, p=math.inf, order=(2, None),
-                         pair_count=512, seed=0):
-    """Sobolev-type seminorm of precomputed grid values.
-
-    ``values`` has shape grid.counts + (n, n).  order (2, _) is the
-    componentwise W^{2,p} norm (zeroth term included) maximized over
-    components; order (1, alpha) is the C^{1,alpha}-type norm with the
-    Hoelder quotient of first differences sampled on neighbor pairs plus a
-    seeded batch of long-range pairs.
+def sobolev_seminorm(metric, grid, reference=None):
+    """Second-order sup deviation of a field on a grid, or of its deviation
+    from ``reference`` when one is given: the largest entry, in absolute
+    value, of the values and of every first, pure-second and mixed central
+    difference.  A grid without interior nodes contributes no differences.
     """
-    spacing = grid.spacing
-    dims = grid.dimension
-    n = values.shape[-1]
-    cell = float(np.prod(spacing))
-    firsts, seconds = _central_differences(values, spacing, dims)
-    core = tuple(slice(1, s - 1) for s in values.shape[:dims])
-
-    if order[0] == 2:
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                comp = (..., i, j)
-                terms = [_lp_reduce(values[comp], p, cell)]
-                terms += [_lp_reduce(d[comp], p, cell) for d in firsts.values()]
-                for (a, b), d in seconds.items():
-                    term = _lp_reduce(d[comp], p, cell)
-                    terms.append(term)
-                    if a != b:
-                        terms.append(term)
-                if math.isinf(p):
-                    norm = max(terms)
-                else:
-                    norm = float(np.sum(np.array(terms) ** p) ** (1.0 / p))
-                worst = max(worst, norm)
-        return worst
-
-    alpha = order[1]
-    grads = np.stack([firsts[(a,)] for a in range(dims)], axis=0)
-    interior_pts = grid.points().reshape(grid.counts + (dims,))[core]
-    flat_pts = interior_pts.reshape(-1, dims)
-    flat_grads = grads.reshape((dims,) + (-1,) + (n, n))
-    rng = np.random.default_rng(seed)
-    total = flat_pts.shape[0]
-    # neighbor pairs along the leading axis of the flattened interior
-    idx = np.arange(total - 1)
-    pairs = [(idx, idx + 1)]
-    if total > 4:
-        left = rng.integers(0, total, size=pair_count)
-        right = rng.integers(0, total, size=pair_count)
-        keep = left != right
-        pairs.append((left[keep], right[keep]))
-    quotient = 0.0
-    for li, ri in pairs:
-        dist = np.linalg.norm(flat_pts[li] - flat_pts[ri], axis=1)
-        good = dist > 0
-        gap = np.abs(flat_grads[:, li] - flat_grads[:, ri])
-        gap = np.max(gap.reshape(dims, li.shape[0], -1), axis=(0, 2))
-        if np.any(good):
-            quotient = max(quotient, float(np.max(gap[good] / dist[good] ** alpha)))
-    sup0 = float(np.max(np.abs(values)))
-    sup1 = float(np.max(np.abs(grads))) if grads.size else 0.0
-    return max(sup0, sup1, quotient)
-
-
-def sobolev_seminorm(metric, grid, p=math.inf, order=(2, None), refine=False,
-                     reference=None, **kw):
-    """Grid finite-difference seminorm of a field, or of its deviation from
-    ``reference`` when one is given.  ``refine=True`` recomputes on the
-    doubled grid and records both values for the 10-percent stability gate.
-    """
-    def measure(g):
-        vals = metric.value(g.points()).reshape(g.counts + (metric.dimension,) * 2)
-        if reference is not None:
-            ref = reference.value(g.points()).reshape(vals.shape)
-            vals = vals - ref
-        return seminorm_from_values(vals, g, p=p, order=order, **kw)
-
-    value = measure(grid)
-    refined = measure(grid.refined()) if refine else None
-    return SeminormReport(
-        value=value,
-        p=p,
-        order=order,
-        grid_counts=grid.counts,
-        grid_spacing=tuple(grid.spacing),
-        refined_value=refined,
-    )
+    points = grid.points()
+    vals = metric.value(points).reshape(grid.counts + (metric.dimension,) * 2)
+    if reference is not None:
+        vals = vals - reference.value(points).reshape(vals.shape)
+    firsts, seconds = _central_differences(vals, grid.spacing, grid.dimension)
+    return max(float(np.max(np.abs(d), initial=0.0))
+               for d in (vals, *firsts.values(), *seconds.values()))
 
 
 def a_nu(metric, grid):
@@ -525,35 +412,21 @@ class EpsilonSelector:
     non-increasing as the bound shrinks.
     """
 
-    def __init__(self, smoother, reference, grid, p=math.inf, start=0.2,
-                 max_halvings=16):
+    def __init__(self, smoother, reference, grid, start=0.2, max_halvings=16):
         self.smoother = smoother
         self.reference = reference
         self.grid = grid
-        self.p = p
         self.start = float(start)
         self.max_halvings = int(max_halvings)
         self._cache = {}
-        self._ref_values = None
-
-    def _reference_values(self):
-        if self._ref_values is None:
-            n = self.reference.dimension
-            self._ref_values = self.reference.value(self.grid.points()).reshape(
-                self.grid.counts + (n, n)
-            )
-        return self._ref_values
 
     def ladder(self):
         return [self.start * 0.5**j for j in range(self.max_halvings + 1)]
 
     def deviation(self, epsilon):
         if epsilon not in self._cache:
-            n = self.reference.dimension
-            field = self.smoother(epsilon)
-            vals = field.value(self.grid.points()).reshape(self.grid.counts + (n, n))
-            diff = vals - self._reference_values()
-            self._cache[epsilon] = seminorm_from_values(diff, self.grid, p=self.p)
+            self._cache[epsilon] = sobolev_seminorm(self.smoother(epsilon), self.grid,
+                                                    reference=self.reference)
         return self._cache[epsilon]
 
     def select(self, bound):

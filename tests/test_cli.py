@@ -69,6 +69,21 @@ class TestExitCodes:
         assert "EQMOLLIFY_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", [
+        '"delta": "0.1"', '"delta": true', '"epsilons": ["a"]', '"epsilons": [null]',
+        '"epsilons": [true]', '"epsilons": [1e400]', '"k_values": ["x"]',
+        '"k_values": [1.5]', '"out": 5',
+    ])
+    def test_field_of_the_wrong_type_is_two(self, tmp_path, capsys, field):
+        # raw JSON text, so 1e400 reaches the parser as written and reads as inf
+        path = tmp_path / "config.json"
+        path.write_text('{"scenario": "euclid_z4", %s}' % field)
+        code = main(["select-epsilon", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_abort_is_three(self, tmp_path, capsys):
         # a 2x2 lattice has no nodes inside the scan disk, so the distance
         # graph is empty and the sweep aborts

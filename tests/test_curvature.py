@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from eqmollify.kernel import MollifierKernel
 from eqmollify.curvature import (
     CurvatureError,
+    _metric_jet,
     christoffel,
     curvature_bounds,
     sectional_curvature,
@@ -23,10 +24,13 @@ from eqmollify.curvature import (
 from eqmollify.metrics import (
     BoxGrid,
     MetricField,
+    chart_smooth_metric,
+    conformal_metric,
     constant_metric,
     mollify_metric,
     radial_conformal_metric,
 )
+from eqmollify.scenarios import build_scenario
 
 # frozen oracle values, scripts/make_fixtures.py section "curvature"
 RADIAL_BOUNDS_LOWER = -1.9624110128653827
@@ -118,6 +122,51 @@ class TestChristoffel:
         gamma_a = christoffel(g, PTS)
         gamma_fd = christoffel(g, PTS, mode="fd", step=1e-5)
         assert np.max(np.abs(gamma_a - gamma_fd)) < 1e-8
+
+
+def reference_jet(metric, points, step):
+    """The 2-jet from the 1 + 2n + 4 C(n, 2) point stencil: the centre,
+    +-step along each axis, and the four diagonal corners of each plane."""
+    n = metric.dimension
+    eye = step * np.eye(n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    offsets = [np.zeros(n)] + [s * eye[a] for a in range(n) for s in (1.0, -1.0)]
+    offsets += [sa * eye[a] + sb * eye[b] for a, b in pairs
+                for sa in (1.0, -1.0) for sb in (1.0, -1.0)]
+    stencil = np.asarray(offsets)
+    batch = (points[:, None, :] + stencil[None, :, :]).reshape(-1, n)
+    values = metric.value(batch).reshape(points.shape[0], stencil.shape[0], n, n)
+    g0 = values[:, 0]
+    dg = np.empty((points.shape[0], n, n, n))
+    d2g = np.empty((points.shape[0], n, n, n, n))
+    for a in range(n):
+        plus, minus = values[:, 1 + 2 * a], values[:, 2 + 2 * a]
+        dg[:, a] = (plus - minus) / (2.0 * step)
+        d2g[:, a, a] = (plus - 2.0 * g0 + minus) / step**2
+    for k, (a, b) in enumerate(pairs):
+        pp, pm, mp, mm = (values[:, 1 + 2 * n + 4 * k + j] for j in range(4))
+        d2g[:, a, b] = d2g[:, b, a] = (pp - pm - mp + mm) / (4.0 * step**2)
+    return g0, dg, d2g
+
+
+class TestFiniteDifferenceJet:
+    @pytest.mark.parametrize("epsilon", [0.05, 1.220703125e-05])
+    def test_chart_smoothed_sphere_matches_the_reference_stencil(self, epsilon):
+        sphere = build_scenario("round_sphere_chart")
+        field = chart_smooth_metric(sphere.metric, sphere.atlas[0],
+                                    MollifierKernel.create(2, epsilon, level=1))
+        pts = np.array([[0.3, 0.1], [0.0, 0.0], [-0.5, 0.45], [0.62, -0.3], [0.9, 0.2]])
+        for got, want in zip(_metric_jet(field, pts, mode="fd", step=5e-3),
+                             reference_jet(field, pts, 5e-3)):
+            assert np.array_equal(got, want)
+
+    def test_three_dimensional_conformal_field_matches_the_reference_stencil(self):
+        field = conformal_metric(
+            lambda p: 1.0 + 0.3 * np.sin(p[:, 0] + 2.0 * p[:, 1] * p[:, 2]), dimension=3)
+        pts = np.array([[0.2, 0.1, -0.3], [0.0, 0.0, 0.0], [0.5, -0.4, 0.1]])
+        for got, want in zip(_metric_jet(field, pts, mode="fd", step=1e-4),
+                             reference_jet(field, pts, 1e-4)):
+            assert np.array_equal(got, want)
 
 
 class TestSectionalCurvature:

@@ -163,7 +163,8 @@ class TestGraphDistance:
     def test_resolution_doubling_non_increasing(self):
         grid = BoxGrid((-0.95, -0.95), (0.95, 0.95), (17, 17))
         coarse = sample_graph(sphere_metric(), grid, mask_radius=0.95)
-        fine = sample_graph(sphere_metric(), grid.refined(), mask_radius=0.95)
+        fine = sample_graph(sphere_metric(), BoxGrid(grid.lo, grid.hi, (33, 33)),
+                            mask_radius=0.95)
         # query at coarse nodes, which survive refinement, so the fine graph
         # strictly adds paths between the same endpoints
         p = coarse.nodes[coarse.snap(OFFSET_PAIR[0])]
@@ -242,12 +243,11 @@ class TestDilation:
         with pytest.raises(DistanceError, match="zero-distance"):
             dilation_estimate(sphere_metric(), sphere_metric(), pairs, self.grid())
 
-    def test_report_records_epsilon(self):
+    def test_report_records_snapped_pairs(self):
         pairs = seeded_point_pairs(4, 42, 0.9)
         report = dilation_estimate(sphere_metric(), sphere_metric(), pairs,
-                                   self.grid(), mask_radius=0.95, epsilon=0.05)
+                                   self.grid(), mask_radius=0.95)
         assert isinstance(report, DilationReport)
-        assert report.epsilon == 0.05
         assert np.all(report.deviations >= 0.0)
         assert report.pairs.shape == (4, 2)
 
@@ -258,7 +258,7 @@ class TestDilation:
         for eps in (0.02, 0.01):
             smooth = mollify_metric(metric, MollifierKernel.create(2, eps, level=1))
             report = dilation_estimate(metric, smooth, pairs, self.grid(),
-                                       mask_radius=0.95, epsilon=eps)
+                                       mask_radius=0.95)
             values.append(report.max_deviation)
         assert values[1] < values[0] < 0.01
 

@@ -35,7 +35,6 @@ from eqmollify.metrics import (
     isometry_residual,
     mollify_metric,
     select_epsilon_for_k,
-    seminorm_from_values,
     sobolev_seminorm,
 )
 
@@ -276,7 +275,7 @@ class TestHaarAverage:
         mats = np.stack([
             np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]) for a in angles
         ])
-        probes = GroupAction(mats, weights=np.full(5, 0.2), is_quadrature=True, check=False)
+        probes = GroupAction(mats, weights=np.full(5, 0.2), is_quadrature=True)
         pts = np.array([[0.3, 0.1], [0.5, -0.2], [0.44, 0.12]])
         assert isometry_residual(averaged, probes, pts) <= 1e-6
 
@@ -303,7 +302,7 @@ class TestCompose:
         kernel = MollifierKernel.create(2, 0.15, level=2)
         group = cyclic_rotation_group(4)
         g = constant_metric(np.eye(2))
-        composed = compose_chart_stages(g, [cutoff], [kernel], group)
+        composed = compose_chart_stages(g, [cutoff], kernel, group)
         direct = haar_average_metric(g, cutoff, kernel, group)
         pts = np.array([[0.5, 0.1], [0.95, 0.0]])
         assert np.array_equal(composed.value(pts), direct.value(pts))
@@ -314,70 +313,33 @@ class TestCompose:
         cut_left = ChartCutoff(AffineChart.scaled([-0.25, 0.0], 2.0))
         kernel = MollifierKernel.create(2, 0.08, level=2)
         composed = compose_chart_stages(constant_metric(m), [cut_right, cut_left],
-                                        [kernel, kernel], trivial_group(2))
+                                        kernel, trivial_group(2))
         overlap = np.array([[0.0, 0.0], [0.03, -0.02], [-0.04, 0.01], [0.02, 0.035]])
         assert np.max(np.abs(composed.value(overlap) - m)) < 1e-13
-
-    def test_stage_count_mismatch_rejected(self):
-        with pytest.raises(MetricError, match="per chart"):
-            compose_chart_stages(constant_metric(np.eye(2)), [unit_chart_cutoff()],
-                                 [], trivial_group(2))
 
 
 class TestSeminorm:
     def test_constant_field_sup_norm(self):
         m = np.array([[2.0, 0.3], [0.3, 1.0]])
         grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (21, 21))
-        report = sobolev_seminorm(constant_metric(m), grid)
-        assert report.value == 2.0
-        assert report.stable is None
+        assert sobolev_seminorm(constant_metric(m), grid) == 2.0
 
     def test_quadratic_conformal_sup_norm(self):
         g = conformal_metric(lambda p: 1.0 + p[..., 0] ** 2)
         grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (41, 41))
-        report = sobolev_seminorm(g, grid)
         # sup of the factor and its exact second difference both equal 2
-        assert abs(report.value - 2.0) < 1e-12
-
-    def test_finite_p_volume_factor(self):
-        grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (21, 21))
-        report = sobolev_seminorm(constant_metric(np.eye(2)), grid, p=4.0)
-        cell = float(np.prod(grid.spacing))
-        expected = (cell * 21 * 21) ** 0.25
-        assert abs(report.value - expected) < 1e-12
+        assert abs(sobolev_seminorm(g, grid) - 2.0) < 1e-12
 
     def test_reference_subtraction_gives_zero(self):
         g = sphere_metric()
         grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (17, 17))
-        report = sobolev_seminorm(g, grid, reference=g)
-        assert report.value == 0.0
+        assert sobolev_seminorm(g, grid, reference=g) == 0.0
 
-    def test_refinement_stability_gate(self):
-        grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (33, 33))
-        report = sobolev_seminorm(sphere_metric(), grid, refine=True)
-        assert report.refined_value is not None
-        assert report.stable is True
-
-    def test_linear_factor_hoelder_norm(self):
-        g = conformal_metric(lambda p: 1.0 + 0.5 * p[..., 0])
-        grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (21, 21))
-        report = sobolev_seminorm(g, grid, order=(1, 0.5))
-        # gradient is constant so the quotient vanishes; sup term wins
-        assert abs(report.value - 1.5) < 1e-12
-
-    def test_kink_blows_up_hoelder_quotient(self):
-        for counts, expect in [(21, 3.0), (41, 4.2)]:
-            grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (counts, counts))
-            g = conformal_metric(lambda p: np.abs(p[..., 1]))
-            report = sobolev_seminorm(g, grid, order=(1, 0.5))
-            assert report.value >= expect
-
-    def test_seminorm_from_values_matches_field_route(self):
-        g = sphere_metric()
-        grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (17, 17))
-        vals = g.value(grid.points()).reshape(grid.counts + (2, 2))
-        direct = seminorm_from_values(vals, grid)
-        assert direct == sobolev_seminorm(g, grid).value
+    def test_grid_without_interior_counts_values_only(self):
+        # two nodes per axis leave no interior, so every difference is empty
+        g = conformal_metric(lambda p: 1.0 + 4.0 * p[..., 0] ** 2)
+        grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (2, 2))
+        assert sobolev_seminorm(g, grid) == 5.0
 
 
 class TestEllipticityConstant:
@@ -446,13 +408,10 @@ class TestLevelSchedule:
     def test_cross_level_agreement_in_the_sweep_range(self):
         g = sphere_metric()
         grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (65, 65))
-        pts = grid.points()
-        ref = g.value(pts).reshape(grid.counts + (2, 2))
         values = {}
         for level in (1, 2):
             kernel = MollifierKernel.create(2, 0.0125, level=level)
-            vals = mollify_metric(g, kernel).value(pts).reshape(ref.shape)
-            values[level] = seminorm_from_values(vals - ref, grid)
+            values[level] = sobolev_seminorm(mollify_metric(g, kernel), grid, reference=g)
         assert abs(values[1] - values[2]) / values[2] < 0.015
 
 
