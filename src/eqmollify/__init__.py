@@ -74,7 +74,6 @@ from .metrics import (
     MetricField,
     a_nu,
     chart_smooth_metric,
-    compose_chart_stages,
     conformal_metric,
     constant_metric,
     default_level_schedule,

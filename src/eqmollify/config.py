@@ -12,7 +12,8 @@ Schema (all keys optional except ``scenario``):
     pairs             dilation sample pair count (default 64, at most 256)
     delta             target tolerance where a kind needs one, or null for
                       the kind default
-    k_values          targets for epsilon selection (default [1, 2, 4])
+    k_values          targets for epsilon selection (default [1, 2, 4], each
+                      at most 2^20)
     max_halvings      epsilon selector lattice depth (default 16, at most 40)
     out               output directory, or null for runs/<scenario>-<kind>
     seed              RNG seed (default 42)
@@ -42,6 +43,8 @@ _INT_FIELDS = {
     "max_halvings": 40,
     "seed": None,
 }
+# largest k_values entry; the selection bound a_nu / k is taken in floats
+_MAX_K = 2**20
 
 
 class ConfigError(ValueError):
@@ -108,6 +111,9 @@ class ExperimentConfig:
         if not ks or any(k < 1 for k in ks) or any(b < a for a, b in zip(ks, ks[1:])):
             raise ConfigError("field 'k_values' must be a nondecreasing list of"
                               " integers >= 1")
+        if ks[-1] > _MAX_K:
+            raise ConfigError("field 'k_values' must list integers of at most %d"
+                              % _MAX_K)
         object.__setattr__(self, "k_values", ks)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("field 'out' must be a string or null")

@@ -11,10 +11,11 @@ Two smoothing operators act on a current, both through ``mollified_sample``:
 translation smoothing averages the pushforwards under tau_y over the
 mollifier ball, and shift smoothing (``ball_shifts``) uses the ball-preserving
 maps from ``ballmap`` instead, so the open unit ball is mapped to itself and
-everything outside is left untouched.  The equivariant operator
-(``equivariant_sample``) splits the current with a chart cutoff, smooths the
-chart part by shifts in chart coordinates and averages the result over a
-group of orthogonal matrices.
+everything from R_IDENTITY outward is left untouched: sample rows there pass
+through bit for bit, and a part with no row inside is not copied at all.
+The equivariant operator (``equivariant_sample``) splits the current with a
+chart cutoff, smooths the chart part by shifts in chart coordinates and
+averages the result over a group of orthogonal matrices.
 """
 
 from dataclasses import dataclass
@@ -254,31 +255,6 @@ class DiracCurrent:
     def sample(self):
         return WeightedSample(self.points, self.frames, self.weights)
 
-    def support_min_radius(self):
-        if self.points.shape[0] == 0:
-            return np.inf
-        return float(np.min(np.linalg.norm(self.points, axis=1)))
-
-
-def _segment_min_radius(a, b):
-    # distance from the origin to the segment [a, b]
-    d = b - a
-    denom = float(np.dot(d, d))
-    t = 0.0 if denom == 0.0 else min(1.0, max(0.0, -float(np.dot(a, d)) / denom))
-    return float(np.linalg.norm(a + t * d))
-
-
-def _triangle_min_radius(v0, v1, v2):
-    edges = np.stack([v1 - v0, v2 - v0])
-    coeffs, *_ = np.linalg.lstsq(edges @ edges.T, -edges @ v0, rcond=None)
-    if coeffs[0] >= 0 and coeffs[1] >= 0 and coeffs.sum() <= 1:
-        return float(np.linalg.norm(v0 + coeffs @ edges))
-    return min(
-        _segment_min_radius(v0, v1),
-        _segment_min_radius(v0, v2),
-        _segment_min_radius(v1, v2),
-    )
-
 
 @dataclass(frozen=True)
 class PolyhedralCurrent:
@@ -358,13 +334,6 @@ class PolyhedralCurrent:
     def sample(self):
         return self._sample
 
-    def support_min_radius(self):
-        if self.simplices.shape[0] == 0:
-            return np.inf
-        if self.degree == 1:
-            return min(_segment_min_radius(s[0], s[1]) for s in self.simplices)
-        return min(_triangle_min_radius(*s) for s in self.simplices)
-
 
 @dataclass(frozen=True)
 class CombinedCurrent:
@@ -396,9 +365,6 @@ class CombinedCurrent:
             return _empty_sample(self.dimension, self.degree)
         return WeightedSample.concatenate(samples)
 
-    def support_min_radius(self):
-        return min(p.support_min_radius() for p in self.parts)
-
 
 def evaluate(current, form):
     """The pairing T(w)."""
@@ -419,14 +385,18 @@ def _translation_product(sample, kernel):
 def _shift_product(sample, kernel):
     """Node-major shift pushforwards of the sample, one copy per kernel
     node; rows from R_IDENTITY outward keep their point and frame bit for
-    bit."""
+    bit.  A sample with no row inside R_IDENTITY is returned as it is: the
+    shifts fix all of it, and one copy pairs exactly like the convex
+    combination of |nodes| equal ones."""
+    inner = np.flatnonzero(np.linalg.norm(sample.points, axis=1) < R_IDENTITY)
+    if inner.size == 0:
+        return sample
     nodes, node_w = kernel.convex_weights()
     k = sample.points.shape[0]
     m = nodes.shape[0]
     dim, deg = sample.dimension, sample.degree
     pts_out = np.broadcast_to(sample.points, (m, k, dim)).copy()
     frames_out = np.broadcast_to(sample.frames, (m, k, deg, dim)).copy()
-    inner = np.flatnonzero(np.linalg.norm(sample.points, axis=1) < R_IDENTITY)
     frames_in = sample.frames[inner]
     for part, block, moved, jac in _shift_blocks(sample.points[inner], nodes):
         rows = inner[part]
@@ -449,9 +419,9 @@ def mollified_sample(current, kernel, ball_shifts=False):
     """Sample of the smoothed current; pair it with any number of forms.
 
     With ``ball_shifts`` the averaging runs over the ball-preserving shift
-    maps.  Parts supported outside the closed unit ball are then returned
-    unsmoothed, which reproduces their pairings bit for bit: the shifts are
-    already the identity well inside radius one.
+    maps.  Those are the identity from R_IDENTITY outward, so a part whose
+    sample lies there entirely is returned unsmoothed (``_shift_product``)
+    and reproduces its pairings bit for bit.
     """
     if kernel.dimension != current.dimension:
         raise CurrentError("kernel dimension does not match the current")
@@ -460,12 +430,8 @@ def mollified_sample(current, kernel, ball_shifts=False):
         sample = part.sample()
         if sample.points.shape[0] == 0:
             continue
-        if ball_shifts and part.support_min_radius() >= 1.0:
-            pieces.append(sample)
-        elif ball_shifts:
-            pieces.append(_shift_product(sample, kernel))
-        else:
-            pieces.append(_translation_product(sample, kernel))
+        product = _shift_product if ball_shifts else _translation_product
+        pieces.append(product(sample, kernel))
     if not pieces:
         return _empty_sample(current.dimension, current.degree)
     return WeightedSample.concatenate(pieces)

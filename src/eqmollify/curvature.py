@@ -1,12 +1,12 @@
 """Christoffel symbols, sectional curvature, and curvature bound scans.
 
-Both derivative modes share one algebraic core: the Christoffel symbols
-and their derivatives are functions of the 2-jet (g, dg, d2g), and only
-the jet acquisition differs.  Analytic jets come from the field's own
-derivative callables; finite-difference jets from the 3^n stencil around
-each point (9 points in two dimensions, 27 in three) evaluated in one
-batch, which matters when the field being measured is itself a
-quadrature.  The differences are the seminorm's own
+The Christoffel symbols and their derivatives are functions of the 2-jet
+(g, dg, d2g), and the field decides how its jet is taken.  A field that
+carries both derivative callables gets analytic jets from them; any other
+field, a smoothed one among them, gets finite-difference jets from the
+3^n stencil around each point (9 points in two dimensions, 27 in three)
+evaluated in one batch, which matters when the field being measured is
+itself a quadrature.  The differences are the seminorm's own
 ``metrics._central_differences``, taken on that stencil.
 """
 
@@ -27,11 +27,11 @@ __all__ = [
 
 
 # central-difference step of the finite-difference jets, unless one is given
-FD_STEP = 1e-4
+FD_STEP = 5e-3
 
 
 class CurvatureError(RuntimeError):
-    """Degenerate section, missing derivatives, or an empty scan."""
+    """Degenerate section or an empty scan."""
 
 
 def _finite_difference_jet(metric, points, step):
@@ -49,20 +49,18 @@ def _finite_difference_jet(metric, points, step):
     return values[(1,) * n], dg, d2g
 
 
-def _metric_jet(metric, points, mode="auto", step=None):
+def _metric_jet(metric, points, step=FD_STEP):
+    """The 2-jet (g, dg, d2g) at the points; the field decides its jet:
+    analytic when it carries both derivative callables, central
+    differences of the given step otherwise."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    analytic = metric.first_derivative is not None and metric.second_derivative is not None
-    if mode == "analytic" and not analytic:
-        raise CurvatureError("metric has no analytic derivatives")
-    if mode not in ("auto", "analytic", "fd"):
-        raise CurvatureError("unknown derivative mode %r" % mode)
-    if analytic and mode != "fd":
+    if metric.first_derivative is not None and metric.second_derivative is not None:
         return (
             metric.value(points),
             np.asarray(metric.first_derivative(points), dtype=float),
             np.asarray(metric.second_derivative(points), dtype=float),
         )
-    return _finite_difference_jet(metric, points, step or FD_STEP)
+    return _finite_difference_jet(metric, points, step)
 
 
 def _christoffel_terms(g, dg, d2g=None):
@@ -89,15 +87,15 @@ def _christoffel_terms(g, dg, d2g=None):
     return gamma, dgamma
 
 
-def christoffel(metric, points, mode="auto", step=None):
+def christoffel(metric, points, step=FD_STEP):
     """Connection coefficients, indexed [point, upper, lower, lower]."""
-    g, dg, _ = _metric_jet(metric, points, mode=mode, step=step)
+    g, dg, _ = _metric_jet(metric, points, step=step)
     gamma, _ = _christoffel_terms(g, dg)
     return gamma
 
 
-def _lowered_curvature(metric, points, mode, step):
-    g, dg, d2g = _metric_jet(metric, points, mode=mode, step=step)
+def _lowered_curvature(metric, points, step):
+    g, dg, d2g = _metric_jet(metric, points, step=step)
     gamma, dgamma = _christoffel_terms(g, dg, d2g)
     upper = (
         np.einsum("rkmlj->rmjkl", dgamma)
@@ -122,7 +120,7 @@ def _section_values(g, lowered, x_vectors, y_vectors):
     return numerator / gram
 
 
-def sectional_curvature(metric, points, x_vectors, y_vectors, mode="auto", step=None):
+def sectional_curvature(metric, points, x_vectors, y_vectors, step=FD_STEP):
     """Curvature of the plane spanned by each (X, Y) pair.
 
     The Gram denominator normalizes arbitrary spanning pairs; a nearly
@@ -131,7 +129,7 @@ def sectional_curvature(metric, points, x_vectors, y_vectors, mode="auto", step=
     points = np.atleast_2d(np.asarray(points, dtype=float))
     x_vectors = np.atleast_2d(np.asarray(x_vectors, dtype=float))
     y_vectors = np.atleast_2d(np.asarray(y_vectors, dtype=float))
-    g, lowered = _lowered_curvature(metric, points, mode, step)
+    g, lowered = _lowered_curvature(metric, points, step)
     return _section_values(g, lowered, x_vectors, y_vectors)
 
 
@@ -146,27 +144,24 @@ class CurvatureBounds:
     seed: int
 
 
-def curvature_bounds(metric, grid, sections=8, seed=42, mode="auto", step=None,
+def curvature_bounds(metric, grid, sections=8, seed=42, step=FD_STEP,
                      mask_radius=None, exclusion_radii=(), exclusion_width=None):
     """Extremes of sectional curvature over grid points and random planes.
 
     Points within ``exclusion_width`` (default twice the derivative step)
-    of a declared discontinuity sphere are excised, as are points outside
-    ``mask_radius`` when one is given.  Sections are drawn once per run
-    from the seed by QR-orthonormalizing Gaussian pairs, so the scan is
-    reproducible and, in two dimensions, doubles as a consistency check:
-    every pair spans the same plane.
+    of a sphere whose radius ``exclusion_radii`` lists are excised, as are
+    points outside ``mask_radius`` when one is given.  Sections are drawn
+    once per run from the seed by QR-orthonormalizing Gaussian pairs, so
+    the scan is reproducible and, in two dimensions, doubles as a
+    consistency check: every pair spans the same plane.
     """
     if not isinstance(grid, BoxGrid):
         raise MetricError("curvature scan expects a BoxGrid")
     points = grid.points()
     if mask_radius is not None:
         points = points[np.linalg.norm(points, axis=1) <= mask_radius]
-    radii = tuple(exclusion_radii) + tuple(getattr(metric, "discontinuity_radii", ()))
-    width = exclusion_width
-    if width is None:
-        width = 2.0 * (step or FD_STEP)
-    for radius in radii:
+    width = 2.0 * step if exclusion_width is None else exclusion_width
+    for radius in exclusion_radii:
         points = points[np.abs(np.linalg.norm(points, axis=1) - radius) >= width]
     if points.shape[0] == 0:
         raise CurvatureError("no grid points survive the exclusions")
@@ -176,7 +171,7 @@ def curvature_bounds(metric, grid, sections=8, seed=42, mode="auto", step=None,
     upper = -np.inf
     lower_point = upper_point = points[0]
     # one jet evaluation serves every section; only the plane draw varies
-    g, lowered = _lowered_curvature(metric, points, mode, step)
+    g, lowered = _lowered_curvature(metric, points, step)
     for _ in range(sections):
         frames = np.linalg.qr(rng.standard_normal((points.shape[0], n, 2)))[0]
         k = _section_values(g, lowered, frames[:, :, 0], frames[:, :, 1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .curvature import curvature_bounds
+from .curvature import FD_STEP, curvature_bounds
 from .currents import equivariant_sample, evaluate, invariance_residual, mollified_sample
 from .distances import dilation_estimate, seeded_point_pairs
 from .kernel import MollifierKernel
@@ -24,8 +24,8 @@ from .metrics import (
     BoxGrid,
     a_nu,
     chart_smooth_metric,
-    compose_chart_stages,
     default_level_schedule,
+    haar_average_metric,
     isometry_residual,
     mollify_metric,
     sobolev_seminorm,
@@ -46,7 +46,6 @@ EXPERIMENT_KINDS = (
     "select-epsilon",
 )
 
-FD_STEP = 5e-3
 # torus invariance is certified off the quadrature lattice; five fixed
 # angles strictly between the 64-node grid lines
 OFF_NODE_ANGLES = tuple((j + 0.5) * 2.0 * np.pi / 320.0 for j in range(5))
@@ -106,11 +105,6 @@ def _kernel_for(epsilon, config, dimension):
     return MollifierKernel.create(dimension, epsilon, level=level)
 
 
-def _group_average(scenario, kernel):
-    """The true group average of the scenario's chart stages at one kernel."""
-    return compose_chart_stages(scenario.metric, scenario.atlas, kernel, scenario.group)
-
-
 def _chart_stage_commutes(scenario, kernel):
     """Whether the structure certifies that every chart stage of the
     scenario commutes with its group, so the group average of the chart
@@ -157,23 +151,28 @@ def _chart_stage_commutes(scenario, kernel):
     return True
 
 
-def _smoothed_field(scenario, epsilon, config):
-    """The scenario's smoothed metric at one epsilon.
+def _smoothed_field(scenario, kernel, exact=False):
+    """The scenario's smoothed metric at one kernel: the atlas walked in
+    order, each chart stage evaluating the previous field itself.
 
-    The chart stages, composed in order, when the group is the torus
-    quadrature or ``_chart_stage_commutes`` certifies that they already
-    commute with the group; otherwise the true group average.  Averaging
-    an equivariant stage again only multiplies its cost by |G|.  The torus
-    is decided first: its quadrature angles do not permute the kernel's,
-    so the guard would reject it, and its shortcut rests on quadrature
-    accuracy instead, which the invariance-check kind certifies.
+    Each stage is the true group average of the chart smoothing
+    (``haar_average_metric``).  Unless ``exact`` is set, the bare chart
+    stage takes its place when the group is the torus quadrature or
+    ``_chart_stage_commutes`` certifies that the stages already commute
+    with the group: averaging an equivariant stage again only multiplies
+    its cost by |G|.  The torus is decided first: its quadrature angles do
+    not permute the kernel's, so the guard would reject it, and its
+    shortcut rests on quadrature accuracy instead, which the
+    invariance-check kind certifies with ``exact`` set.
     """
-    kernel = _kernel_for(epsilon, config, scenario.dimension)
-    if not (scenario.group.is_quadrature or _chart_stage_commutes(scenario, kernel)):
-        return _group_average(scenario, kernel)
+    shortcut = not exact and (scenario.group.is_quadrature
+                              or _chart_stage_commutes(scenario, kernel))
     field = scenario.metric
     for cutoff in scenario.atlas:
-        field = chart_smooth_metric(field, cutoff, kernel)
+        if shortcut:
+            field = chart_smooth_metric(field, cutoff, kernel)
+        else:
+            field = haar_average_metric(field, cutoff, kernel, scenario.group)
     return field
 
 
@@ -292,10 +291,9 @@ def _run_curvature_report(scenario, config):
     delta = config.delta if config.delta is not None else 0.05
     grid = scenario.scan_grid(config.grid)
     declared = scenario.curvature_bounds
-    width = max(0.02, 2.0 * FD_STEP)
     kw = dict(mask_radius=scenario.scan_radius,
               exclusion_radii=scenario.discontinuity_radii,
-              exclusion_width=width, seed=config.seed)
+              exclusion_width=max(0.02, 2.0 * FD_STEP), seed=config.seed)
     raw = curvature_bounds(scenario.metric, grid, **kw)
     rows = [
         (0.0, "lower_bound", raw.lower, declared[0], delta),
@@ -303,8 +301,8 @@ def _run_curvature_report(scenario, config):
     ]
 
     def stage(epsilon):
-        field = _smoothed_field(scenario, epsilon, config)
-        bounds = curvature_bounds(field, grid, mode="fd", step=FD_STEP, **kw)
+        kernel = _kernel_for(epsilon, config, scenario.dimension)
+        bounds = curvature_bounds(_smoothed_field(scenario, kernel), grid, **kw)
         return [
             (epsilon, "lower_bound", bounds.lower, declared[0], delta),
             (epsilon, "upper_bound", bounds.upper, declared[1], delta),
@@ -337,7 +335,8 @@ def _run_lipschitz_sweep(scenario, config):
                                min_separation=0.4 * scenario.domain_radius)
 
     def stage(epsilon):
-        field = _smoothed_field(scenario, epsilon, config)
+        kernel = _kernel_for(epsilon, config, scenario.dimension)
+        field = _smoothed_field(scenario, kernel)
         report = dilation_estimate(scenario.metric, field, pairs, grid,
                                    mask_radius=scenario.scan_radius)
         return epsilon, report.max_deviation, delta
@@ -362,7 +361,7 @@ def _run_invariance_check(scenario, config):
 
     def stage(epsilon):
         kernel = _kernel_for(epsilon, config, scenario.dimension)
-        field = _group_average(scenario, kernel)
+        field = _smoothed_field(scenario, kernel, exact=True)
         out = [(epsilon, "smoothed_metric",
                 isometry_residual(field, matrices, points), metric_tol)]
         for ci, current in enumerate(scenario.currents):
@@ -394,7 +393,8 @@ def _run_select_epsilon(scenario, config):
                         (41,) * scenario.dimension)
     floor = a_nu(scenario.metric, unit_grid)
     selector = EpsilonSelector(
-        lambda eps: _smoothed_field(scenario, eps, config),
+        lambda eps: _smoothed_field(scenario,
+                                    _kernel_for(eps, config, scenario.dimension)),
         scenario.metric, grid,
         start=config.epsilons[0], max_halvings=config.max_halvings,
     )

@@ -31,7 +31,6 @@ __all__ = [
     "mollify_metric",
     "chart_smooth_metric",
     "haar_average_metric",
-    "compose_chart_stages",
     "isometry_residual",
     "sobolev_seminorm",
     "a_nu",
@@ -42,12 +41,8 @@ __all__ = [
 ]
 
 
-# largest isometry residual of an input that haar_average_metric accepts
-_ISOMETRY_TOLERANCE = 1e-8
-
-
 class MetricError(RuntimeError):
-    """Loss of positive definiteness, isometry violation, or domain abuse."""
+    """Loss of positive definiteness or domain abuse."""
 
 
 def _require_spd(values, points, what):
@@ -104,17 +99,15 @@ class MetricField:
 
     ``fn`` maps point batches (N, n) to matrices (N, n, n).  Analytic first
     and second derivatives, when supplied, have shapes (N, n, n, n) for
-    d_a g_ij and (N, n, n, n, n) for d_a d_b g_ij; consumers fall back to
-    central differences otherwise.  ``discontinuity_radii`` lists radii of
-    spheres where second derivatives jump, so curvature sampling can excise
-    them.
+    d_a g_ij and (N, n, n, n, n) for d_a d_b g_ij.  A field carrying both
+    gets analytic curvature jets; any other field, a smoothed one among
+    them, gets central differences.
     """
 
     fn: object
     dimension: int
     first_derivative: object = None
     second_derivative: object = None
-    discontinuity_radii: tuple = ()
 
     def value(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -134,7 +127,7 @@ def constant_metric(matrix):
     )
 
 
-def conformal_metric(factor, grad=None, hessian=None, dimension=2, **kw):
+def conformal_metric(factor, grad=None, hessian=None, dimension=2):
     """Metric c(x) * identity from a scalar conformal factor.
 
     ``factor`` maps (N, n) to (N,); optional ``grad`` to (N, n) and
@@ -159,10 +152,10 @@ def conformal_metric(factor, grad=None, hessian=None, dimension=2, **kw):
             return h[:, :, :, None, None] * eye
 
     return MetricField(fn=fn, dimension=n, first_derivative=first,
-                       second_derivative=second, **kw)
+                       second_derivative=second)
 
 
-def radial_conformal_metric(profile, dprofile=None, d2profile=None, dimension=2, **kw):
+def radial_conformal_metric(profile, dprofile=None, d2profile=None, dimension=2):
     """Conformal metric p(|x|^2) * identity from a radial profile in t = |x|^2.
 
     Profile derivatives, when given, turn into analytic metric derivatives
@@ -181,8 +174,7 @@ def radial_conformal_metric(profile, dprofile=None, d2profile=None, dimension=2,
                 2.0 * dprofile(t)
             )[:, None, None] * np.eye(pts.shape[1])
 
-    return conformal_metric(factor, grad=grad, hessian=hessian,
-                            dimension=dimension, **kw)
+    return conformal_metric(factor, grad=grad, hessian=hessian, dimension=dimension)
 
 
 def _mollify_values(metric_fn, kernel, points):
@@ -285,22 +277,16 @@ def isometry_residual(metric, group, points):
     return worst
 
 
-def haar_average_metric(metric, cutoff, kernel, group, isometry_points=None):
+def haar_average_metric(metric, cutoff, kernel, group):
     """Group average of the chart-localized smoothing.
 
     For finite groups this is the exact uniform average of pullbacks; the
     torus carrier is its equispaced-angle quadrature, which is spectrally
-    accurate for the smooth integrands at hand.  The input must already be
-    invariant: the residual is checked on ``isometry_points`` when given.
+    accurate for the smooth integrands at hand.  The group must act by
+    isometries of the input, which ``scenarios`` checks when it builds one.
     """
     if not isinstance(group, GroupAction):
         raise MetricError("group must be a GroupAction")
-    if isometry_points is not None:
-        residual = isometry_residual(metric, group, isometry_points)
-        if residual > _ISOMETRY_TOLERANCE:
-            raise MetricError(
-                "group does not act by isometries (residual %.3e)" % residual
-            )
     stage = chart_smooth_metric(metric, cutoff, kernel)
 
     def fn(pts):
@@ -312,23 +298,6 @@ def haar_average_metric(metric, cutoff, kernel, group, isometry_points=None):
         return acc
 
     return MetricField(fn=fn, dimension=metric.dimension)
-
-
-def compose_chart_stages(metric, cutoffs, kernel, group, isometry_points=None):
-    """Sequential chart-by-chart averaged smoothing over a finite atlas.
-
-    Stages compose exactly: each one evaluates the previous field itself,
-    never an interpolated grid cache, so locality stays bit-exact and finite
-    differences see the true field.  A single-chart atlas is exactly one
-    ``haar_average_metric``.
-    """
-    current = metric
-    for index, cutoff in enumerate(cutoffs):
-        current = haar_average_metric(
-            current, cutoff, kernel, group,
-            isometry_points=isometry_points if index == 0 else None,
-        )
-    return current
 
 
 def _central_differences(values, spacing, spatial_dims):

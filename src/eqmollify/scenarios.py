@@ -137,7 +137,6 @@ def _radial_c11_metric():
                            RADIAL_C0 + RADIAL_C1 * (t - KINK_T) + 0.8 * (t - KINK_T) ** 2),
         lambda t: np.where(t <= KINK_T, 0.3 - t, RADIAL_C1 + 1.6 * (t - KINK_T)),
         lambda t: np.where(t <= KINK_T, -1.0, 1.6),
-        discontinuity_radii=(KINK_RADIUS,),
     )
 
 

@@ -57,6 +57,14 @@ class TestExitCodes:
         path = config_file(tmp_path, {"scenario": "euclid_z4", "grid": 100000})
         assert main(["smooth-metric", "--config", path]) == 2
         assert "'grid' must be at most" in capsys.readouterr().err
+        # an integer too large for a float, where a / k would overflow
+        path = config_file(tmp_path, {"scenario": "euclid_z4", "k_values": [10**400]})
+        code = main(["select-epsilon", "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "k_values" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_bad_thread_setting_is_two(self, tmp_path, capsys, monkeypatch, raw):

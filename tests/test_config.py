@@ -98,6 +98,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="k_values"):
             ExperimentConfig(scenario="euclid_z4", k_values=ks)
 
+    def test_k_values_upper_bound(self):
+        config = ExperimentConfig(scenario="euclid_z4", k_values=(2**20,))
+        assert config.k_values == (2**20,)
+        for ks in ((2**20 + 1,), (10**400,)):
+            with pytest.raises(ConfigError, match="k_values"):
+                ExperimentConfig(scenario="euclid_z4", k_values=ks)
+
     def test_repeated_k_allowed(self):
         config = ExperimentConfig(scenario="euclid_z4", k_values=(2, 2, 4))
         assert config.k_values == (2, 2, 4)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqmollify import scenarios
+from eqmollify import currents, scenarios
 from eqmollify.ballmap import shift_points, shift_with_jacobian
 from eqmollify.currents import (
     CombinedCurrent,
@@ -263,6 +263,17 @@ class TestShiftSmoothing:
         kernel = MollifierKernel.create(2, 0.1)
         form = TestForm(1, 2, {(0,): lambda x: x[:, 1] ** 2}, 2.5, 2.0)
         assert mollified_sample(outer, kernel, ball_shifts=True).pair(form) == evaluate(outer, form)
+
+    def test_part_past_the_identity_radius_passes_through(self):
+        # every Gauss node lies at radius >= 0.9 > R_IDENTITY, although the
+        # segment itself reaches inside the unit ball
+        segment = PolyhedralCurrent(np.array([[[0.9, -0.3], [0.9, 0.3]]]))
+        kernel = MollifierKernel.create(2, 0.1)
+        sample = segment.sample()
+        assert currents._shift_product(sample, kernel) is sample
+        form = TestForm(1, 2, {(1,): lambda x: np.cos(x[:, 1]) + x[:, 0]}, 2.5, 2.0)
+        smoothed = mollified_sample(segment, kernel, ball_shifts=True).pair(form)
+        assert smoothed == evaluate(segment, form)
 
     def test_inner_ball_matches_translation_smoothing(self):
         kernel = MollifierKernel.create(2, 0.05)

@@ -83,8 +83,13 @@ def radial_c11_metric():
                            RADIAL_C0 + RADIAL_C1 * (t - KINK_T) + 0.8 * (t - KINK_T) ** 2),
         lambda t: np.where(t <= KINK_T, 0.3 - t, RADIAL_C1 + 1.6 * (t - KINK_T)),
         lambda t: np.where(t <= KINK_T, -1.0, 1.6),
-        discontinuity_radii=(0.45,),
     )
+
+
+def bare(metric):
+    """The same field without its derivative callables, so curvature takes
+    finite-difference jets of it."""
+    return MetricField(fn=metric.fn, dimension=metric.dimension)
 
 
 PTS = np.array([[0.3, 0.1], [0.0, 0.0], [-0.5, 0.45], [0.62, -0.3]])
@@ -120,7 +125,7 @@ class TestChristoffel:
     def test_fd_route_matches_analytic(self):
         g = sphere_metric()
         gamma_a = christoffel(g, PTS)
-        gamma_fd = christoffel(g, PTS, mode="fd", step=1e-5)
+        gamma_fd = christoffel(bare(g), PTS, step=1e-5)
         assert np.max(np.abs(gamma_a - gamma_fd)) < 1e-8
 
 
@@ -156,7 +161,7 @@ class TestFiniteDifferenceJet:
         field = chart_smooth_metric(sphere.metric, sphere.atlas[0],
                                     MollifierKernel.create(2, epsilon, level=1))
         pts = np.array([[0.3, 0.1], [0.0, 0.0], [-0.5, 0.45], [0.62, -0.3], [0.9, 0.2]])
-        for got, want in zip(_metric_jet(field, pts, mode="fd", step=5e-3),
+        for got, want in zip(_metric_jet(field, pts, step=5e-3),
                              reference_jet(field, pts, 5e-3)):
             assert np.array_equal(got, want)
 
@@ -164,7 +169,7 @@ class TestFiniteDifferenceJet:
         field = conformal_metric(
             lambda p: 1.0 + 0.3 * np.sin(p[:, 0] + 2.0 * p[:, 1] * p[:, 2]), dimension=3)
         pts = np.array([[0.2, 0.1, -0.3], [0.0, 0.0, 0.0], [0.5, -0.4, 0.1]])
-        for got, want in zip(_metric_jet(field, pts, mode="fd", step=1e-4),
+        for got, want in zip(_metric_jet(field, pts, step=1e-4),
                              reference_jet(field, pts, 1e-4)):
             assert np.array_equal(got, want)
 
@@ -184,13 +189,13 @@ class TestSectionalCurvature:
         assert np.max(np.abs(k - 1.0)) < 1e-10
 
     def test_finite_differences_against_analytic(self):
-        k_fd = sectional_curvature(sphere_metric(), PTS, E1, E2, mode="fd", step=1e-4)
+        k_fd = sectional_curvature(bare(sphere_metric()), PTS, E1, E2, step=1e-4)
         assert np.max(np.abs(k_fd - 1.0)) < 1e-3
         g3 = sphere_metric(dimension=3)
         pts = np.array([[0.2, 0.1, -0.3]])
         x = np.array([[1.0, 0.0, 0.0]])
         y = np.array([[0.3, 0.9, 0.1]])
-        k3 = sectional_curvature(g3, pts, x, y, mode="fd", step=1e-4)
+        k3 = sectional_curvature(bare(g3), pts, x, y, step=1e-4)
         assert abs(float(k3[0]) - 1.0) < 1e-3
 
     def test_plane_determines_the_value(self):
@@ -226,11 +231,6 @@ class TestSectionalCurvature:
         with pytest.raises(CurvatureError, match="degenerate"):
             sectional_curvature(sphere_metric(), np.array([[0.2, 0.1]]), x, 3.0 * x)
 
-    def test_analytic_mode_demands_derivatives(self):
-        bare = radial_conformal_metric(lambda t: 4.0 / (1.0 + t) ** 2)
-        with pytest.raises(CurvatureError, match="analytic"):
-            sectional_curvature(bare, PTS, E1, E2, mode="analytic")
-
     def test_radial_branch_formula(self):
         g = radial_c11_metric()
         radii = np.array([0.2, 0.43, 0.6, 0.8])
@@ -256,7 +256,8 @@ class TestCurvatureBounds:
     def test_radial_scan_matches_the_dense_fixture(self):
         grid = BoxGrid([-0.95, -0.95], [0.95, 0.95], (65, 65))
         bounds = curvature_bounds(radial_c11_metric(), grid, sections=8,
-                                  mask_radius=0.95, exclusion_width=0.02)
+                                  mask_radius=0.95, exclusion_radii=(0.45,),
+                                  exclusion_width=0.02)
         assert abs(bounds.lower - RADIAL_BOUNDS_LOWER) < 1e-3
         assert abs(bounds.upper - RADIAL_BOUNDS_UPPER) < 5e-3
         assert 0.7 < np.linalg.norm(bounds.lower_point) < 0.85
@@ -264,9 +265,11 @@ class TestCurvatureBounds:
     def test_exclusion_band_matters_near_the_kink(self):
         grid = BoxGrid([-0.95, -0.95], [0.95, 0.95], (65, 65))
         wide = curvature_bounds(radial_c11_metric(), grid, mask_radius=0.95,
-                                sections=2, exclusion_width=0.02)
+                                sections=2, exclusion_radii=(0.45,),
+                                exclusion_width=0.02)
         narrow = curvature_bounds(radial_c11_metric(), grid, mask_radius=0.95,
-                                  sections=2, exclusion_width=1e-6)
+                                  sections=2, exclusion_radii=(0.45,),
+                                  exclusion_width=1e-6)
         assert narrow.upper > wide.upper + 0.02
 
     def test_mask_radius_trims_the_grid(self):

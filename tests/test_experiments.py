@@ -19,7 +19,6 @@ from eqmollify.experiments import (
     CheckResult,
     _chart_stage_commutes,
     _fmt,
-    _group_average,
     _kernel_for,
     _probe_points,
     _series_step_ratio,
@@ -149,6 +148,17 @@ class TestInvarianceKind:
         assert report.passed
         assert report.csv_path is None
 
+    def test_square_loop_is_smoothed_invariantly(self):
+        # the loop goes through localize's segment split and the
+        # equivariant sample, next to the two orbit currents
+        config = ExperimentConfig(scenario="orbit_currents", epsilons=(0.1,))
+        report = run_experiment("invariance-check", config, write=False)
+        residuals = [row[2] for row in report.rows
+                     if row[1].startswith("smoothed_current")]
+        assert len(residuals) == 3
+        assert max(residuals) <= 1e-10
+        assert report.passed
+
 
 class TestSmoothMetricKind:
     def test_selected_epsilon_is_first_crossing(self):
@@ -203,7 +213,7 @@ class TestTorusSweepField:
         gaps = []
         for eps in (0.05, 0.0125):
             kernel = _kernel_for(eps, config, 2)
-            chart_only = _smoothed_field(scenario, eps, config)
+            chart_only = _smoothed_field(scenario, kernel)
             full = haar_average_metric(scenario.metric, scenario.atlas[0],
                                        kernel, scenario.group)
             gaps.append(float(np.max(np.abs(full.value(pts)
@@ -217,8 +227,8 @@ def _sweep_and_average(scenario, epsilon):
     config = ExperimentConfig(scenario=scenario.name)
     kernel = _kernel_for(epsilon, config, scenario.dimension)
     pts = _probe_points(scenario)
-    field = _smoothed_field(scenario, epsilon, config).value(pts)
-    full = _group_average(scenario, kernel).value(pts)
+    field = _smoothed_field(scenario, kernel).value(pts)
+    full = _smoothed_field(scenario, kernel, exact=True).value(pts)
     return field, full
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from eqmollify import ballmap, currents, metrics
 from eqmollify.ballmap import (BRIDGE_HI, BRIDGE_LO, R_IDENTITY, _compress_with_jacobian,
                                _expand_with_jacobian)
+from eqmollify.experiments import _smoothed_field
 from eqmollify.kernel import MollifierKernel
 from eqmollify.maps import AffineChart, ChartCutoff, GroupAction, cyclic_rotation_group, torus_group, trivial_group
 from eqmollify.metrics import (
@@ -27,7 +28,6 @@ from eqmollify.metrics import (
     MetricField,
     a_nu,
     chart_smooth_metric,
-    compose_chart_stages,
     conformal_metric,
     constant_metric,
     default_level_schedule,
@@ -37,6 +37,7 @@ from eqmollify.metrics import (
     select_epsilon_for_k,
     sobolev_seminorm,
 )
+from eqmollify.scenarios import build_scenario
 
 # frozen oracle values, scripts/make_fixtures.py section "metrics"
 MOLLIFIED_SPHERE = np.array(
@@ -83,7 +84,7 @@ def sphere_metric():
 
 
 def radial_metric():
-    return conformal_metric(radial_factor, discontinuity_radii=(0.45,))
+    return conformal_metric(radial_factor)
 
 
 def unit_chart_cutoff():
@@ -198,8 +199,6 @@ class TestMollify:
 
 class TestAffineChart:
     def test_inverse_map_matches_apply_inverse_bit_for_bit(self):
-        from eqmollify.scenarios import build_scenario
-
         charts = [c.chart for name in ("euclid_z4", "strip_two_charts")
                   for c in build_scenario(name).atlas]
         assert len(charts) == 3
@@ -246,8 +245,7 @@ class TestHaarAverage:
         kernel = MollifierKernel.create(2, 0.15, level=2)
         group = cyclic_rotation_group(4)
         probe = np.array([[0.45, 0.2], [0.7, 0.1], [-0.3, 0.55], [0.9, 0.3], [1.2, 0.4]])
-        averaged = haar_average_metric(constant_metric(np.eye(2)), cutoff, kernel, group,
-                                       isometry_points=probe)
+        averaged = haar_average_metric(constant_metric(np.eye(2)), cutoff, kernel, group)
         assert isometry_residual(averaged, group, probe) <= 1e-10
 
     def test_sphere_octic_invariance_residual(self):
@@ -255,8 +253,7 @@ class TestHaarAverage:
         kernel = MollifierKernel.create(2, 0.12, level=2)
         group = cyclic_rotation_group(8)
         probe = np.array([[0.5, 0.1], [0.05, -0.62], [0.33, 0.41]])
-        averaged = haar_average_metric(sphere_metric(), cutoff, kernel, group,
-                                       isometry_points=probe)
+        averaged = haar_average_metric(sphere_metric(), cutoff, kernel, group)
         assert isometry_residual(averaged, group, probe) <= 1e-10
 
     def test_torus_quadrature_sizes_agree(self):
@@ -279,13 +276,6 @@ class TestHaarAverage:
         pts = np.array([[0.3, 0.1], [0.5, -0.2], [0.44, 0.12]])
         assert isometry_residual(averaged, probes, pts) <= 1e-6
 
-    def test_non_isometric_input_rejected(self):
-        skew = conformal_metric(lambda p: 1.0 + p[..., 0])
-        probe = np.array([[0.4, 0.1]])
-        with pytest.raises(MetricError, match="isometries"):
-            haar_average_metric(skew, unit_chart_cutoff(), MollifierKernel.create(2, 0.1),
-                                cyclic_rotation_group(4), isometry_points=probe)
-
     def test_trivial_group_matches_single_chart_pass(self):
         cutoff = unit_chart_cutoff()
         kernel = MollifierKernel.create(2, 0.15, level=2)
@@ -297,23 +287,11 @@ class TestHaarAverage:
 
 
 class TestCompose:
-    def test_single_chart_reduces_to_one_average(self):
-        cutoff = unit_chart_cutoff()
-        kernel = MollifierKernel.create(2, 0.15, level=2)
-        group = cyclic_rotation_group(4)
-        g = constant_metric(np.eye(2))
-        composed = compose_chart_stages(g, [cutoff], kernel, group)
-        direct = haar_average_metric(g, cutoff, kernel, group)
-        pts = np.array([[0.5, 0.1], [0.95, 0.0]])
-        assert np.array_equal(composed.value(pts), direct.value(pts))
-
     def test_strip_overlap_reproduces_input(self):
+        # two overlapping charts at x = +-0.25, each group-averaged in turn
         m = np.array([[2.0, 0.3], [0.3, 1.0]])
-        cut_right = ChartCutoff(AffineChart.scaled([0.25, 0.0], 2.0))
-        cut_left = ChartCutoff(AffineChart.scaled([-0.25, 0.0], 2.0))
         kernel = MollifierKernel.create(2, 0.08, level=2)
-        composed = compose_chart_stages(constant_metric(m), [cut_right, cut_left],
-                                        kernel, trivial_group(2))
+        composed = _smoothed_field(build_scenario("strip_two_charts"), kernel, exact=True)
         overlap = np.array([[0.0, 0.0], [0.03, -0.02], [-0.04, 0.01], [0.02, 0.035]])
         assert np.max(np.abs(composed.value(overlap) - m)) < 1e-13
 
