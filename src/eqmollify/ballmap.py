@@ -20,7 +20,9 @@ depends only on the point, so ``_shift_blocks`` computes it once per point
 and runs only the compression half per node.  Points at radius R_IDENTITY
 or beyond never enter it; the callers reproduce their input there bit for
 bit, which is what makes the locality guarantees exact rather than merely
-small.
+small.  The bridge inverse takes each Newton value and slope from one set
+of exponentials, carries only unconverged rows, and hands its last slope
+to the compression Jacobian.
 """
 
 import math
@@ -94,31 +96,29 @@ def _flat_exp(u):
     return out
 
 
-def smooth_step(u):
-    """C-infinity step: 0 for u <= 0, 1 for u >= 1, strictly monotone between."""
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
+def _step(u, derivative):
+    """``smooth_step`` of an array, and its derivative (else None) from the
+    same two exponentials."""
     a = _flat_exp(u)
     b = _flat_exp(1.0 - u)
-    out = np.where(u >= 1.0, 1.0, np.where(u <= 0.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
-    return float(out[0]) if scalar else out
+    w = np.where(u >= 1.0, 1.0, np.where(u <= 0.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
+    if not derivative:
+        return w, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dw = (a / u ** 2 * b + a * (b / (1.0 - u) ** 2)) / (a + b) ** 2
+    return w, np.where((u > 0.0) & (u < 1.0), dw, 0.0)
+
+
+def smooth_step(u):
+    """C-infinity step: 0 for u <= 0, 1 for u >= 1, strictly monotone between."""
+    out = _step(np.atleast_1d(np.asarray(u, dtype=float)), False)[0]
+    return float(out[0]) if np.ndim(u) == 0 else out
 
 
 def smooth_step_derivative(u):
     """Derivative of ``smooth_step``; zero outside (0, 1)."""
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    out = np.zeros(u.shape)
-    inside = (u > 0.0) & (u < 1.0)
-    ui = u[inside]
-    a = np.exp(-1.0 / ui)
-    b = np.exp(-1.0 / (1.0 - ui))
-    da = a / ui ** 2
-    db = b / (1.0 - ui) ** 2
-    out[inside] = (da * b + a * db) / (a + b) ** 2
-    return float(out[0]) if scalar else out
+    out = _step(np.atleast_1d(np.asarray(u, dtype=float)), True)[1]
+    return float(out[0]) if np.ndim(u) == 0 else out
 
 
 def _window(r):
@@ -129,20 +129,21 @@ def _outer(r):
     return np.exp(1.0 / (1.0 - r) ** 2)
 
 
-def _outer_derivative(r):
-    return _outer(r) * 2.0 / (1.0 - r) ** 3
+def _outer_slope(r, outer):
+    # d/dr exp(1/(1-r)^2), given the value ``outer`` at r
+    return outer * 2.0 / (1.0 - r) ** 3
 
 
-def _bridge(r):
-    # convex blend of the two branch values across the window
-    w = smooth_step(_window(r))
-    return (1.0 - w) * r + w * _outer(r)
-
-
-def _bridge_derivative(r):
-    w = smooth_step(_window(r))
-    dw = smooth_step_derivative(_window(r)) / (BRIDGE_HI - BRIDGE_LO)
-    return (1.0 - w) + w * _outer_derivative(r) + dw * (_outer(r) - r)
+def _bridge(r, derivative=False):
+    """Convex blend of the two branch values across the window; with
+    ``derivative`` also its slope, from the same exponentials."""
+    w, dw = _step(_window(r), derivative)
+    outer = _outer(r)
+    value = (1.0 - w) * r + w * outer
+    if not derivative:
+        return value
+    dw /= BRIDGE_HI - BRIDGE_LO
+    return value, (1.0 - w) + w * _outer_slope(r, outer) + dw * (outer - r)
 
 
 def _check_open_unit(r, what):
@@ -179,15 +180,19 @@ def radial_profile(r):
 def radial_profile_derivative(r):
     """dg/dr, strictly positive on the whole domain."""
     return _on_pieces(r, "radial_profile_derivative", np.ones_like,
-                      _bridge_derivative, _outer_derivative)
+                      lambda r: _bridge(r, derivative=True)[1],
+                      lambda r: _outer_slope(r, _outer(r)))
 
 
-def radial_profile_inverse(s):
-    """Inverse of the profile on (0, infinity).
+def radial_profile_inverse(s, derivative=False):
+    """Inverse of the profile on (0, infinity); with ``derivative`` also the
+    slope g' at the inverse.
 
     Exact passthrough for s <= BRIDGE_LO, closed form on the exp branch, and
     a bracketed Newton iteration with bisection safeguard on the bridge.
-    Residuals satisfy |g(r) - s| <= _INVERSE_TOLERANCE * max(1, s).
+    Residuals satisfy |g(r) - s| <= _INVERSE_TOLERANCE * max(1, s).  The
+    slope is Newton's last one where the inverse lies strictly inside the
+    window, else ``radial_profile_derivative``'s; the two agree bit for bit.
     """
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
@@ -200,39 +205,52 @@ def radial_profile_inverse(s):
     mid = ~(low | high)
     out[low] = s[low]
     out[high] = 1.0 - 1.0 / np.sqrt(np.log(s[high]))
+    slope = np.empty(s.shape)
     if np.any(mid):
-        out[mid] = _invert_bridge(s[mid])
-    return float(out[0]) if scalar else out
+        out[mid], slope[mid] = _invert_bridge(s[mid])
+    if not derivative:
+        return float(out[0]) if scalar else out
+    rest = ~mid | (out <= BRIDGE_LO) | (out >= BRIDGE_HI)
+    slope[rest] = radial_profile_derivative(out[rest])
+    return (float(out[0]), float(slope[0])) if scalar else (out, slope)
 
 
 def _invert_bridge(s):
+    """Bracketed Newton on the bridge, returning the roots and the slopes g'
+    there; rows leave as they converge, so a sweep carries only live rows."""
+    out = np.empty(s.shape)
+    out_slope = np.empty(s.shape)
+    rows = np.arange(s.shape[0])
+    bound = _INVERSE_TOLERANCE * np.maximum(1.0, np.abs(s))
     lo = np.full(s.shape, BRIDGE_LO)
     hi = np.full(s.shape, BRIDGE_HI)
     r = 0.5 * (lo + hi)
-    f = _bridge(r) - s
+    f, d = _bridge(r, derivative=True)
+    f -= s
     for _ in range(_INVERSE_ITERATIONS):
-        converged = np.abs(f) <= _INVERSE_TOLERANCE * np.maximum(1.0, np.abs(s))
-        if np.all(converged):
-            break
-        active = ~converged
-        ra, fa = r[active], f[active]
+        done = np.abs(f) <= bound
+        if np.any(done):
+            out[rows[done]] = r[done]
+            out_slope[rows[done]] = d[done]
+            live = ~done
+            if not np.any(live):
+                break
+            rows, r, f, d, lo, hi, s, bound = (
+                v[live] for v in (rows, r, f, d, lo, hi, s, bound))
         # keep the bracket consistent with the sign of the residual
-        la, ha = lo[active], hi[active]
-        la = np.where(fa < 0.0, ra, la)
-        ha = np.where(fa > 0.0, ra, ha)
-        step = fa / _bridge_derivative(ra)
-        trial = ra - step
-        outside = (trial <= la) | (trial >= ha)
-        trial[outside] = 0.5 * (la[outside] + ha[outside])
-        lo[active], hi[active] = la, ha
-        r[active] = trial
-        f[active] = _bridge(trial) - s[active]
+        lo = np.where(f < 0.0, r, lo)
+        hi = np.where(f > 0.0, r, hi)
+        r = r - f / d
+        outside = (r <= lo) | (r >= hi)
+        r[outside] = 0.5 * (lo[outside] + hi[outside])
+        f, d = _bridge(r, derivative=True)
+        f -= s
     else:
         raise ConvergenceError(
             "bridge inversion did not converge to %g in %d iterations"
             % (_INVERSE_TOLERANCE, _INVERSE_ITERATIONS)
         )
-    return r
+    return out, out_slope
 
 
 def _norms(x):
@@ -263,14 +281,18 @@ def _radial_map(x, inverse, jacobian):
         deriv = np.ones(r.shape)
     if np.any(move):
         r_m = r[move]
-        rho = radial_profile_inverse(r_m) if inverse else radial_profile(r_m)
+        if inverse and jacobian:
+            # the inversion hands back g' at its result
+            rho, slope = radial_profile_inverse(r_m, derivative=True)
+            deriv[move] = 1.0 / slope
+            del slope
+        else:
+            rho = radial_profile_inverse(r_m) if inverse else radial_profile(r_m)
         ratio = rho / r_m
         out[move] = pts[move] * ratio[:, None]
         if jacobian:
             val_over_r[move] = ratio
-            if inverse:
-                deriv[move] = 1.0 / radial_profile_derivative(rho)
-            else:
+            if not inverse:
                 deriv[move] = radial_profile_derivative(r_m)
         # free the row temporaries before the Jacobian stack is built
         del r_m, rho, ratio

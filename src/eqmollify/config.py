@@ -136,6 +136,9 @@ def load_config(path):
             "config %s is not valid JSON: %s (line %d, column %d)"
             % (path, err.msg, err.lineno, err.colno)
         ) from err
+    except ValueError as err:
+        # e.g. an integer literal past Python's int-parsing digit limit
+        raise ConfigError("config %s cannot be parsed: %s" % (path, err)) from err
     if not isinstance(raw, dict):
         raise ConfigError("config %s must be a JSON object" % path)
     known = {f.name for f in fields(ExperimentConfig)}

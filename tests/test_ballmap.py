@@ -353,3 +353,78 @@ def test_largest_finite_norm_still_compresses():
     x = np.array([1.3e154, 0.0])
     out = bm.ball_compress(x)
     assert np.all(np.isfinite(out)) and 0.9 < out[0] < 1.0
+
+
+# the bridge window, its ends and the doubles a few ulps either side of them
+WINDOW = np.concatenate([
+    np.linspace(bm.BRIDGE_LO, bm.BRIDGE_HI, 2001),
+    np.nextafter(bm.BRIDGE_LO, np.full(3, 1.0)) + np.array([0.0, 1.0, 4.0]) * np.spacing(bm.BRIDGE_LO),
+    np.nextafter(bm.BRIDGE_HI, np.zeros(3)) - np.array([0.0, 1.0, 4.0]) * np.spacing(bm.BRIDGE_HI),
+])
+
+
+def test_fused_bridge_matches_the_separate_formulas():
+    # value and slope from one set of exponentials must be bit for bit the
+    # separate value and slope formulas
+    u = bm._window(WINDOW)
+    w = bm.smooth_step(u)
+    dw = bm.smooth_step_derivative(u) / (bm.BRIDGE_HI - bm.BRIDGE_LO)
+    outer_derivative = bm._outer(WINDOW) * 2.0 / (1.0 - WINDOW) ** 3
+    oracle = (1.0 - w) + w * outer_derivative + dw * (bm._outer(WINDOW) - WINDOW)
+    value, slope = bm._bridge(WINDOW, derivative=True)
+    assert np.array_equal(value, bm._bridge(WINDOW))
+    assert np.array_equal(slope, oracle)
+    # the step's derivative, evaluated inside (0, 1) only
+    inside = (u > 0.0) & (u < 1.0)
+    a, b = np.exp(-1.0 / u[inside]), np.exp(-1.0 / (1.0 - u[inside]))
+    da, db = a / u[inside] ** 2, b / (1.0 - u[inside]) ** 2
+    expected = np.zeros(u.shape)
+    expected[inside] = (da * b + a * db) / (a + b) ** 2
+    assert np.array_equal(bm.smooth_step_derivative(u), expected)
+
+
+def test_inverse_slope_is_the_profile_derivative_at_the_inverse():
+    ulps = np.arange(-4.0, 5.0)
+    s = np.concatenate([
+        np.linspace(0.01, bm.BRIDGE_LO, 50),  # passthrough
+        bm.BRIDGE_LO + ulps * np.spacing(bm.BRIDGE_LO),  # both sides of the bridge start
+        np.geomspace(bm.BRIDGE_LO, bm._OUTER_AT_HI, 500),  # bridge
+        bm._OUTER_AT_HI + ulps * np.spacing(bm._OUTER_AT_HI),  # both sides of the exp branch
+        np.geomspace(bm._OUTER_AT_HI, 1e150, 50),  # exp branch
+    ])
+    rho, slope = bm.radial_profile_inverse(s, derivative=True)
+    assert np.array_equal(rho, bm.radial_profile_inverse(s))
+    assert np.array_equal(slope, bm.radial_profile_derivative(rho))
+    assert bm.radial_profile_inverse(0.5, derivative=True) == (
+        bm.radial_profile_inverse(0.5), bm.radial_profile_derivative(bm.radial_profile_inverse(0.5)))
+
+
+def test_compress_jacobian_takes_the_newton_slope():
+    rng = np.random.default_rng(7)
+    direction = rng.normal(size=(3000, 2))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    # norms spread over the passthrough, the bridge and the exp branch
+    x = direction * np.geomspace(0.05, 1e12, 3000)[:, None]
+    s = np.linalg.norm(x, axis=1)
+    ident = s <= bm.BRIDGE_LO
+    rho = bm.radial_profile_inverse(s)
+    _, jac = bm._compress_with_jacobian(x)
+    assert np.array_equal(jac, bm._radial_jacobians(
+        x, s, rho / s, 1 / bm.radial_profile_derivative(rho), ident))
+
+
+def test_live_row_compaction_puts_every_root_in_its_row():
+    # rows converge at different sweeps; a scatter bug would put a root or
+    # a slope in the wrong row
+    s = np.random.default_rng(3).permutation(
+        np.geomspace(bm.BRIDGE_LO * 1.0001, bm._OUTER_AT_HI * 0.9999, 10000))
+    rho, slope = bm.radial_profile_inverse(s, derivative=True)
+    assert np.array_equal(rho, [bm.radial_profile_inverse(v) for v in s])
+    # the profile derivative is row by row, with no live-row bookkeeping
+    assert np.array_equal(slope, bm.radial_profile_derivative(rho))
+
+
+def test_newton_budget_exhausted_raises(monkeypatch):
+    monkeypatch.setattr(bm, "_INVERSE_ITERATIONS", 2)
+    with pytest.raises(bm.ConvergenceError, match="did not converge"):
+        bm.radial_profile_inverse(np.geomspace(0.5, 500.0, 20))

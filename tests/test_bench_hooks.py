@@ -90,6 +90,12 @@ def test_ballmap_spans_never_nest_in_their_own_kind(bench_modules):
     fused = [span.parent.name for span in hooks.spans
              if span.name == "ballmap.expand" and span.parent is not None]
     assert {"metrics.mollify", "currents.shift_product"} <= set(fused)
+    # the fused bridge Newton must still count its sweeps and the
+    # compression its inverse rows
+    attrs = {name: [span.attrs for span in hooks.spans if span.name == name]
+             for name in ("ballmap.bridge", "ballmap.compress")}
+    assert any(a.get("bridge_calls", 0) >= 2 for a in attrs["ballmap.bridge"])
+    assert any(a.get("inverse_rows", 0) > 0 for a in attrs["ballmap.compress"])
     nested = [span.name for span in hooks.spans
               if span.name.startswith("ballmap.") and span.parent is not None
               and span.parent.name == span.name]

@@ -65,6 +65,14 @@ class TestExitCodes:
         assert "configuration error" in err and "k_values" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+        # an integer past the digit limit of Python's int parsing
+        path = tmp_path / "config.json"
+        path.write_text('{"scenario": "euclid_z4", "k_values": [%s]}' % ("9" * 5000))
+        code = main(["select-epsilon", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_bad_thread_setting_is_two(self, tmp_path, capsys, monkeypatch, raw):

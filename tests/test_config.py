@@ -148,6 +148,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="JSON object"):
             load_config(str(path))
 
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path):
+        # json parses integers with int(), which refuses more than 4,300
+        # digits with a plain ValueError; without that limit the k_values
+        # bound rejects the value instead
+        path = tmp_path / "huge.json"
+        path.write_text('{"scenario": "euclid_z4", "k_values": [%s]}' % ("9" * 5000))
+        with pytest.raises(ConfigError, match="cannot be parsed|k_values"):
+            load_config(str(path))
+
     def test_unknown_keys_sorted(self, tmp_path):
         path = write_json(tmp_path, {"scenario": "euclid_z4",
                                      "zeta": 1, "alpha": 2})
