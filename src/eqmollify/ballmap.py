@@ -20,9 +20,11 @@ depends only on the point, so ``_shift_blocks`` computes it once per point
 and runs only the compression half per node.  Points at radius R_IDENTITY
 or beyond never enter it; the callers reproduce their input there bit for
 bit, which is what makes the locality guarantees exact rather than merely
-small.  The bridge inverse takes each Newton value and slope from one set
-of exponentials, carries only unconverged rows, and hands its last slope
-to the compression Jacobian.
+small.  A radial map's Jacobian is t I + e u u^T, and the maps hand back
+the factors (t, e, u); the shift product forms its chain Jacobians per
+component from them, never as n x n stacks.  The bridge inverse takes
+each Newton value and slope from one set of exponentials, carries only
+unconverged rows, and hands its last slope to the compression Jacobian.
 """
 
 import math
@@ -75,6 +77,10 @@ R_IDENTITY = 1.0 - 1.0 / math.sqrt(math.log(1e12))
 # Where exp(1/(1-r)^2) overflows double precision (with margin).
 R_OVERFLOW = 0.96
 
+# The profile's value just below R_OVERFLOW: the largest s whose inverse
+# the profile maps back.
+_PROFILE_MAX = math.exp(1.0 / (1.0 - math.nextafter(R_OVERFLOW, 0.0)) ** 2)
+
 # Largest |x| whose square is finite: the norms overflow past it.
 _NORM_LIMIT = math.sqrt(sys.float_info.max)
 
@@ -89,23 +95,25 @@ _INVERSE_ITERATIONS = 80
 
 def _flat_exp(u):
     """exp(-1/u) for u > 0, exact zero otherwise (all derivatives flat at 0)."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape)
-    pos = u > 0.0
-    out[pos] = np.exp(-1.0 / u[pos])
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.divide(-1.0, u)
+        np.exp(out, out=out)
+    out[~(u > 0.0)] = 0.0
     return out
 
 
 def _step(u, derivative):
     """``smooth_step`` of an array, and its derivative (else None) from the
-    same two exponentials."""
+    same two exponentials.  a + b > 0 at every u, so a / (a + b) is exactly
+    0 from u <= 0 and exactly 1 from u >= 1 with no case split."""
     a = _flat_exp(u)
     b = _flat_exp(1.0 - u)
-    w = np.where(u >= 1.0, 1.0, np.where(u <= 0.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
+    total = a + b
+    w = a / total
     if not derivative:
         return w, None
     with np.errstate(divide="ignore", invalid="ignore"):
-        dw = (a / u ** 2 * b + a * (b / (1.0 - u) ** 2)) / (a + b) ** 2
+        dw = (a / u ** 2 * b + a * (b / (1.0 - u) ** 2)) / total ** 2
     return w, np.where((u > 0.0) & (u < 1.0), dw, 0.0)
 
 
@@ -139,11 +147,18 @@ def _bridge(r, derivative=False):
     ``derivative`` also its slope, from the same exponentials."""
     w, dw = _step(_window(r), derivative)
     outer = _outer(r)
-    value = (1.0 - w) * r + w * outer
+    # (1 - w) r + w outer and (1 - w) + w outer' + dw (outer - r), in place
+    rest = 1.0 - w
+    value = rest * r
+    value += w * outer
     if not derivative:
         return value
     dw /= BRIDGE_HI - BRIDGE_LO
-    return value, (1.0 - w) + w * _outer_slope(r, outer) + dw * (outer - r)
+    rest += w * _outer_slope(r, outer)
+    outer -= r
+    outer *= dw
+    rest += outer
+    return value, rest
 
 
 def _check_open_unit(r, what):
@@ -199,6 +214,10 @@ def radial_profile_inverse(s, derivative=False):
     s = np.atleast_1d(s)
     if np.any(s <= 0.0):
         raise BallDomainError("radial_profile_inverse requires s > 0")
+    if not np.all(s <= _PROFILE_MAX):
+        raise BallDomainError(
+            "radial_profile_inverse requires finite s <= %.6g, the profile's value"
+            " just below R_OVERFLOW" % _PROFILE_MAX)
     out = np.empty(s.shape)
     low = s <= BRIDGE_LO
     high = s >= _OUTER_AT_HI
@@ -238,11 +257,11 @@ def _invert_bridge(s):
             rows, r, f, d, lo, hi, s, bound = (
                 v[live] for v in (rows, r, f, d, lo, hi, s, bound))
         # keep the bracket consistent with the sign of the residual
-        lo = np.where(f < 0.0, r, lo)
-        hi = np.where(f > 0.0, r, hi)
-        r = r - f / d
-        outside = (r <= lo) | (r >= hi)
-        r[outside] = 0.5 * (lo[outside] + hi[outside])
+        np.copyto(lo, r, where=f < 0.0)
+        np.copyto(hi, r, where=f > 0.0)
+        f /= d
+        r -= f
+        np.copyto(r, 0.5 * (lo + hi), where=(r <= lo) | (r >= hi))
         f, d = _bridge(r, derivative=True)
         f -= s
     else:
@@ -259,11 +278,15 @@ def _norms(x):
 
 def _radial_map(x, inverse, jacobian):
     """Shared body of the ball maps: x -> (phi(|x|)/|x|) x row-wise, with phi
-    the inverse profile (compress) or the profile (expand), and with the
-    Jacobians too when ``jacobian`` is set.  Rows with |x| <= BRIDGE_LO are
-    exact passthrough for both maps; the profile itself rejects expansion
-    from R_OVERFLOW outward, and rows whose norm is not finite are rejected
-    here rather than sent to the origin or into the bridge inversion."""
+    the inverse profile (compress) or the profile (expand).  With
+    ``jacobian`` it also returns the Jacobian factors (t, e, u): the
+    Jacobian of row r is t[r] I + e[r] u[:, r] u[:, r]^T, with t = phi/|x|,
+    e = phi' - phi/|x| and the unit direction u = x/|x| stored
+    component-major, shape (n, N).  Rows with |x| <= BRIDGE_LO are exact
+    passthrough for both maps, with t = 1, e = 0 and u = 0 exactly; the
+    profile itself rejects expansion from R_OVERFLOW outward, and rows
+    whose norm is not finite are rejected here rather than sent to the
+    origin or into the bridge inversion."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     with np.errstate(over="ignore"):
         r = _norms(pts)
@@ -273,32 +296,32 @@ def _radial_map(x, inverse, jacobian):
             "%s needs finite coordinates with |x| below %.3g, where |x|^2 still"
             " fits in double precision (row %d has |x| = %g)"
             % ("ball_compress" if inverse else "ball_expand", _NORM_LIMIT, bad, r[bad]))
-    ident = r <= BRIDGE_LO
-    move = ~ident
-    out = pts.copy()
-    if jacobian:
-        val_over_r = np.ones(r.shape)
-        deriv = np.ones(r.shape)
+    move = r > BRIDGE_LO
+    # allocated ahead of the inversion's temporaries, which keeps the heap
+    # from fragmenting around it
+    out = np.empty(pts.shape)
+    ratio = np.ones(r.shape)
+    slope = np.ones(r.shape) if jacobian else None
     if np.any(move):
         r_m = r[move]
         if inverse and jacobian:
             # the inversion hands back g' at its result
-            rho, slope = radial_profile_inverse(r_m, derivative=True)
-            deriv[move] = 1.0 / slope
-            del slope
+            rho, g_slope = radial_profile_inverse(r_m, derivative=True)
+            slope[move] = 1.0 / g_slope
+            del g_slope
         else:
             rho = radial_profile_inverse(r_m) if inverse else radial_profile(r_m)
-        ratio = rho / r_m
-        out[move] = pts[move] * ratio[:, None]
-        if jacobian:
-            val_over_r[move] = ratio
-            if not inverse:
-                deriv[move] = radial_profile_derivative(r_m)
-        # free the row temporaries before the Jacobian stack is built
-        del r_m, rho, ratio
+            if jacobian:
+                slope[move] = radial_profile_derivative(r_m)
+        ratio[move] = rho / r_m
+        del r_m, rho
+    np.multiply(pts, ratio[:, None], out=out)
     if not jacobian:
         return out
-    return out, _radial_jacobians(pts, r, val_over_r, deriv, ident)
+    unit = np.zeros(pts.shape[::-1])
+    np.divide(pts.T, r, out=unit, where=move)
+    slope -= ratio
+    return out, (ratio, slope, unit)
 
 
 def ball_compress(x):
@@ -322,22 +345,19 @@ def ball_expand(u):
     return out[0] if np.ndim(u) == 1 else out
 
 
-def _radial_jacobians(points, radii, value_over_r, derivative, identity_mask):
-    """Jacobians of x -> (phi(|x|)/|x|) x given phi(r)/r and phi'(r).
+def _radial_jacobians(t, e, u):
+    """Dense Jacobian stack (N, n, n) of a radial map from its factors.
 
     For a radial map the Jacobian splits into the tangential stretch
-    phi(r)/r on the orthogonal complement of x and the radial stretch
-    phi'(r) along x, in closed form tang * I + (rad - tang) * u u^T with u
-    the unit radial direction.  Rows in identity_mask get an exact identity
-    matrix: their radial term is an exact zero and their diagonal a 1.
+    t = phi(r)/r on the orthogonal complement of x and the radial stretch
+    phi'(r) = t + e along x: t I + e u u^T, with u (n, N) the unit radial
+    direction.  Passthrough rows (t = 1, e = 0, u = 0) come out as exact
+    identity matrices.  The fused shift product never builds these stacks.
     """
-    move = ~identity_mask
-    unit = np.zeros(points.shape)
-    np.divide(points, radii[:, None], out=unit, where=move[:, None])
-    excess = np.where(move, derivative - value_over_r, 0.0)
-    out = (excess[:, None] * unit)[:, :, None] * unit[:, None, :]
-    idx = np.arange(points.shape[1])
-    out[:, idx, idx] += np.where(move, value_over_r, 1.0)[:, None]
+    unit = u.T
+    out = (e[:, None] * unit)[:, :, None] * unit[:, None, :]
+    idx = np.arange(unit.shape[1])
+    out[:, idx, idx] += t[:, None]
     return out
 
 
@@ -369,9 +389,10 @@ def _shift(x, y, jacobian):
     count, n = pts.shape
     jac = np.broadcast_to(np.eye(n), (count, n, n)).copy()
     if np.any(inner):
-        expanded, jac_expand = _expand_with_jacobian(pts[inner])
-        out[inner], jac_compress = _compress_with_jacobian(expanded + shifts[inner])
-        jac[inner] = jac_compress @ jac_expand
+        expanded, expand_factors = _expand_with_jacobian(pts[inner])
+        out[inner], compress_factors = _compress_with_jacobian(expanded + shifts[inner])
+        jac[inner] = (_radial_jacobians(*compress_factors)
+                      @ _radial_jacobians(*expand_factors))
     return (out[0], jac[0]) if scalar else (out, jac)
 
 
@@ -397,23 +418,46 @@ def shift_with_jacobian(x, y):
 def _shift_blocks(points, shifts):
     """Every shift in ``shifts`` (M, n) applied to every row of ``points``
     (N, n), which must lie inside R_IDENTITY.  Yields node-major blocks
-    (point slice, shift slice, moved (b, m, n), jac (b, m, n, n)) of at
-    most _MAX_ROWS rows; each point block is expanded once and only the
-    compression runs per shift block.  Points are split first, then
-    shifts, and no output bit depends on the blocking."""
+    (point slice, shift slice, moved (b, m, n), chain (n, n, b, m)) of at
+    most _MAX_ROWS rows, the chain Jacobians component-major; each point
+    block is expanded once and only the compression runs per shift block.
+    Points are split first, then shifts, and no output bit depends on the
+    blocking.
+
+    The chain is formed per component, chain[i, c] = sum_a Jc[i, a] Je[a, c]
+    with Jc[i, a] = e u_i u_a + [a = i] t rounded first, as the dense
+    product rounds it: near R_IDENTITY the terms cancel a hundredfold, and
+    regrouping as t Je + u (e u^T Je) moves that rounding.  Rows the
+    compression passes through get Je exactly."""
     count, n = points.shape
     span = max(1, min(count, _MAX_ROWS))
     block = max(1, _MAX_ROWS // span)
     for p0 in range(0, count, span):
         part = slice(p0, p0 + span)
-        expanded, jac_expand = _expand_with_jacobian(points[part])
+        expanded, factors = _expand_with_jacobian(points[part])
+        # the expansion Jacobians, component-major (n, n, m)
+        jac_expand = np.moveaxis(_radial_jacobians(*factors), 0, -1).copy()
         m = expanded.shape[0]
         for j0 in range(0, shifts.shape[0], block):
             nodes = slice(j0, min(j0 + block, shifts.shape[0]))
-            moved, jac = _compress_with_jacobian(
+            moved, (t, e, u) = _compress_with_jacobian(
                 (expanded[None, :, :] + shifts[nodes, None, :]).reshape(-1, n))
             b = moved.shape[0] // m
-            # rebinding frees the translated points and the compression
-            # Jacobians before the caller evaluates its block
-            jac = jac.reshape(b, m, n, n) @ jac_expand
-            yield part, nodes, moved.reshape(b, m, n), jac
+            t, e, u = t.reshape(b, m), e.reshape(b, m), u.reshape(n, b, m)
+            chain = np.empty((n, n, b, m))
+            row = np.empty((n, b, m))
+            scaled = np.empty((b, m))
+            for i in range(n):
+                # row a holds Jc[i, a] = (e u_i) u_a + [a = i] t, rounded as
+                # _radial_jacobians rounds it
+                np.multiply(e, u[i], out=scaled)
+                for a in range(n):
+                    np.multiply(scaled, u[a], out=row[a])
+                row[i] += t
+                for c in range(n):
+                    np.multiply(row[0], jac_expand[0, c], out=chain[i, c])
+                    for a in range(1, n):
+                        chain[i, c] += np.multiply(row[a], jac_expand[a, c], out=scaled)
+            # free the factors before the caller evaluates its block
+            del t, e, u, row, scaled
+            yield part, nodes, moved.reshape(b, m, n), chain

@@ -398,10 +398,10 @@ def _shift_product(sample, kernel):
     pts_out = np.broadcast_to(sample.points, (m, k, dim)).copy()
     frames_out = np.broadcast_to(sample.frames, (m, k, deg, dim)).copy()
     frames_in = sample.frames[inner]
-    for part, block, moved, jac in _shift_blocks(sample.points[inner], nodes):
+    for part, block, moved, chain in _shift_blocks(sample.points[inner], nodes):
         rows = inner[part]
         pts_out[block, rows] = moved
-        frames_out[block, rows] = np.einsum("bkij,kaj->bkai", jac, frames_in[part])
+        frames_out[block, rows] = np.einsum("ijbk,kaj->bkai", chain, frames_in[part])
     weights = (node_w[:, None] * sample.weights[None, :]).ravel()
     return WeightedSample(pts_out.reshape(m * k, dim),
                           frames_out.reshape(m * k, deg, dim), weights)

@@ -7,11 +7,12 @@ smooths the weighted half in chart coordinates and reassembles, and the
 group average symmetrizes the result over a compact group of orthogonal
 matrices acting by isometries.
 
-The pointwise quadrature runs on the fused shift product of ``ballmap``;
-points at radius R_IDENTITY or beyond skip it and reproduce the input bit
-for bit.  Multi-chart stages are therefore composed exactly and never
-cached on a grid: interpolation would break that locality and the
-finite-difference curvature taken on top.
+The pointwise quadrature runs on the fused shift product of ``ballmap``
+and takes each congruence per component, with no BLAS call; points at
+radius R_IDENTITY or beyond skip it and reproduce the input bit for bit.
+Multi-chart stages are therefore composed exactly and never cached on a
+grid: interpolation would break that locality and the finite-difference
+curvature taken on top.
 """
 
 from dataclasses import dataclass
@@ -182,7 +183,9 @@ def _mollify_values(metric_fn, kernel, points):
 
     Rows at radius >= R_IDENTITY bypass the quadrature and copy the input
     value; the rest average the congruences over the blocks of the shift
-    product.
+    product.  Each congruence J^T V J is taken per component, T = J^T V
+    then T J, as ordered sums over the inner index, and so is the node sum:
+    no BLAS call, so reruns and thread counts reproduce it bit for bit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     count, n = points.shape
@@ -192,14 +195,26 @@ def _mollify_values(metric_fn, kernel, points):
         out[~inner] = metric_fn(points[~inner])
     if np.any(inner):
         nodes, node_w = kernel.convex_weights()
-        acc = np.zeros((int(np.count_nonzero(inner)), n, n))
+        acc = np.zeros((n, n, int(np.count_nonzero(inner))))
         for part, block, moved, chain in _shift_blocks(points[inner], nodes):
-            vals = metric_fn(moved.reshape(-1, n)).reshape(chain.shape)
-            congruent = np.swapaxes(chain, -1, -2) @ vals @ chain
-            # a plain ordered sum over the nodes, no BLAS: reruns and
-            # thread counts reproduce it bit for bit
-            acc[part] += np.einsum("j,jrik->rik", node_w[block], congruent)
-        out[inner] = 0.5 * (acc + np.swapaxes(acc, 1, 2))
+            b, m = chain.shape[2:]
+            vals = metric_fn(moved.reshape(-1, n)).reshape(b, m, n, n)
+            row = np.empty((n, b, m))
+            work = np.empty((b, m))
+            term = np.empty((b, m))
+            for i in range(n):
+                # row[c] = T_ic = sum_a chain[a, i] V_ac
+                for c in range(n):
+                    np.multiply(chain[0, i], vals[..., 0, c], out=row[c])
+                    for a in range(1, n):
+                        row[c] += np.multiply(chain[a, i], vals[..., a, c], out=term)
+                # C_ik = sum_a T_ia chain[a, k], summed over the nodes
+                for k in range(n):
+                    np.multiply(row[0], chain[0, k], out=work)
+                    for a in range(1, n):
+                        work += np.multiply(row[a], chain[a, k], out=term)
+                    acc[i, k, part] += np.einsum("j,jr->r", node_w[block], work)
+        out[inner] = np.moveaxis(0.5 * (acc + np.swapaxes(acc, 0, 1)), -1, 0)
     return out
 
 

@@ -294,6 +294,12 @@ def _projector_jacobians(points, value_over_r, derivative, identity_mask):
     return out
 
 
+def _dense(radial_map, x):
+    """A radial map's output with its Jacobian factors made a dense stack."""
+    out, factors = radial_map(x)
+    return out, bm._radial_jacobians(*factors)
+
+
 def _assert_rows_close(new, ref, rel=1e-14):
     scale = np.max(np.abs(ref), axis=(1, 2))
     assert np.all(np.max(np.abs(new - ref), axis=(1, 2)) <= rel * scale)
@@ -302,11 +308,13 @@ def _assert_rows_close(new, ref, rel=1e-14):
 @settings(max_examples=80, deadline=None)
 @given(regime_points())
 def test_closed_form_jacobians_match_projector_formula(u):
+    # a radius drawn below R_OVERFLOW can still give a norm that rounds to it
+    u = u[np.linalg.norm(u, axis=1) < bm.R_OVERFLOW]
     # identity rows take no part in the reference, so they get a dummy radius
     r = np.linalg.norm(u, axis=1)
     ident = r <= bm.BRIDGE_LO
     r = np.where(ident, 0.5, r)
-    _, jac = bm._expand_with_jacobian(u)
+    _, jac = _dense(bm._expand_with_jacobian, u)
     _assert_rows_close(jac, _projector_jacobians(
         u, bm.radial_profile(r) / r, bm.radial_profile_derivative(r), ident))
     # compression of the expanded rows walks back through the same regimes
@@ -316,7 +324,7 @@ def test_closed_form_jacobians_match_projector_formula(u):
     s = np.linalg.norm(x, axis=1)
     ident = s <= bm.BRIDGE_LO
     s = np.where(ident, 1.0, s)
-    rho, jac = bm._compress_with_jacobian(x)
+    rho, jac = _dense(bm._compress_with_jacobian, x)
     rho = np.where(ident, 0.5, np.linalg.norm(rho, axis=1))
     _assert_rows_close(jac, _projector_jacobians(
         x, rho / s, 1.0 / bm.radial_profile_derivative(rho), ident))
@@ -328,13 +336,14 @@ def test_identity_rows_are_exact_even_at_the_origin():
     pts = np.array([[0.0, 0.0], [0.2, -0.1], [0.5, 0.3], [-1e-300, 0.0]])
     radii = np.linalg.norm(pts, axis=1)
     ident = radii <= bm.BRIDGE_LO
-    jac = bm._radial_jacobians(pts, radii, np.full(4, 1.7), np.full(4, 0.4), ident)
-    assert np.array_equal(jac[ident], np.broadcast_to(np.eye(2), (3, 2, 2)))
-    assert np.array_equal(np.signbit(jac[ident]), np.zeros((3, 2, 2), dtype=bool))
+    for radial_map in (bm._compress_with_jacobian, bm._expand_with_jacobian):
+        _, jac = _dense(radial_map, pts)
+        assert np.array_equal(jac[ident], np.broadcast_to(np.eye(2), (3, 2, 2)))
+        assert np.array_equal(np.signbit(jac[ident]), np.zeros((3, 2, 2), dtype=bool))
     for pts in (np.zeros((3, 3)), np.array([[bm.BRIDGE_LO, 0.0]])):
-        _, jac = bm._compress_with_jacobian(pts)
+        _, jac = _dense(bm._compress_with_jacobian, pts)
         assert np.array_equal(jac, np.broadcast_to(np.eye(pts.shape[1]), jac.shape))
-        _, jac = bm._expand_with_jacobian(pts)
+        _, jac = _dense(bm._expand_with_jacobian, pts)
         assert np.array_equal(jac, np.broadcast_to(np.eye(pts.shape[1]), jac.shape))
 
 
@@ -408,9 +417,10 @@ def test_compress_jacobian_takes_the_newton_slope():
     s = np.linalg.norm(x, axis=1)
     ident = s <= bm.BRIDGE_LO
     rho = bm.radial_profile_inverse(s)
-    _, jac = bm._compress_with_jacobian(x)
+    _, jac = _dense(bm._compress_with_jacobian, x)
+    unit = np.where(ident[:, None], 0.0, x / s[:, None]).T
     assert np.array_equal(jac, bm._radial_jacobians(
-        x, s, rho / s, 1 / bm.radial_profile_derivative(rho), ident))
+        rho / s, 1 / bm.radial_profile_derivative(rho) - rho / s, unit))
 
 
 def test_live_row_compaction_puts_every_root_in_its_row():
@@ -428,3 +438,112 @@ def test_newton_budget_exhausted_raises(monkeypatch):
     monkeypatch.setattr(bm, "_INVERSE_ITERATIONS", 2)
     with pytest.raises(bm.ConvergenceError, match="did not converge"):
         bm.radial_profile_inverse(np.geomspace(0.5, 500.0, 20))
+
+
+def test_inverse_rejects_values_past_the_profile_range():
+    # past the profile's value just below R_OVERFLOW the inverse would land
+    # where the profile itself overflows
+    for s in (1e300, np.inf, np.nan, np.nextafter(bm._PROFILE_MAX, np.inf)):
+        for derivative in (False, True):
+            with pytest.raises(bm.BallDomainError,
+                               match=r"radial_profile_inverse.*2\.71676e\+271"):
+                bm.radial_profile_inverse(np.array([1.0, s]), derivative=derivative)
+    r = bm.radial_profile_inverse(bm._PROFILE_MAX)
+    assert r < bm.R_OVERFLOW
+    assert bm.radial_profile(r) == pytest.approx(bm._PROFILE_MAX, rel=1e-12)
+
+
+# the step's and the bridge's formulas before they went mask-free, kept
+# here as the bit-for-bit oracle
+def _masked_flat_exp(u):
+    out = np.zeros(u.shape)
+    pos = u > 0.0
+    out[pos] = np.exp(-1.0 / u[pos])
+    return out
+
+
+def _masked_step(u):
+    a = _masked_flat_exp(u)
+    b = _masked_flat_exp(1.0 - u)
+    w = np.where(u >= 1.0, 1.0, np.where(u <= 0.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dw = (a / u ** 2 * b + a * (b / (1.0 - u) ** 2)) / (a + b) ** 2
+    return w, np.where((u > 0.0) & (u < 1.0), dw, 0.0)
+
+
+def _masked_bridge(r):
+    w, dw = _masked_step((r - bm.BRIDGE_LO) / (bm.BRIDGE_HI - bm.BRIDGE_LO))
+    outer = np.exp(1.0 / (1.0 - r) ** 2)
+    dw /= bm.BRIDGE_HI - bm.BRIDGE_LO
+    return ((1.0 - w) * r + w * outer,
+            (1.0 - w) + w * (outer * 2.0 / (1.0 - r) ** 3) + dw * (outer - r))
+
+
+def test_mask_free_bridge_sweep_matches_the_masked_formulas():
+    ends = np.array([0.0, 1.0])[:, None] + np.arange(-4.0, 5.0) * np.spacing(1.0)
+    u = np.concatenate([np.linspace(-2.0, 3.0, 100001), ends.ravel(), [0.0, 1.0],
+                        [-np.inf, np.inf, -1e300, 1e300, 5e-324, 1e-200, 1.0 - 1e-16]])
+    flat = np.concatenate([u, [np.nan]])
+    assert np.array_equal(bm._flat_exp(flat), _masked_flat_exp(flat))
+    with np.errstate(over="ignore"):  # the squares of +-1e300
+        w, dw = bm._step(u, True)
+        w_ref, dw_ref = _masked_step(u)
+    np.testing.assert_array_equal(w, w_ref)
+    np.testing.assert_array_equal(dw, dw_ref)
+    assert np.array_equal(bm._step(u, False)[0], w_ref)
+    r = np.concatenate([WINDOW, np.random.default_rng(11).uniform(
+        bm.BRIDGE_LO, bm.BRIDGE_HI, 100000)])
+    value, slope = bm._bridge(r, derivative=True)
+    value_ref, slope_ref = _masked_bridge(r)
+    assert np.array_equal(value, value_ref)
+    assert np.array_equal(slope, slope_ref)
+    assert np.array_equal(bm._bridge(r), value_ref)
+
+
+def _extended_jacobians(t, e, u):
+    """``_radial_jacobians`` in extended precision, from the same factors."""
+    t, e, unit = (np.asarray(v, dtype=np.longdouble) for v in (t, e, u.T))
+    eye = np.eye(unit.shape[1], dtype=np.longdouble)
+    return t[:, None, None] * eye + e[:, None, None] * unit[:, :, None] * unit[:, None, :]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_chain_matches_the_dense_product(n):
+    # points in every regime of the expansion, down to a hair inside
+    # R_IDENTITY, and shifts that land the compression in every regime too
+    rng = np.random.default_rng(12 + n)
+    radii = np.concatenate([[0.0, 0.2, bm.BRIDGE_LO], np.linspace(0.37, 0.62, 6),
+                            [0.64, 0.7, 0.78, bm.R_IDENTITY * (1 - 1e-9)]])
+    direction = rng.normal(size=(radii.shape[0], n))
+    points = radii[:, None] * direction / np.linalg.norm(direction, axis=1)[:, None]
+    scales = np.array([0.0, 1e-6, 0.01, 0.1, 0.5, 3.0, 1e3, 1e9])
+    shift_dirs = rng.normal(size=(scales.shape[0], n))
+    shifts = scales[:, None] * shift_dirs / np.linalg.norm(shift_dirs, axis=1)[:, None]
+    expanded, expand_factors = bm._expand_with_jacobian(points)
+    jac_expand = bm._radial_jacobians(*expand_factors)
+    translated = expanded[None, :, :] + shifts[:, None, :]
+    moved, (t, e, u) = bm._compress_with_jacobian(translated.reshape(-1, n))
+    shape = (scales.shape[0], radii.shape[0], n, n)
+    dense = bm._radial_jacobians(t, e, u).reshape(shape) @ jac_expand
+    (part, nodes, out, chain), = bm._shift_blocks(points, shifts)
+    assert (part, nodes) == (slice(0, radii.shape[0]), slice(0, scales.shape[0]))
+    assert np.array_equal(out.reshape(-1, n), moved)
+    chain = np.moveaxis(chain, (0, 1), (2, 3))
+    # the dense product of the same factors agrees to 1e-14 per row
+    scale = np.max(np.abs(dense), axis=(2, 3))
+    assert np.all(np.max(np.abs(chain - dense), axis=(2, 3)) <= 1e-14 * scale)
+    # the exact product of the same factors, and the size of the terms the
+    # sums add: sum_a (|e| |u_i| |u_a| + [a = i] t) |Je[a, c]|
+    exact = np.einsum("bmia,mac->bmic", _extended_jacobians(t, e, u).reshape(shape),
+                      _extended_jacobians(*expand_factors))
+    unit = np.abs(u.T).reshape(shape[:3])
+    radial = (np.abs(e).reshape(shape[:2])[..., None]
+              * np.einsum("bma,mac->bmc", unit, np.abs(jac_expand)))
+    terms = (t.reshape(shape[:2])[..., None, None] * np.abs(jac_expand)
+             + unit[..., :, None] * radial[..., None, :])
+    assert np.all(np.abs(chain - exact) <= (n + 3) * np.finfo(float).eps * terms)
+    # rows the compression passes through take the expansion Jacobian as is
+    radius = np.linalg.norm(translated, axis=2)
+    through = radius <= bm.BRIDGE_LO
+    assert through.any() and (radius >= bm.BRIDGE_HI).any()
+    assert np.array_equal(chain[through], np.broadcast_to(jac_expand, shape)[through])

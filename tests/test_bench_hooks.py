@@ -100,3 +100,30 @@ def test_ballmap_spans_never_nest_in_their_own_kind(bench_modules):
               if span.name.startswith("ballmap.") and span.parent is not None
               and span.parent.name == span.name]
     assert nested == []
+
+
+def test_quadrature_rows_reach_the_compression_hook(bench_modules):
+    # the benchmark's compress_rows and node_pairs count the rows that enter
+    # the traced compression inside the quadrature: points inside
+    # R_IDENTITY times kernel nodes, over any blocking
+    layers, tracer = bench_modules
+    hooks = tracer.Tracer()
+    mollifier = kernel.MollifierKernel.create(2, 0.1, level=1)
+    rng = np.random.default_rng(6)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 40)
+    radii = np.concatenate([rng.uniform(0.0, ballmap.R_IDENTITY, 30),
+                            rng.uniform(ballmap.R_IDENTITY, 1.3, 10)])
+    x = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
+    try:
+        layers.install(hooks)
+        metrics._mollify_values(lambda pts: np.broadcast_to(np.eye(2), (len(pts), 2, 2)),
+                                mollifier, x)
+    finally:
+        hooks.uninstall()
+
+    def rows(name):
+        return sum(span.attrs["rows"] for span in hooks.spans if span.name == name
+                   and span.parent is not None and span.parent.name == "metrics.mollify")
+    nodes = mollifier.quadrature.nodes.shape[0]
+    assert rows("ballmap.compress") == 30 * nodes
+    assert rows("ballmap.expand") == 30

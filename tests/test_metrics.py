@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from eqmollify import ballmap, currents, metrics
 from eqmollify.ballmap import (BRIDGE_HI, BRIDGE_LO, R_IDENTITY, _compress_with_jacobian,
-                               _expand_with_jacobian)
+                               _expand_with_jacobian, _radial_jacobians)
 from eqmollify.experiments import _smoothed_field
 from eqmollify.kernel import MollifierKernel
 from eqmollify.maps import AffineChart, ChartCutoff, GroupAction, cyclic_rotation_group, torus_group, trivial_group
@@ -434,12 +434,13 @@ def einsum_mollify(metric_fn, kernel, points):
     n = points.shape[1]
     out = metric_fn(points)
     inner = np.linalg.norm(points, axis=1) < R_IDENTITY
-    expanded, jac_expand = _expand_with_jacobian(points[inner])
+    expanded, factors = _expand_with_jacobian(points[inner])
+    jac_expand = _radial_jacobians(*factors)
     nodes, node_w = kernel.convex_weights()
     acc = np.zeros((expanded.shape[0], n, n))
     for node, weight in zip(nodes, node_w):
-        compressed, jac_compress = _compress_with_jacobian(expanded + node)
-        chain = np.matmul(jac_compress, jac_expand)
+        compressed, factors = _compress_with_jacobian(expanded + node)
+        chain = np.matmul(_radial_jacobians(*factors), jac_expand)
         acc += weight * np.einsum("rji,rjk,rkl->ril", chain, metric_fn(compressed), chain)
     out[inner] = 0.5 * (acc + np.swapaxes(acc, 1, 2))
     return out
@@ -481,14 +482,32 @@ BANDS = ((0.0, BRIDGE_LO), (BRIDGE_LO, BRIDGE_HI), (BRIDGE_HI, R_IDENTITY),
 
 
 @st.composite
-def banded_points(draw):
+def banded_points(draw, dimension=2):
     rows = []
     for _ in range(draw(st.integers(1, 6))):
         lo, hi = BANDS[draw(st.integers(0, 3))]
         radius = draw(st.floats(lo, hi, exclude_max=True))
         angle = draw(st.floats(0.0, 2.0 * np.pi))
-        rows.append(radius * np.array([np.cos(angle), np.sin(angle)]))
+        direction = [np.cos(angle), np.sin(angle)]
+        if dimension == 3:
+            polar = draw(st.floats(0.0, np.pi))
+            direction = [np.sin(polar) * direction[0], np.sin(polar) * direction[1],
+                         np.cos(polar)]
+        rows.append(radius * np.array(direction))
     return np.array(rows)
+
+
+def aniso3_fn(points):
+    """A diagonally dominant 3-D metric with three distinct off-diagonals."""
+    x, y, z = points.T
+    a = 2.0 + 0.5 * np.sin(3.0 * x)
+    c = 1.5 + 0.4 * np.cos(2.0 * y)
+    d = 1.8 + 0.3 * np.sin(2.0 * z + x)
+    p = 0.3 * np.sin(x + 2.0 * y)
+    q = 0.2 * np.cos(z - y)
+    r = 0.25 * np.sin(y + z)
+    return np.stack([np.stack([a, p, q], -1), np.stack([p, c, r], -1),
+                     np.stack([q, r, d], -1)], -2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -500,6 +519,17 @@ def test_matmul_congruences_match_einsum_reference(points, epsilon):
     assert_rows_close(new, ref)
     outside = np.linalg.norm(points, axis=1) >= R_IDENTITY
     assert np.array_equal(new[outside], aniso_fn(points[outside]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(points=banded_points(dimension=3), epsilon=st.sampled_from([0.2, 0.0125]))
+def test_matmul_congruences_match_einsum_reference_in_three_dimensions(points, epsilon):
+    # no workload runs n = 3, but the per-component loops are n-general
+    kernel = MollifierKernel.create(3, epsilon, level=1)
+    new = metrics._mollify_values(aniso3_fn, kernel, points)
+    assert_rows_close(new, einsum_mollify(aniso3_fn, kernel, points))
+    outside = np.linalg.norm(points, axis=1) >= R_IDENTITY
+    assert np.array_equal(new[outside], aniso3_fn(points[outside]))
 
 
 @pytest.mark.parametrize("chart", [
