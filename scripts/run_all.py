@@ -3,10 +3,10 @@
 Usage:
     python scripts/run_all.py [NAME ...] [--quiet]
 
-With no arguments all samples run in the order below (about four minutes
-total, the epsilon selection on the sphere chart being the longest
-single run).  Passing sample names (with or without .json) restricts the
-run.  Reports land in runs/<sample name>/; the exit code is the worst
+With no arguments all samples run in the order below (about 23 s in all
+with EQMOLLIFY_THREADS=1 on a 2-CPU AMD EPYC host, the seminorm sweep on
+the sphere being the longest single run at about 6 s).  Passing sample
+names (with or without .json) restricts the run.  Reports land in runs/<sample name>/; the exit code is the worst
 CLI exit code seen, so a clean sweep returns 0.
 """
 

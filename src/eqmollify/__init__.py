@@ -22,7 +22,6 @@ from .ballmap import (
 from .curvature import (
     CurvatureBounds,
     CurvatureError,
-    christoffel,
     curvature_bounds,
     sectional_curvature,
 )

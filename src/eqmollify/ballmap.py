@@ -114,7 +114,8 @@ def _step(u, derivative):
         return w, None
     with np.errstate(divide="ignore", invalid="ignore"):
         dw = (a / u ** 2 * b + a * (b / (1.0 - u) ** 2)) / total ** 2
-    return w, np.where((u > 0.0) & (u < 1.0), dw, 0.0)
+    # zero wherever an exponential underflows, where a / u**2 can be 0 / 0
+    return w, np.where((a > 0.0) & (b > 0.0), dw, 0.0)
 
 
 def smooth_step(u):

@@ -528,9 +528,12 @@ def equivariant_sample(current, kernel, cutoff, group):
     pieces = []
     chart_sample = inside.sample()
     if chart_sample.points.shape[0] > 0:
-        in_chart = chart_sample.pushforward(chart)
+        # a ball chart's Jacobian is scale * I, so its frames only scale
+        in_chart = WeightedSample(chart.apply(chart_sample.points),
+                                  chart_sample.frames * chart.scale, chart_sample.weights)
         smoothed = _shift_product(in_chart, kernel)
-        back = smoothed.pushforward(chart.inverse())
+        back = WeightedSample(chart.apply_inverse(smoothed.points),
+                              smoothed.frames * chart.radius, smoothed.weights)
     else:
         back = None
     rest = outside.sample()

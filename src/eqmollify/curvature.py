@@ -19,7 +19,6 @@ from .metrics import BoxGrid, MetricError, _central_differences
 
 __all__ = [
     "CurvatureError",
-    "christoffel",
     "sectional_curvature",
     "CurvatureBounds",
     "curvature_bounds",
@@ -85,13 +84,6 @@ def _christoffel_terms(g, dg, d2g=None):
         + np.einsum("rkl,rclij->rckij", ginv, dlowered)
     )
     return gamma, dgamma
-
-
-def christoffel(metric, points, step=FD_STEP):
-    """Connection coefficients, indexed [point, upper, lower, lower]."""
-    g, dg, _ = _metric_jet(metric, points, step=step)
-    gamma, _ = _christoffel_terms(g, dg)
-    return gamma
 
 
 def _lowered_curvature(metric, points, step):

@@ -110,28 +110,24 @@ def _chart_stage_commutes(scenario, kernel):
     scenario commutes with its group, so the group average of the chart
     stages is the chart stages themselves up to rounding.
 
-    Three conditions, all checked here:
+    Two conditions, both checked here:
 
-    - every chart matrix is a scalar multiple of the identity;
     - every group element fixes every chart centre within 1e-14;
     - every group element maps the kernel's nodes onto its nodes within
       1e-14 * epsilon, each onto a node of equal convex weight within
       1e-14 of the largest weight.
 
-    The cutoffs are radial in the chart variable and the ball shift maps
-    are rotation equivariant, so under these conditions conjugating a
-    chart stage by a group element only permutes its quadrature sum.  The
-    fourth ingredient, that the group acts by isometries of the input
-    metric, is enforced when the scenario is built
-    (``scenarios._check_isometry``).
+    Every chart is a ball chart, the cutoffs are radial in the chart
+    variable and the ball shift maps are rotation equivariant, so under
+    these conditions conjugating a chart stage by a group element only
+    permutes its quadrature sum.  The third ingredient, that the group
+    acts by isometries of the input metric, is enforced when the scenario
+    is built (``scenarios._check_isometry``).
     """
     for cutoff in scenario.atlas:
-        chart = cutoff.chart
-        scale = chart.matrix[0, 0] * np.eye(scenario.dimension)
-        if not np.array_equal(chart.matrix, scale):
-            return False
+        center = cutoff.chart.center
         for mat in scenario.group:
-            if np.max(np.abs(mat @ chart.center - chart.center)) > 1e-14:
+            if np.max(np.abs(mat @ center - center)) > 1e-14:
                 return False
     # pair the nodes with their images by sorting both along one generic
     # direction: O(N log N), with no N x N distance matrix.  At levels 1-3

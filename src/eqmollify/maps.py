@@ -1,9 +1,10 @@
-"""Affine charts, orthogonal group actions and smooth chart cutoffs.
+"""Ball charts, orthogonal group actions and smooth chart cutoffs.
 
-Small map objects with a shared protocol: ``apply`` sends a batch of points
-(N, n) to their images, ``jacobian`` returns the (N, n, n) derivatives.
-Everything here is affine, so Jacobians are constant per map; the nonlinear
-shift maps live in ``ballmap``.
+A chart is a centre and a radius: it sends the ball B(center, radius) onto
+the unit ball, where the shift maps of ``ballmap`` act.  Its derivative is
+the scalar 1 / radius, so pushing a metric or a frame through a chart is a
+scalar product.  The group actions are the orthogonal matrices that
+average the chart stages.
 """
 
 from dataclasses import dataclass
@@ -29,58 +30,36 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class AffineChart:
-    """Chart map u = A (x - center) from a neighborhood onto the unit ball.
+    """Ball chart u = (x - center) / radius onto the unit ball.
 
-    ``apply`` goes to chart coordinates, ``apply_inverse`` back; ``inverse``
-    is the way back as a map of its own.  With a zero center this is the
-    linear map x -> A x.  The chart domain (where |u| < 1) is the preimage
-    of the open unit ball.
+    ``apply`` goes to chart coordinates, multiplying by ``scale`` =
+    1 / radius; ``apply_inverse`` comes back, multiplying by ``radius``.
+    The chart domain (where |u| < 1) is the open ball B(center, radius).
     """
 
-    matrix: np.ndarray
     center: np.ndarray
+    radius: float
 
-    def __init__(self, matrix, center):
-        matrix = np.asarray(matrix, dtype=float)
-        object.__setattr__(self, "matrix", matrix)
+    def __init__(self, center, radius):
         object.__setattr__(self, "center", np.asarray(center, dtype=float))
-        object.__setattr__(self, "_inverse", np.linalg.inv(matrix))
-        # translation added after the linear part; only inverse maps carry one
-        object.__setattr__(self, "_offset", None)
-
-    @classmethod
-    def scaled(cls, center, radius):
-        """Chart sending the ball B(center, radius) onto the unit ball."""
-        center = np.asarray(center, dtype=float)
-        n = center.shape[0]
-        return cls(np.eye(n) / float(radius), center)
+        object.__setattr__(self, "radius", float(radius))
+        object.__setattr__(self, "scale", 1.0 / self.radius)
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        u = (x - self.center) @ self.matrix.T
-        return u if self._offset is None else u + self._offset
+        return (np.asarray(x, dtype=float) - self.center) * self.scale
 
     def apply_inverse(self, u):
-        u = np.asarray(u, dtype=float)
-        if self._offset is not None:
-            u = u - self._offset
-        return u @ self._inverse.T + self.center
+        return np.asarray(u, dtype=float) * self.radius + self.center
 
-    def inverse(self):
-        """The map u -> A^{-1} u + center; it agrees with ``apply_inverse``
-        bit for bit."""
-        offset = np.zeros_like(self.center) if self._offset is None else self._offset
-        made = AffineChart(self._inverse, offset)
-        object.__setattr__(made, "_inverse", self.matrix)
-        object.__setattr__(made, "_offset", self.center)
-        return made
-
+    # kept while bench/layers.py wraps both Jacobians by name; no stage calls them
     def jacobian(self, x):
+        """scale * I at each point, shape (N, n, n)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.broadcast_to(self.matrix, (x.shape[0],) + self.matrix.shape).copy()
+        n = self.center.shape[0]
+        return np.broadcast_to(self.scale * np.eye(n), (x.shape[0], n, n)).copy()
 
     def jacobian_inverse(self):
-        return self._inverse
+        return self.radius
 
     def chart_radius(self, x):
         """Norm of the chart image; < 1 inside the chart domain."""

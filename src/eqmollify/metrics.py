@@ -246,15 +246,14 @@ def chart_smooth_metric(metric, cutoff, kernel):
     """
     chart = cutoff.chart
     n = metric.dimension
-    jac_fwd = chart.matrix
-    jac_inv = chart.jacobian_inverse()
 
     def weighted_chart_metric(u):
-        # the bump-weighted metric pushed to chart coordinates; only
-        # positive semidefinite where the bump decays, on purpose
+        # the bump-weighted metric pushed to chart coordinates, a congruence
+        # by the scalar Jacobian radius; only positive semidefinite where the
+        # bump decays, on purpose
         weight = cutoff.profile(np.linalg.norm(u, axis=1))
         vals = metric.value(chart.apply_inverse(u))
-        return weight[:, None, None] * (jac_inv.T @ vals @ jac_inv)
+        return weight[:, None, None] * ((vals * chart.radius) * chart.radius)
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -267,7 +266,7 @@ def chart_smooth_metric(metric, cutoff, kernel):
         if np.any(inside):
             inner = pts[inside]
             smoothed = _mollify_values(weighted_chart_metric, kernel, chart.apply(inner))
-            pulled = jac_fwd.T @ smoothed @ jac_fwd
+            pulled = (smoothed * chart.scale) * chart.scale
             remainder = 1.0 - cutoff.profile(rho[inside])
             total = pulled + remainder[:, None, None] * metric.value(inner)
             _require_spd(total, inner, "chart smoothing lost")

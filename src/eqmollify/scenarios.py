@@ -120,7 +120,7 @@ def _square_loop(half_width=0.5):
 
 
 def _unit_atlas():
-    return (ChartCutoff(AffineChart.scaled([0.0, 0.0], 1.0), inner=0.8, outer=0.95),)
+    return (ChartCutoff(AffineChart([0.0, 0.0], 1.0), inner=0.8, outer=0.95),)
 
 
 def _sphere_chart_metric():
@@ -180,8 +180,8 @@ def _build_radial_c11(group_quadrature):
 
 def _build_strip_two_charts(group_quadrature):
     atlas = (
-        ChartCutoff(AffineChart.scaled([0.25, 0.0], 2.0)),
-        ChartCutoff(AffineChart.scaled([-0.25, 0.0], 2.0)),
+        ChartCutoff(AffineChart([0.25, 0.0], 2.0)),
+        ChartCutoff(AffineChart([-0.25, 0.0], 2.0)),
     )
     return Scenario(
         name="strip_two_charts",

@@ -93,6 +93,9 @@ def test_smooth_step_shape():
     for t in (0.2, 0.5, 0.8):
         fd = (bm.smooth_step(t + h) - bm.smooth_step(t - h)) / (2 * h)
         assert bm.smooth_step_derivative(t) == pytest.approx(fd, rel=1e-7)
+    # below about 1e-162 exp(-1/u) and u**2 both underflow: flat, not 0/0
+    for t in (5e-324, 1e-200):
+        assert bm.smooth_step_derivative(t) == 0.0
 
 
 def test_compress_expand_round_trip():
@@ -454,7 +457,8 @@ def test_inverse_rejects_values_past_the_profile_range():
 
 
 # the step's and the bridge's formulas before they went mask-free, kept
-# here as the bit-for-bit oracle
+# here as the bit-for-bit oracle; the step's derivative is zero wherever an
+# exponential underflows
 def _masked_flat_exp(u):
     out = np.zeros(u.shape)
     pos = u > 0.0
@@ -468,7 +472,7 @@ def _masked_step(u):
     w = np.where(u >= 1.0, 1.0, np.where(u <= 0.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
     with np.errstate(divide="ignore", invalid="ignore"):
         dw = (a / u ** 2 * b + a * (b / (1.0 - u) ** 2)) / (a + b) ** 2
-    return w, np.where((u > 0.0) & (u < 1.0), dw, 0.0)
+    return w, np.where((a > 0.0) & (b > 0.0), dw, 0.0)
 
 
 def _masked_bridge(r):

@@ -307,7 +307,7 @@ class TestShiftSmoothing:
 
 
 def centered_cutoff(radius=1.0):
-    return ChartCutoff(AffineChart.scaled(np.zeros(2), radius))
+    return ChartCutoff(AffineChart(np.zeros(2), radius))
 
 
 class TestLocalize:
@@ -326,7 +326,7 @@ class TestLocalize:
         assert outside.weights[0] == 2.0
 
     def test_crossing_loop_additivity(self):
-        chart = AffineChart.scaled(np.array([0.1, 0.0]), 0.35)
+        chart = AffineChart(np.array([0.1, 0.0]), 0.35)
         cutoff = ChartCutoff(chart)
         loop = square_loop()
         inside, outside = localize(loop, cutoff)
@@ -335,7 +335,7 @@ class TestLocalize:
             assert split == pytest.approx(evaluate(loop, form), abs=1e-8)
 
     def test_inside_part_stays_in_chart_domain(self):
-        chart = AffineChart.scaled(np.array([0.1, 0.0]), 0.35)
+        chart = AffineChart(np.array([0.1, 0.0]), 0.35)
         cutoff = ChartCutoff(chart)
         inside, _ = localize(square_loop(), cutoff)
         sample = inside.sample()

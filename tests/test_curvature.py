@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from eqmollify.kernel import MollifierKernel
 from eqmollify.curvature import (
     CurvatureError,
+    FD_STEP,
+    _christoffel_terms,
     _metric_jet,
-    christoffel,
     curvature_bounds,
     sectional_curvature,
 )
@@ -95,6 +96,12 @@ def bare(metric):
 PTS = np.array([[0.3, 0.1], [0.0, 0.0], [-0.5, 0.45], [0.62, -0.3]])
 E1 = np.tile(np.array([1.0, 0.0]), (len(PTS), 1))
 E2 = np.tile(np.array([0.0, 1.0]), (len(PTS), 1))
+
+
+def christoffel(metric, points, step=FD_STEP):
+    """Connection coefficients, indexed [point, upper, lower, lower], from
+    the jet the field picks."""
+    return _christoffel_terms(*_metric_jet(metric, points, step)[:2])[0]
 
 
 class TestChristoffel:
