@@ -181,15 +181,6 @@ class WeightedSample:
             values.append(float(np.dot(self.weights, form._times_cutoff(shared[key]))))
         return values
 
-    def pushforward(self, mapping):
-        """Sample of the pushforward under a map with .apply and .jacobian."""
-        if self.points.shape[0] == 0:
-            return self
-        moved = mapping.apply(self.points)
-        jac = mapping.jacobian(self.points)
-        frames = np.einsum("kij,kaj->kai", jac, self.frames)
-        return WeightedSample(moved, frames, self.weights)
-
     def rotated(self, matrix, weight=1.0):
         matrix = np.asarray(matrix, dtype=float)
         return WeightedSample(

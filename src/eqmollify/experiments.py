@@ -105,64 +105,18 @@ def _kernel_for(epsilon, config, dimension):
     return MollifierKernel.create(dimension, epsilon, level=level)
 
 
-def _chart_stage_commutes(scenario, kernel):
-    """Whether the structure certifies that every chart stage of the
-    scenario commutes with its group, so the group average of the chart
-    stages is the chart stages themselves up to rounding.
-
-    Two conditions, both checked here:
-
-    - every group element fixes every chart centre within 1e-14;
-    - every group element maps the kernel's nodes onto its nodes within
-      1e-14 * epsilon, each onto a node of equal convex weight within
-      1e-14 of the largest weight.
-
-    Every chart is a ball chart, the cutoffs are radial in the chart
-    variable and the ball shift maps are rotation equivariant, so under
-    these conditions conjugating a chart stage by a group element only
-    permutes its quadrature sum.  The third ingredient, that the group
-    acts by isometries of the input metric, is enforced when the scenario
-    is built (``scenarios._check_isometry``).
-    """
-    for cutoff in scenario.atlas:
-        center = cutoff.chart.center
-        for mat in scenario.group:
-            if np.max(np.abs(mat @ center - center)) > 1e-14:
-                return False
-    # pair the nodes with their images by sorting both along one generic
-    # direction: O(N log N), with no N x N distance matrix.  At levels 1-3
-    # the projections of distinct nodes lie 1.1e-7 * epsilon apart or more,
-    # so images within the tolerance sort into the order of their nodes.
-    nodes, weights = kernel.convex_weights()
-    direction = np.sqrt(np.arange(1.0, scenario.dimension + 1.0))
-    order = np.argsort(nodes @ direction, kind="stable")
-    for mat in scenario.group:
-        moved = nodes @ mat.T
-        image = np.argsort(moved @ direction, kind="stable")
-        gap = np.linalg.norm(moved[image] - nodes[order], axis=1)
-        if (np.max(gap) > 1e-14 * kernel.epsilon
-                or np.max(np.abs(weights[image] - weights[order]))
-                > 1e-14 * np.max(weights)):
-            return False
-    return True
-
-
 def _smoothed_field(scenario, kernel, exact=False):
     """The scenario's smoothed metric at one kernel: the atlas walked in
     order, each chart stage evaluating the previous field itself.
 
-    Each stage is the true group average of the chart smoothing
-    (``haar_average_metric``).  Unless ``exact`` is set, the bare chart
-    stage takes its place when the group is the torus quadrature or
-    ``_chart_stage_commutes`` certifies that the stages already commute
-    with the group: averaging an equivariant stage again only multiplies
-    its cost by |G|.  The torus is decided first: its quadrature angles do
-    not permute the kernel's, so the guard would reject it, and its
-    shortcut rests on quadrature accuracy instead, which the
-    invariance-check kind certifies with ``exact`` set.
+    Each stage is the group average of the chart smoothing
+    (``haar_average_metric``, which pays one chart stage per coset of the
+    stage's symmetry subgroup).  Unless ``exact`` is set, a torus group
+    takes the bare chart stage instead: its quadrature angles need not
+    permute the kernel's, and the shortcut rests on quadrature accuracy,
+    which the invariance-check kind certifies with ``exact`` set.
     """
-    shortcut = not exact and (scenario.group.is_quadrature
-                              or _chart_stage_commutes(scenario, kernel))
+    shortcut = not exact and scenario.group.is_quadrature
     field = scenario.metric
     for cutoff in scenario.atlas:
         if shortcut:

@@ -291,22 +291,72 @@ def isometry_residual(metric, group, points):
     return worst
 
 
+def _stage_cosets(group, cutoff, kernel):
+    """One representative per right coset of the chart stage's symmetry
+    subgroup H, and each coset's total weight.
+
+    H holds the elements that fix the chart centre within 1e-14 and map
+    each kernel node within 1e-14 * epsilon onto a node of equal convex
+    weight (within 1e-14 of the largest).  Ball charts, radial cutoffs,
+    rotation-equivariant shifts and a group of isometries of the input
+    (checked when a scenario is built) make the stage S equivariant under
+    H, S(hx) = h S(x) h^T, so g = h c gives g^T S(gx) g = c^T S(cx) c.
+    H is represented by the identity; any other element c starts a coset
+    and takes every remaining element within 1e-14 of some h c, an
+    O(|G|^2) match.  H = G gives one coset, H = {e} the full average in
+    group order.
+    """
+    nodes, node_w = kernel.convex_weights()
+    center = cutoff.chart.center
+    # pair nodes with images by sorting both along one generic direction;
+    # at levels 1-3 distinct projections lie >= 1.1e-7 * epsilon apart
+    direction = np.sqrt(np.arange(1.0, center.shape[0] + 1.0))
+    order = np.argsort(nodes @ direction, kind="stable")
+    in_h = np.zeros(len(group), dtype=bool)
+    for index, mat in enumerate(group):
+        moved = nodes @ mat.T
+        image = np.argsort(moved @ direction, kind="stable")
+        in_h[index] = (
+            np.max(np.abs(mat @ center - center)) <= 1e-14
+            and np.max(np.linalg.norm(moved[image] - nodes[order], axis=1))
+            <= 1e-14 * kernel.epsilon
+            and np.max(np.abs(node_w[image] - node_w[order])) <= 1e-14 * np.max(node_w))
+    coset = np.where(in_h, 0, -1)
+    reps = [np.eye(center.shape[0])]
+    for index in range(len(group)):
+        if coset[index] < 0:
+            products = group.matrices[in_h] @ group.matrices[index]
+            gap = np.max(np.abs(products[:, None] - group.matrices[None]), axis=(2, 3))
+            coset[(coset < 0) & np.any(gap <= 1e-14, axis=0)] = len(reps)
+            coset[index] = len(reps)
+            reps.append(group.matrices[index])
+    return np.array(reps), np.bincount(coset, weights=group.weights)
+
+
 def haar_average_metric(metric, cutoff, kernel, group):
     """Group average of the chart-localized smoothing.
 
-    For finite groups this is the exact uniform average of pullbacks; the
-    torus carrier is its equispaced-angle quadrature, which is spectrally
-    accurate for the smooth integrands at hand.  The group must act by
-    isometries of the input, which ``scenarios`` checks when it builds one.
+    The average runs over one representative per coset of the stage's
+    symmetry subgroup (``_stage_cosets``), each weighted by its coset's
+    total weight; with a single coset it is the chart stage itself.  For
+    finite groups this is the uniform average of pullbacks up to the
+    rounding of the permuted quadrature sums; the torus carrier is its
+    equispaced-angle quadrature, which is spectrally accurate for the
+    smooth integrands at hand.  The coset reduction needs the group to act
+    by isometries of the input, which ``scenarios`` checks when it builds
+    one; it is not checked here.
     """
     if not isinstance(group, GroupAction):
         raise MetricError("group must be a GroupAction")
     stage = chart_smooth_metric(metric, cutoff, kernel)
+    reps, weights = _stage_cosets(group, cutoff, kernel)
+    if len(reps) == 1:
+        return stage
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         acc = np.zeros((pts.shape[0], metric.dimension, metric.dimension))
-        for mat, weight in zip(group.matrices, group.weights):
+        for mat, weight in zip(reps, weights):
             vals = stage.value(pts @ mat.T)
             acc += weight * (mat.T @ vals @ mat)
         return acc

@@ -462,7 +462,9 @@ def test_inverse_rejects_values_past_the_profile_range():
 def _masked_flat_exp(u):
     out = np.zeros(u.shape)
     pos = u > 0.0
-    out[pos] = np.exp(-1.0 / u[pos])
+    # -1/u overflows to -inf for subnormal u; exp(-inf) is the exact 0
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(-1.0 / u[pos])
     return out
 
 

@@ -77,6 +77,12 @@ def scalar_form(fn, support=0.9, flat=0.5, center=None, dimension=2):
 ONE = scalar_form(lambda x: np.ones(x.shape[0]))
 
 
+def pushforward(sample, mapping):
+    """The sample pushed forward under a map with .apply and .jacobian."""
+    frames = np.einsum("kij,kaj->kai", mapping.jacobian(sample.points), sample.frames)
+    return WeightedSample(mapping.apply(sample.points), frames, sample.weights)
+
+
 class ShiftMap:
     """The shift s_y as a map with .apply and .jacobian for pushforwards."""
 
@@ -175,7 +181,7 @@ class TestPushforward:
             def jacobian(self, x):
                 return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
 
-        moved = current.sample().pushforward(Translate()).pair(form)
+        moved = pushforward(current.sample(), Translate()).pair(form)
         assert moved == float(form.evaluate((p + y)[None, :])[0])
 
     def test_identity_map_is_plain_pairing(self):
@@ -187,7 +193,7 @@ class TestPushforward:
                 return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
 
         loop = square_loop()
-        assert loop.sample().pushforward(Identity()).pair(form_b()) == evaluate(loop, form_b())
+        assert pushforward(loop.sample(), Identity()).pair(form_b()) == evaluate(loop, form_b())
 
     def test_shift_equals_translation_on_inner_ball(self):
         # both the point and its translate stay where the compression is
@@ -196,7 +202,7 @@ class TestPushforward:
         y = np.array([0.08, 0.05])
         current = DiracCurrent(p[None, :])
         form = scalar_form(lambda x: np.sin(x[:, 0] * x[:, 1] + 0.3))
-        value = current.sample().pushforward(ShiftMap(y)).pair(form)
+        value = pushforward(current.sample(), ShiftMap(y)).pair(form)
         assert value == float(form.evaluate((p + y)[None, :])[0])
 
 
