@@ -3,9 +3,10 @@
 Usage:
     python scripts/run_all.py [NAME ...] [--quiet]
 
-With no arguments all samples run in the order below (about 13 s in all
-with EQMOLLIFY_THREADS=1 on a 2-CPU AMD EPYC host, the seminorm sweep on
-the sphere being the longest single run at about 5 s).  Passing sample
+With no arguments all samples run in the order below (about 14.4 s in
+all with EQMOLLIFY_THREADS=1 on a 2-CPU AMD EPYC host with numpy 2.4.6 and
+Python 3.11, the seminorm sweep on the sphere being the longest single run
+at about 5 s).  Passing sample
 names (with or without .json) restricts the run.  Reports land in runs/<sample name>/; the exit code is the worst
 CLI exit code seen, so a clean sweep returns 0.
 """

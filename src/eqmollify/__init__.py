@@ -26,7 +26,6 @@ from .curvature import (
     sectional_curvature,
 )
 from .currents import (
-    CombinedCurrent,
     CurrentError,
     DiracCurrent,
     PolyhedralCurrent,

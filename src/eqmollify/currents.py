@@ -12,10 +12,11 @@ translation smoothing averages the pushforwards under tau_y over the
 mollifier ball, and shift smoothing (``ball_shifts``) uses the ball-preserving
 maps from ``ballmap`` instead, so the open unit ball is mapped to itself and
 everything from R_IDENTITY outward is left untouched: sample rows there pass
-through bit for bit, and a part with no row inside is not copied at all.
-The equivariant operator (``equivariant_sample``) splits the current with a
-chart cutoff, smooths the chart part by shifts in chart coordinates and
-averages the result over a group of orthogonal matrices.
+through bit for bit, and a sample with no row inside is not copied at all.
+The equivariant operator (``equivariant_sample``) splits the current's
+sample with a chart cutoff (``localize``), smooths the chart half by shifts
+in chart coordinates and averages the result over a group of orthogonal
+matrices.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ __all__ = [
     "WeightedSample",
     "DiracCurrent",
     "PolyhedralCurrent",
-    "CombinedCurrent",
     "evaluate",
     "mollified_sample",
     "localize",
@@ -249,22 +249,19 @@ class DiracCurrent:
 
 @dataclass(frozen=True)
 class PolyhedralCurrent:
-    """Oriented m-simplices with multiplicities and an optional scalar weight.
+    """Oriented m-simplices with multiplicities.
 
     The pairing integrates the form against the constant edge frame of each
     simplex over barycentric parameters, with a composite Gauss rule per
-    simplex (tensorized through a collapsed square for triangles).  The
-    optional ``weight_fn`` multiplies the integrand pointwise; localization
-    uses it to carry chart bumps.
+    simplex (tensorized through a collapsed square for triangles).
     """
 
     simplices: np.ndarray
     multiplicities: np.ndarray
-    weight_fn: object = None
     panels: int = 8
     order: int = 10
 
-    def __init__(self, simplices, multiplicities=None, weight_fn=None, panels=8, order=10):
+    def __init__(self, simplices, multiplicities=None, panels=8, order=10):
         simplices = np.asarray(simplices, dtype=float)
         if simplices.ndim != 3:
             raise CurrentError("simplices must be (count, degree + 1, dimension)")
@@ -283,7 +280,6 @@ class PolyhedralCurrent:
                 raise CurrentError("degenerate simplex with vanishing m-volume")
         object.__setattr__(self, "simplices", simplices)
         object.__setattr__(self, "multiplicities", multiplicities)
-        object.__setattr__(self, "weight_fn", weight_fn)
         object.__setattr__(self, "panels", int(panels))
         object.__setattr__(self, "order", int(order))
 
@@ -315,46 +311,12 @@ class PolyhedralCurrent:
         q = pts.shape[1]
         frames = np.broadcast_to(edges[:, None, :, :], (count, q, self.degree, self.dimension))
         weights = self.multiplicities[:, None] * node_w[None, :]
-        pts = pts.reshape(-1, self.dimension)
-        frames = frames.reshape(-1, self.degree, self.dimension)
-        weights = weights.ravel()
-        if self.weight_fn is not None:
-            weights = weights * np.asarray(self.weight_fn(pts), dtype=float)
-        return WeightedSample(pts, frames, weights)
+        return WeightedSample(pts.reshape(-1, self.dimension),
+                              frames.reshape(-1, self.degree, self.dimension),
+                              weights.ravel())
 
     def sample(self):
         return self._sample
-
-
-@dataclass(frozen=True)
-class CombinedCurrent:
-    """Formal sum of currents of matching degree and dimension."""
-
-    parts: tuple
-
-    def __init__(self, parts):
-        parts = tuple(parts)
-        if not parts:
-            raise CurrentError("combined current needs at least one part")
-        degrees = {p.degree for p in parts}
-        dims = {p.dimension for p in parts}
-        if len(degrees) > 1 or len(dims) > 1:
-            raise CurrentError("combined parts must share degree and dimension")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def degree(self):
-        return self.parts[0].degree
-
-    @property
-    def dimension(self):
-        return self.parts[0].dimension
-
-    def sample(self):
-        samples = [p.sample() for p in self.parts]
-        if all(s.points.shape[0] == 0 for s in samples):
-            return _empty_sample(self.dimension, self.degree)
-        return WeightedSample.concatenate(samples)
 
 
 def evaluate(current, form):
@@ -398,42 +360,22 @@ def _shift_product(sample, kernel):
                           frames_out.reshape(m * k, deg, dim), weights)
 
 
-def _iter_parts(current):
-    if isinstance(current, CombinedCurrent):
-        for part in current.parts:
-            yield from _iter_parts(part)
-    else:
-        yield current
-
-
 def mollified_sample(current, kernel, ball_shifts=False):
     """Sample of the smoothed current; pair it with any number of forms.
 
-    With ``ball_shifts`` the averaging runs over the ball-preserving shift
-    maps.  Those are the identity from R_IDENTITY outward, so a part whose
-    sample lies there entirely is returned unsmoothed (``_shift_product``)
-    and reproduces its pairings bit for bit.
+    ``current`` is a current or a WeightedSample.  With ``ball_shifts`` the
+    averaging runs over the ball-preserving shift maps.  Those are the
+    identity from R_IDENTITY outward, so a sample lying there entirely is
+    returned unsmoothed (``_shift_product``) and reproduces its pairings
+    bit for bit.
     """
     if kernel.dimension != current.dimension:
         raise CurrentError("kernel dimension does not match the current")
-    pieces = []
-    for part in _iter_parts(current):
-        sample = part.sample()
-        if sample.points.shape[0] == 0:
-            continue
-        product = _shift_product if ball_shifts else _translation_product
-        pieces.append(product(sample, kernel))
-    if not pieces:
+    sample = current.sample()
+    if sample.points.shape[0] == 0:
         return _empty_sample(current.dimension, current.degree)
-    return WeightedSample.concatenate(pieces)
-
-
-def _combine_weights(first, second):
-    if first is None:
-        return second
-    if second is None:
-        return first
-    return lambda pts: np.asarray(first(pts), dtype=float) * np.asarray(second(pts), dtype=float)
+    product = _shift_product if ball_shifts else _translation_product
+    return product(sample, kernel)
 
 
 def _segment_splits(chart, a, b, levels):
@@ -453,41 +395,33 @@ def _segment_splits(chart, a, b, levels):
     return sorted(cuts)
 
 
+def _split(sample, h):
+    """The sample with its weights times h, and times 1 - h."""
+    return (WeightedSample(sample.points, sample.frames, sample.weights * h),
+            WeightedSample(sample.points, sample.frames, sample.weights * (1.0 - h)))
+
+
+def _joined(samples, dimension, degree):
+    """The concatenated samples; an empty sample when every one is empty."""
+    if all(s.points.shape[0] == 0 for s in samples):
+        return _empty_sample(dimension, degree)
+    return WeightedSample.concatenate(samples)
+
+
 def localize(current, cutoff):
-    """Split T into the part weighted by the chart bump and the remainder.
+    """Split the sample of T by the chart bump h into the inside half,
+    weighted by h, and the outside half, weighted by 1 - h.
 
-    Segments are subdivided at the exact parameters where they cross the
-    bump's inner and outer levels, so pieces on the plateaus carry constant
-    weight and only transitional pieces integrate the bump itself.  The two
-    halves always pair back to T by construction.
+    ``current`` is a current or a WeightedSample, and both halves are
+    WeightedSamples that pair back to T.  Segments are first cut at the
+    exact parameters where they cross the bump's inner and outer levels, so
+    pieces on the plateaus keep their weights and only the band pieces
+    carry the bump.  Any other sample (point masses, triangles) has its
+    weights multiplied by h and by 1 - h.
     """
-    if isinstance(current, CombinedCurrent):
-        halves = [localize(part, cutoff) for part in current.parts]
-        return (
-            CombinedCurrent([h[0] for h in halves]),
-            CombinedCurrent([h[1] for h in halves]),
-        )
-    if isinstance(current, DiracCurrent):
-        h = np.atleast_1d(cutoff.value(current.points))
-        inside = DiracCurrent(current.points, current.weights * h, current.frames)
-        outside = DiracCurrent(current.points, current.weights * (1.0 - h), current.frames)
-        return inside, outside
-    if not isinstance(current, PolyhedralCurrent):
-        raise CurrentError("cannot localize %r" % type(current).__name__)
-
-    def build(sims, mults, weight_fn):
-        if len(sims) == 0:
-            return PolyhedralCurrent(np.zeros((0,) + current.simplices.shape[1:]),
-                                     np.zeros(0), None, current.panels, current.order)
-        return PolyhedralCurrent(np.array(sims), np.array(mults),
-                                 _combine_weights(current.weight_fn, weight_fn),
-                                 current.panels, current.order)
-
-    rest = lambda pts: 1.0 - cutoff.value(pts)
-    if current.degree != 1:
-        # triangles are not subdivided; both halves integrate the bump
-        return (build(current.simplices, current.multiplicities, cutoff.value),
-                build(current.simplices, current.multiplicities, rest))
+    if not (isinstance(current, PolyhedralCurrent) and current.degree == 1):
+        sample = current.sample()
+        return _split(sample, cutoff.value(sample.points))
     # (pieces, multiplicities) on the inner plateau, the band and outside
     split = {"in": ([], []), "band": ([], []), "out": ([], [])}
     for sim, mult in zip(current.simplices, current.multiplicities):
@@ -501,41 +435,43 @@ def localize(current, cutoff):
             split[key][0].append(piece)
             # the shortened edge frame already carries the factor t1 - t0
             split[key][1].append(mult)
-    return (CombinedCurrent([build(*split["in"], None), build(*split["band"], cutoff.value)]),
-            CombinedCurrent([build(*split["out"], None), build(*split["band"], rest)]))
+    samples = {
+        key: PolyhedralCurrent(np.array(sims), np.array(mults), current.panels,
+                               current.order).sample()
+        if sims else _empty_sample(current.dimension, 1)
+        for key, (sims, mults) in split.items()}
+    band_in, band_out = _split(samples["band"], cutoff.value(samples["band"].points))
+    return (_joined([samples["in"], band_in], current.dimension, 1),
+            _joined([samples["out"], band_out], current.dimension, 1))
 
 
 def equivariant_sample(current, kernel, cutoff, group):
     """Sample of the group-averaged, chart-localized shift smoothing.
 
-    The chart part is pushed into chart coordinates, smoothed by shifts in
-    the unit ball, pushed back and averaged over the group together with
-    the untouched remainder.
+    The inside half of ``localize`` is pushed into chart coordinates,
+    smoothed by shifts in the unit ball, pushed back and averaged over the
+    group together with the untouched outside half.
     """
     if not isinstance(group, GroupAction):
         raise CurrentError("group must be a GroupAction")
-    inside, outside = localize(current, cutoff)
+    inside, rest = localize(current, cutoff)
     chart = cutoff.chart
     pieces = []
-    chart_sample = inside.sample()
-    if chart_sample.points.shape[0] > 0:
+    if inside.points.shape[0] > 0:
         # a ball chart's Jacobian is scale * I, so its frames only scale
-        in_chart = WeightedSample(chart.apply(chart_sample.points),
-                                  chart_sample.frames * chart.scale, chart_sample.weights)
+        in_chart = WeightedSample(chart.apply(inside.points),
+                                  inside.frames * chart.scale, inside.weights)
         smoothed = _shift_product(in_chart, kernel)
         back = WeightedSample(chart.apply_inverse(smoothed.points),
                               smoothed.frames * chart.radius, smoothed.weights)
     else:
         back = None
-    rest = outside.sample()
     for matrix, weight in zip(group.matrices, group.weights):
         if back is not None:
             pieces.append(back.rotated(matrix, weight))
         if rest.points.shape[0] > 0:
             pieces.append(rest.rotated(matrix, weight))
-    if not pieces:
-        return _empty_sample(current.dimension, current.degree)
-    return WeightedSample.concatenate(pieces)
+    return _joined(pieces, current.dimension, current.degree)
 
 
 def invariance_residual(current, group, forms):

@@ -91,9 +91,6 @@ class ChartCutoff:
         vals = np.atleast_1d(self.profile(rho))
         return float(vals[0]) if scalar else vals
 
-    def __call__(self, x):
-        return self.value(x)
-
 
 def _check_orthogonal(matrices, tol):
     n = matrices.shape[1]
@@ -151,14 +148,12 @@ def trivial_group(dimension):
     return GroupAction(np.eye(int(dimension))[None, :, :])
 
 
-def cyclic_rotation_group(order, dimension=2):
+def cyclic_rotation_group(order):
     """Rotations by multiples of 2 pi / order in the plane.
 
     Elements are built by repeated multiplication of the generator so the
     set is closed under products up to accumulated rounding only.
     """
-    if dimension != 2:
-        raise GroupError("cyclic rotations are built in the plane")
     k = int(order)
     angle = 2.0 * np.pi / k
     gen = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])

@@ -276,6 +276,15 @@ def chart_smooth_metric(metric, cutoff, kernel):
     return MetricField(fn=fn, dimension=n)
 
 
+def _pullback_defects(metric, matrices, points):
+    """Per matrix, the largest entry of its pullback defect of g at the
+    points; g is evaluated at the points once."""
+    base = metric.value(points)
+    return [float(np.max(np.abs(
+        np.einsum("ji,rjk,kl->ril", mat, metric.value(points @ mat.T), mat) - base)))
+        for mat in matrices]
+
+
 def isometry_residual(metric, group, points):
     """max over group elements and points of the pullback defect of g.
 
@@ -283,23 +292,19 @@ def isometry_residual(metric, group, points):
     iterable of orthogonal matrices, a GroupAction or a plain list of probes.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    base = metric.value(points)
-    worst = 0.0
-    for mat in group:
-        pulled = np.einsum("ji,rjk,kl->ril", mat, metric.value(points @ mat.T), mat)
-        worst = max(worst, float(np.max(np.abs(pulled - base))))
-    return worst
+    return max([0.0] + _pullback_defects(metric, group, points))
 
 
-def _stage_cosets(group, cutoff, kernel):
+def _stage_cosets(metric, cutoff, kernel, group):
     """One representative per right coset of the chart stage's symmetry
     subgroup H, and each coset's total weight.
 
-    H holds the elements that fix the chart centre within 1e-14 and map
+    H holds the elements that fix the chart centre within 1e-14, map
     each kernel node within 1e-14 * epsilon onto a node of equal convex
-    weight (within 1e-14 of the largest).  Ball charts, radial cutoffs,
-    rotation-equivariant shifts and a group of isometries of the input
-    (checked when a scenario is built) make the stage S equivariant under
+    weight (within 1e-14 of the largest) and are isometries of the input
+    metric within 1e-8 at fixed probes in the chart ball (the exact
+    identity is not probed).  Ball charts, radial cutoffs and
+    rotation-equivariant shifts then make the stage S equivariant under
     H, S(hx) = h S(x) h^T, so g = h c gives g^T S(gx) g = c^T S(cx) c.
     H is represented by the identity; any other element c starts a coset
     and takes every remaining element within 1e-14 of some h c, an
@@ -321,8 +326,16 @@ def _stage_cosets(group, cutoff, kernel):
             and np.max(np.linalg.norm(moved[image] - nodes[order], axis=1))
             <= 1e-14 * kernel.epsilon
             and np.max(np.abs(node_w[image] - node_w[order])) <= 1e-14 * np.max(node_w))
+    eye = np.eye(center.shape[0])
+    probed = [i for i in np.flatnonzero(in_h) if not np.array_equal(group.matrices[i], eye)]
+    if probed:
+        # seven fixed generic points in the chart ball, chart radii 0.1-0.9
+        u = np.cos(np.outer(np.arange(1.0, 8.0), direction))
+        u *= (np.linspace(0.1, 0.9, 7) / np.linalg.norm(u, axis=1))[:, None]
+        defects = _pullback_defects(metric, group.matrices[probed], cutoff.chart.apply_inverse(u))
+        in_h[probed] = np.array(defects) <= 1e-8
     coset = np.where(in_h, 0, -1)
-    reps = [np.eye(center.shape[0])]
+    reps = [eye]
     for index in range(len(group)):
         if coset[index] < 0:
             products = group.matrices[in_h] @ group.matrices[index]
@@ -342,14 +355,15 @@ def haar_average_metric(metric, cutoff, kernel, group):
     finite groups this is the uniform average of pullbacks up to the
     rounding of the permuted quadrature sums; the torus carrier is its
     equispaced-angle quadrature, which is spectrally accurate for the
-    smooth integrands at hand.  The coset reduction needs the group to act
-    by isometries of the input, which ``scenarios`` checks when it builds
-    one; it is not checked here.
+    smooth integrands at hand.  An element joins the symmetry subgroup
+    only if it is an isometry of the input at fixed probes in the chart
+    ball, so a group that does not preserve the input gets the full
+    average over its elements.
     """
     if not isinstance(group, GroupAction):
         raise MetricError("group must be a GroupAction")
     stage = chart_smooth_metric(metric, cutoff, kernel)
-    reps, weights = _stage_cosets(group, cutoff, kernel)
+    reps, weights = _stage_cosets(metric, cutoff, kernel, group)
     if len(reps) == 1:
         return stage
 

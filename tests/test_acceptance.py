@@ -9,6 +9,7 @@ footer of a full run.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ def test_criterion_12_determinism_byte_identical(tmp_path_factory):
             assert report.passed, "%s sample run failed its checks" % kind
             outputs.append(report)
         first, second = outputs
-        assert (open(first.csv_path, "rb").read()
-                == open(second.csv_path, "rb").read()), kind
-        assert (open(first.summary_path, "rb").read()
-                == open(second.summary_path, "rb").read()), kind
+        assert (Path(first.csv_path).read_bytes()
+                == Path(second.csv_path).read_bytes()), kind
+        assert (Path(first.summary_path).read_bytes()
+                == Path(second.summary_path).read_bytes()), kind

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from eqmollify import currents, scenarios
 from eqmollify.ballmap import shift_points, shift_with_jacobian
 from eqmollify.currents import (
-    CombinedCurrent,
     CurrentError,
     DiracCurrent,
     PolyhedralCurrent,
@@ -236,7 +235,7 @@ class TestTranslationSmoothing:
         kernel = MollifierKernel.create(2, 0.08)
         seg1 = PolyhedralCurrent(np.array([[[0.0, 0.0], [0.3, 0.1]]]), np.array([2.5]))
         seg2 = PolyhedralCurrent(np.array([[[-0.2, 0.1], [0.1, -0.2]]]), np.array([-1.25]))
-        combined = CombinedCurrent([seg1, seg2])
+        combined = WeightedSample.concatenate([seg1.sample(), seg2.sample()])
         form = form_b()
         total = mollified_sample(combined, kernel).pair(form)
         parts = (mollified_sample(seg1, kernel).pair(form)
@@ -349,6 +348,63 @@ class TestLocalize:
         rho = chart.chart_radius(sample.points[live])
         assert np.all(rho <= 1.0 + 1e-12)
 
+    def test_sample_input_splits_its_weights(self):
+        sample = DiracCurrent(np.array([[0.1, 0.1], [0.8, 0.0], [2.0, 0.0]]),
+                              np.array([1.5, -2.0, 3.0])).sample()
+        cutoff = centered_cutoff()
+        h = cutoff.value(sample.points)
+        assert 0.0 < h[1] < 1.0
+        inside, outside = localize(sample, cutoff)
+        for half, weights in ((inside, sample.weights * h), (outside, sample.weights * (1.0 - h))):
+            assert isinstance(half, WeightedSample)
+            assert np.array_equal(half.points, sample.points)
+            assert np.array_equal(half.frames, sample.frames)
+            assert np.array_equal(half.weights, weights)
+
+    def test_triangles_multiply_by_the_bump(self):
+        triangles = PolyhedralCurrent(np.array([[[0.0, 0.0], [0.9, 0.1], [0.2, 0.7]]]),
+                                      np.array([2.0]), panels=2, order=4)
+        cutoff = centered_cutoff()
+        sample = triangles.sample()
+        h = cutoff.value(sample.points)
+        inside, outside = localize(triangles, cutoff)
+        assert np.array_equal(inside.points, sample.points)
+        assert np.array_equal(inside.frames, sample.frames)
+        assert np.array_equal(inside.weights, sample.weights * h)
+        assert np.array_equal(outside.weights, sample.weights * (1.0 - h))
+
+    def test_band_pieces_carry_the_bump(self):
+        # the segment crosses the inner level 0.5 at t = 1/3 and the outer
+        # level 1 at t = 2/3: plateau, band and outside pieces in that order
+        segment = PolyhedralCurrent(np.array([[[0.0, 0.0], [1.5, 0.0]]]), np.array([3.0]),
+                                    panels=2, order=3)
+        cutoff = centered_cutoff()
+        inside, outside = localize(segment, cutoff)
+        pieces = PolyhedralCurrent(np.array([[[0.0, 0.0], [0.5, 0.0]],
+                                             [[0.5, 0.0], [1.0, 0.0]],
+                                             [[1.0, 0.0], [1.5, 0.0]]]),
+                                   np.full(3, 3.0), panels=2, order=3).sample()
+        plateau, band, out = (slice(0, 6), slice(6, 12), slice(12, 18))
+        # the cut parameters come from a quadratic's roots, so the piece
+        # ends may differ from 0.5 and 1 in the last bit
+        assert np.allclose(inside.points, pieces.points[:12], rtol=0.0, atol=1e-15)
+        assert np.array_equal(outside.points[6:], inside.points[6:])
+        h = cutoff.value(inside.points[6:])
+        assert np.array_equal(inside.weights[:6], pieces.weights[plateau])
+        assert np.array_equal(inside.weights[6:], pieces.weights[band] * h)
+        assert np.array_equal(outside.weights[:6], pieces.weights[out])
+        assert np.array_equal(outside.weights[6:], pieces.weights[band] * (1.0 - h))
+
+    def test_segments_outside_give_an_empty_inside(self):
+        cutoff = centered_cutoff(0.15)
+        loop = square_loop()
+        inside, outside = localize(loop, cutoff)
+        assert inside.points.shape == (0, 2) and inside.frames.shape == (0, 1, 2)
+        assert inside.weights.shape == (0,)
+        assert np.array_equal(outside.weights, loop.sample().weights)
+        form = form_a()
+        assert evaluate(outside, form) == evaluate(loop, form)
+
 
 class TestEquivariant:
     def orbit_current(self):
@@ -445,7 +501,7 @@ def test_pairing_is_linear_in_the_current(scale_a, scale_b):
     first = PolyhedralCurrent(seg, np.array([scale_a]))
     second = PolyhedralCurrent(seg + 0.1, np.array([scale_b]))
     form = form_c()
-    combined = CombinedCurrent([first, second])
+    combined = WeightedSample.concatenate([first.sample(), second.sample()])
     assert evaluate(combined, form) == pytest.approx(
         evaluate(first, form) + evaluate(second, form), abs=1e-12
     )

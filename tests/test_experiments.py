@@ -9,6 +9,7 @@ semantics.
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from eqmollify.experiments import (
 )
 from eqmollify.kernel import MollifierKernel, QuadratureRule
 from eqmollify.maps import AffineChart, cyclic_rotation_group, trivial_group
-from eqmollify.metrics import _stage_cosets, chart_smooth_metric, haar_average_metric
+from eqmollify.metrics import MetricField, _stage_cosets, chart_smooth_metric, haar_average_metric
 from eqmollify.scenarios import build_scenario
 
 
@@ -86,7 +87,7 @@ def test_thread_count_changes_no_output_byte(tmp_path, monkeypatch, sample):
         config = ExperimentConfig(out=str(tmp_path / threads), **THREAD_SAMPLES[sample])
         report = run_experiment(sample.removesuffix("-cosets"), config)
         assert report.passed
-        outputs.append([open(path, "rb").read()
+        outputs.append([Path(path).read_bytes()
                         for path in (report.csv_path, report.summary_path)])
     assert outputs[0] == outputs[1]
 
@@ -235,7 +236,7 @@ def _full_average(scenario, kernel, points):
 
 
 def _coset_count(scenario, kernel):
-    return len(_stage_cosets(scenario.group, scenario.atlas[0], kernel)[0])
+    return len(_stage_cosets(scenario.metric, scenario.atlas[0], kernel, scenario.group)[0])
 
 
 class TestChartStageGuard:
@@ -273,7 +274,7 @@ class TestChartStageGuard:
         of levels 1-3 by every 4th, 2nd and 1st angle."""
         scenario = build_scenario("radial_c11", group_quadrature=64)
         kernel = MollifierKernel.create(2, 0.05, level=level)
-        reps, weights = _stage_cosets(scenario.group, scenario.atlas[0], kernel)
+        reps, weights = _stage_cosets(scenario.metric, scenario.atlas[0], kernel, scenario.group)
         assert len(reps) == count
         assert np.array_equal(weights, np.full(count, 1.0 / count))
         pts = _probe_points(scenario)
@@ -295,6 +296,34 @@ class TestChartStageGuard:
                                  QuadratureRule(rule.nodes, weights, rule.level))
         assert _coset_count(scenario, kernel) == 1
         assert _coset_count(scenario, skewed) == len(scenario.group)
+
+    def test_guard_rejects_groups_that_are_not_isometries(self):
+        """Z4 fixes the centre and permutes the level-2 nodes, but it does
+        not preserve g11 = 2 + x, g12 = 0.1 y: every element is its own
+        coset, and the average is the full Z4 loop bit for bit."""
+        def anisotropic(pts):
+            pts = np.atleast_2d(pts)
+            g = np.zeros((pts.shape[0], 2, 2))
+            g[:, 0, 0] = 2.0 + pts[:, 0]
+            g[:, 0, 1] = g[:, 1, 0] = 0.1 * pts[:, 1]
+            g[:, 1, 1] = 1.0
+            return g
+        scenario = dataclasses.replace(
+            build_scenario("euclid_z4"), metric=MetricField(fn=anisotropic, dimension=2))
+        kernel = MollifierKernel.create(2, 0.1, level=2)
+        assert _coset_count(scenario, kernel) == 4
+        pts = _probe_points(scenario)
+        averaged = haar_average_metric(scenario.metric, scenario.atlas[0], kernel,
+                                       scenario.group).value(pts)
+        assert np.array_equal(averaged, _full_average(scenario, kernel, pts))
+
+    def test_identity_is_never_probed(self):
+        def unreadable(pts):
+            raise AssertionError("the input was evaluated")
+        scenario = dataclasses.replace(
+            build_scenario("strip_two_charts"), metric=MetricField(fn=unreadable, dimension=2))
+        kernel = MollifierKernel.create(2, 0.1, level=2)
+        assert _coset_count(scenario, kernel) == 1
 
     @staticmethod
     def _rejected(case):
@@ -344,17 +373,17 @@ class TestReportFiles:
 
     def test_summary_keys_sorted_with_final_newline(self, tmp_path):
         report = self.run_once(tmp_path, "run")
-        text = open(report.summary_path).read()
+        text = Path(report.summary_path).read_text()
         assert text.endswith("\n")
         assert text.index('"checks"') < text.index('"kind"') < text.index('"scenario"')
 
     def test_same_seed_runs_byte_identical(self, tmp_path):
         first = self.run_once(tmp_path, "first")
         second = self.run_once(tmp_path, "second")
-        assert (open(first.csv_path, "rb").read()
-                == open(second.csv_path, "rb").read())
-        assert (open(first.summary_path, "rb").read()
-                == open(second.summary_path, "rb").read())
+        assert (Path(first.csv_path).read_bytes()
+                == Path(second.csv_path).read_bytes())
+        assert (Path(first.summary_path).read_bytes()
+                == Path(second.summary_path).read_bytes())
 
     def test_default_out_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
