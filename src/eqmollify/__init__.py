@@ -66,8 +66,6 @@ from .maps import (
 )
 from .metrics import (
     BoxGrid,
-    EpsilonSelection,
-    EpsilonSelector,
     MetricError,
     MetricField,
     a_nu,
@@ -79,7 +77,6 @@ from .metrics import (
     isometry_residual,
     mollify_metric,
     radial_conformal_metric,
-    select_epsilon_for_k,
     sobolev_seminorm,
 )
 from .scenarios import (

@@ -7,11 +7,12 @@ quadrature, a profile inversion that did not converge, a singular matrix).
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .ballmap import BallDomainError, ConvergenceError
-from .config import _INT_FIELDS, ConfigError, load_config
+from .config import ConfigError, load_config
 from .currents import CurrentError
 from .curvature import CurvatureError
 from .distances import DistanceError
@@ -39,12 +40,8 @@ def _parser():
         p.add_argument("--config", required=True, metavar="PATH",
                        help="JSON experiment config")
         p.add_argument("--out", metavar="DIR",
-                       help="output directory (default runs/<scenario>-<kind>)")
-        p.add_argument("--seed", type=int, metavar="N", help="override the seed")
-        p.add_argument("--epsilon-steps", type=int, metavar="K",
-                       help="replace the schedule by K halvings of its start")
-        p.add_argument("--grid", type=int, metavar="N",
-                       help="override metric grid nodes per axis")
+                       help="output directory (default the config's out, else"
+                            " runs/<scenario>-<kind>)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress per-check output")
     return parser
@@ -54,16 +51,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        config = config.override(out=args.out, seed=args.seed, grid=args.grid)
-        if args.epsilon_steps is not None:
-            # the same bound as max_halvings, checked before the list is built
-            top = _INT_FIELDS["max_halvings"]
-            if not 1 <= args.epsilon_steps <= top:
-                raise ConfigError("--epsilon-steps must be at least 1 and at most %d" % top)
-            start = config.epsilons[0]
-            config = config.override(
-                epsilons=tuple(start * 0.5**j for j in range(args.epsilon_steps))
-            )
+        if args.out is not None:
+            config = replace(config, out=args.out)
         report = run_experiment(args.kind, config)
     except (ConfigError, ScenarioError) as err:
         print("configuration error: %s" % err, file=sys.stderr)

@@ -4,8 +4,6 @@ Schema (all keys optional except ``scenario``):
 
     scenario          built-in scenario name
     epsilons          positive strictly decreasing list (default 0.2 halved 4x)
-    level             fixed kernel quadrature level, or null for the
-                      per-epsilon default schedule
     grid              metric grid nodes per axis (default 65, at most 513)
     graph_grid        distance graph nodes per axis (default 25, at most 129)
     group_quadrature  torus quadrature node count (default 64, at most 512)
@@ -14,18 +12,20 @@ Schema (all keys optional except ``scenario``):
                       the kind default
     k_values          targets for epsilon selection (default [1, 2, 4], each
                       at most 2^20)
-    max_halvings      epsilon selector lattice depth (default 16, at most 40)
     out               output directory, or null for runs/<scenario>-<kind>
-    seed              RNG seed (default 42)
+                      (the CLI's --out replaces it)
+    seed              RNG seed for probe points and sample pairs (default 42)
 
-Unknown keys are rejected rather than ignored, so typos fail loudly, and
-a value of the wrong JSON type (a string, a bool, a non-finite number)
-is a ConfigError rather than a traceback.
+Every other value is a constant of the code: the kernel level follows
+``metrics.default_level_schedule``, and select-epsilon searches 17 rungs
+of epsilons[0] halved.  Unknown keys are rejected rather than ignored, so
+typos fail loudly, and a value of the wrong JSON type (a string, a bool,
+a non-finite number) is a ConfigError rather than a traceback.
 """
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .scenarios import available_scenarios
 
@@ -40,7 +40,6 @@ _INT_FIELDS = {
     "graph_grid": 129,
     "group_quadrature": 512,
     "pairs": 256,
-    "max_halvings": 40,
     "seed": None,
 }
 # largest k_values entry; the selection bound a_nu / k is taken in floats
@@ -66,14 +65,12 @@ def _real(value):
 class ExperimentConfig:
     scenario: str
     epsilons: tuple = DEFAULT_EPSILONS
-    level: int = None
     grid: int = 65
     graph_grid: int = 25
     group_quadrature: int = 64
     pairs: int = 64
     delta: float = None
     k_values: tuple = (1, 2, 4)
-    max_halvings: int = 16
     out: str = None
     seed: int = 42
 
@@ -99,10 +96,6 @@ class ExperimentConfig:
             if upper is not None and value > upper:
                 raise ConfigError("field %r must be at most %d, got %d"
                                   % (name, upper, value))
-        if self.level is not None and (not isinstance(self.level, int)
-                                       or isinstance(self.level, bool)
-                                       or not 1 <= self.level <= 3):
-            raise ConfigError("field 'level' must be 1, 2, or 3")
         if self.delta is not None and not (_real(self.delta) and self.delta > 0.0):
             raise ConfigError("field 'delta' must be a positive number or null")
         ks = tuple(self.k_values)
@@ -117,11 +110,6 @@ class ExperimentConfig:
         object.__setattr__(self, "k_values", ks)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("field 'out' must be a string or null")
-
-    def override(self, **kw):
-        """Config with the given fields replaced; None values are ignored."""
-        live = {k: v for k, v in kw.items() if v is not None}
-        return replace(self, **live) if live else self
 
 
 def load_config(path):

@@ -478,12 +478,11 @@ def invariance_residual(current, group, forms):
     """max over group elements and forms of |T(pullback of w) - T(w)|.
 
     ``current`` is a current or a WeightedSample; ``group`` is any iterable
-    of orthogonal matrices, a GroupAction or a plain list of probes.
+    of orthogonal matrices, a GroupAction or a plain list of probes.  A NaN
+    pairing makes the residual NaN.
     """
     sample = current.sample()
     base = sample.pair_many(forms)
-    worst = 0.0
-    for matrix in group:
-        rotated = sample.rotated(matrix)
-        worst = max(worst, float(np.max(np.abs(rotated.pair_many(forms) - base))))
-    return worst
+    defects = [np.max(np.abs(sample.rotated(matrix).pair_many(forms) - base))
+               for matrix in group]
+    return float(np.max([0.0] + defects))

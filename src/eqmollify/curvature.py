@@ -62,7 +62,7 @@ def _metric_jet(metric, points, step=FD_STEP):
     return _finite_difference_jet(metric, points, step)
 
 
-def _christoffel_terms(g, dg, d2g=None):
+def _christoffel_terms(g, dg, d2g):
     ginv = np.linalg.inv(g)
     # T[r, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     lowered = (
@@ -71,8 +71,6 @@ def _christoffel_terms(g, dg, d2g=None):
         - dg
     )
     gamma = 0.5 * np.einsum("rkl,rlij->rkij", ginv, lowered)
-    if d2g is None:
-        return gamma, None
     dginv = -np.einsum("rkm,rcmp,rpl->rckl", ginv, dg, ginv)
     dlowered = (
         np.transpose(d2g, (0, 1, 4, 2, 3))

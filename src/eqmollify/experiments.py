@@ -29,8 +29,6 @@ from .metrics import (
     isometry_residual,
     mollify_metric,
     sobolev_seminorm,
-    EpsilonSelector,
-    select_epsilon_for_k,
 )
 from .scenarios import build_scenario
 
@@ -49,6 +47,9 @@ EXPERIMENT_KINDS = (
 # torus invariance is certified off the quadrature lattice; five fixed
 # angles strictly between the 64-node grid lines
 OFF_NODE_ANGLES = tuple((j + 0.5) * 2.0 * np.pi / 320.0 for j in range(5))
+
+# select-epsilon searches config.epsilons[0] * 0.5**j for j = 0.._HALVINGS
+_HALVINGS = 16
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,9 @@ def _sweep(fn, items):
         return list(pool.map(fn, items))
 
 
-def _kernel_for(epsilon, config, dimension):
-    level = config.level or default_level_schedule(epsilon, dimension)
-    return MollifierKernel.create(dimension, epsilon, level=level)
+def _kernel_for(epsilon, dimension):
+    return MollifierKernel.create(dimension, epsilon,
+                                  level=default_level_schedule(epsilon, dimension))
 
 
 def _smoothed_field(scenario, kernel, exact=False):
@@ -172,7 +173,7 @@ def _run_mollify_current(scenario, config):
     }
 
     def stage(epsilon):
-        kernel = _kernel_for(epsilon, config, scenario.dimension)
+        kernel = _kernel_for(epsilon, scenario.dimension)
         out = []
         # one smoothed sample per (current, route), paired with all its forms
         for ci, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
@@ -218,7 +219,7 @@ def _run_smooth_metric(scenario, config):
     grid = scenario.scan_grid(config.grid)
 
     def stage(epsilon):
-        kernel = _kernel_for(epsilon, config, scenario.dimension)
+        kernel = _kernel_for(epsilon, scenario.dimension)
         smooth = mollify_metric(scenario.metric, kernel)
         deviation = sobolev_seminorm(smooth, grid, reference=scenario.metric)
         return epsilon, kernel.quadrature.level, deviation, delta
@@ -251,7 +252,7 @@ def _run_curvature_report(scenario, config):
     ]
 
     def stage(epsilon):
-        kernel = _kernel_for(epsilon, config, scenario.dimension)
+        kernel = _kernel_for(epsilon, scenario.dimension)
         bounds = curvature_bounds(_smoothed_field(scenario, kernel), grid, **kw)
         return [
             (epsilon, "lower_bound", bounds.lower, declared[0], delta),
@@ -285,7 +286,7 @@ def _run_lipschitz_sweep(scenario, config):
                                min_separation=0.4 * scenario.domain_radius)
 
     def stage(epsilon):
-        kernel = _kernel_for(epsilon, config, scenario.dimension)
+        kernel = _kernel_for(epsilon, scenario.dimension)
         field = _smoothed_field(scenario, kernel)
         report = dilation_estimate(scenario.metric, field, pairs, grid,
                                    mask_radius=scenario.scan_radius)
@@ -310,7 +311,7 @@ def _run_invariance_check(scenario, config):
     matrices = scenario.group if finite else [_rotation(a) for a in OFF_NODE_ANGLES]
 
     def stage(epsilon):
-        kernel = _kernel_for(epsilon, config, scenario.dimension)
+        kernel = _kernel_for(epsilon, scenario.dimension)
         field = _smoothed_field(scenario, kernel, exact=True)
         out = [(epsilon, "smoothed_metric",
                 isometry_residual(field, matrices, points), metric_tol)]
@@ -325,12 +326,13 @@ def _run_invariance_check(scenario, config):
 
     stages = _sweep(stage, config.epsilons)
     rows = [row for stage_rows in stages for row in stage_rows]
-    worst_metric = max(row[2] for row in rows if row[1] == "smoothed_metric")
+    # np.max, not max: a NaN residual must reach the check whatever its row
+    worst_metric = np.max([row[2] for row in rows if row[1] == "smoothed_metric"])
     checks = [CheckResult("max_metric_residual", worst_metric, metric_tol,
                           worst_metric <= metric_tol)]
     current_rows = [row[2] for row in rows if row[1].startswith("smoothed_current")]
     if current_rows:
-        worst = max(current_rows)
+        worst = np.max(current_rows)
         checks.append(CheckResult("max_current_residual", worst, current_tol,
                                   worst <= current_tol))
     header = ("epsilon", "check", "residual", "tolerance")
@@ -338,26 +340,36 @@ def _run_invariance_check(scenario, config):
 
 
 def _run_select_epsilon(scenario, config):
+    """Per k, the largest epsilon of the halving lattice whose smoothed
+    metric is within a_nu / k of the input.  Rungs are measured in order,
+    each once across all k; an unmet bound reports the rung of smallest
+    deviation and fails its check."""
     grid = scenario.scan_grid(config.grid)
     unit_grid = BoxGrid((-1.0,) * scenario.dimension, (1.0,) * scenario.dimension,
                         (41,) * scenario.dimension)
     floor = a_nu(scenario.metric, unit_grid)
-    selector = EpsilonSelector(
-        lambda eps: _smoothed_field(scenario,
-                                    _kernel_for(eps, config, scenario.dimension)),
-        scenario.metric, grid,
-        start=config.epsilons[0], max_halvings=config.max_halvings,
-    )
-    rows, selections = [], []
+    measured = []  # (epsilon, deviation) of the rungs reached so far
+
+    def rungs():
+        for j in range(_HALVINGS + 1):
+            if j == len(measured):
+                epsilon = config.epsilons[0] * 0.5**j
+                kernel = _kernel_for(epsilon, scenario.dimension)
+                field = _smoothed_field(scenario, kernel)
+                deviation = sobolev_seminorm(field, grid, reference=scenario.metric)
+                measured.append((epsilon, deviation))
+            yield measured[j]
+
+    rows, checks = [], []
     for k in config.k_values:
-        selection = select_epsilon_for_k(selector, k, floor)
-        selections.append((k, selection))
-        rows.append((k, selection.epsilon, selection.achieved, selection.bound))
-    checks = []
-    for k, selection in selections:
-        checks.append(CheckResult("bound_met_k%d" % k, selection.achieved,
-                                  selection.bound, selection.satisfied))
-    epsilons = [sel.epsilon for _, sel in selections]
+        bound = floor / float(k)
+        chosen = next((rung for rung in rungs() if rung[1] <= bound), None)
+        met = chosen is not None
+        if not met:
+            chosen = min(measured, key=lambda rung: rung[1])
+        rows.append((k, chosen[0], chosen[1], bound))
+        checks.append(CheckResult("bound_met_k%d" % k, chosen[1], bound, met))
+    epsilons = [row[1] for row in rows]
     worst = max((b / a for a, b in zip(epsilons, epsilons[1:])), default=0.0)
     checks.append(CheckResult("epsilon_non_increasing", worst, 1.0, worst <= 1.0))
     header = ("k", "epsilon", "achieved", "tolerance")

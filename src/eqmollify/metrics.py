@@ -35,9 +35,6 @@ __all__ = [
     "isometry_residual",
     "sobolev_seminorm",
     "a_nu",
-    "EpsilonSelection",
-    "EpsilonSelector",
-    "select_epsilon_for_k",
     "default_level_schedule",
 ]
 
@@ -290,9 +287,10 @@ def isometry_residual(metric, group, points):
 
     Measures an input metric or a smoothed field alike; ``group`` is any
     iterable of orthogonal matrices, a GroupAction or a plain list of probes.
+    A NaN defect makes the residual NaN.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return max([0.0] + _pullback_defects(metric, group, points))
+    return float(np.max([0.0] + _pullback_defects(metric, group, points)))
 
 
 def _stage_cosets(metric, cutoff, kernel, group):
@@ -439,57 +437,3 @@ def default_level_schedule(epsilon, dimension=2):
     if dimension >= 3:
         return 3 if epsilon > 0.02 else 2
     return 2 if epsilon > 0.02 else 1
-
-
-@dataclass(frozen=True)
-class EpsilonSelection:
-    epsilon: float
-    achieved: float
-    bound: float
-    satisfied: bool
-    tested: tuple
-
-
-class EpsilonSelector:
-    """Search an epsilon-halving lattice for seminorm bounds.
-
-    ``smoother`` maps epsilon to a MetricField; deviations from the
-    reference are measured once per lattice point and cached, so tighter
-    bounds reuse earlier stages and the selected epsilon is automatically
-    non-increasing as the bound shrinks.
-    """
-
-    def __init__(self, smoother, reference, grid, start=0.2, max_halvings=16):
-        self.smoother = smoother
-        self.reference = reference
-        self.grid = grid
-        self.start = float(start)
-        self.max_halvings = int(max_halvings)
-        self._cache = {}
-
-    def ladder(self):
-        return [self.start * 0.5**j for j in range(self.max_halvings + 1)]
-
-    def deviation(self, epsilon):
-        if epsilon not in self._cache:
-            self._cache[epsilon] = sobolev_seminorm(self.smoother(epsilon), self.grid,
-                                                    reference=self.reference)
-        return self._cache[epsilon]
-
-    def select(self, bound):
-        """Largest lattice epsilon whose deviation meets the bound."""
-        tested = []
-        for epsilon in self.ladder():
-            value = self.deviation(epsilon)
-            tested.append((epsilon, value))
-            if value <= bound:
-                return EpsilonSelection(epsilon, value, bound, True, tuple(tested))
-        best = min(tested, key=lambda pair: pair[1])
-        return EpsilonSelection(best[0], best[1], bound, False, tuple(tested))
-
-
-def select_epsilon_for_k(selector, k, a_nu_value):
-    """Constructive rendering of the per-k bound a_nu / k."""
-    if k < 1:
-        raise MetricError("k must be at least 1")
-    return selector.select(a_nu_value / float(k))

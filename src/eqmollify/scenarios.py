@@ -226,7 +226,7 @@ def _domain_points(scenario, per_axis):
 def _check_isometry(scenario, tolerance=1e-8):
     probes = _domain_points(scenario, 13)
     residual = isometry_residual(scenario.metric, scenario.group, probes)
-    if residual > tolerance:
+    if not residual <= tolerance:  # a NaN residual fails too
         raise ScenarioError(
             "%s: group is not an isometry of the metric (residual %.3e)"
             % (scenario.name, residual)
@@ -255,7 +255,7 @@ def _check_current_bank(scenario, tolerance=1e-8):
     for index, current in enumerate(scenario.currents):
         forms = [f for f in scenario.forms if f.degree == current.degree]
         residual = invariance_residual(current, scenario.group, forms)
-        if residual > tolerance:
+        if not residual <= tolerance:
             raise ScenarioError(
                 "%s: current %d is not group invariant (residual %.3e)"
                 % (scenario.name, index, residual)

@@ -50,9 +50,12 @@ class TestExitCodes:
         path = config_file(tmp_path, {"scenario": "nope"})
         assert main(["invariance-check", "--config", path]) == 2
 
-    def test_unknown_key_is_two(self, tmp_path):
-        path = config_file(tmp_path, {"scenario": "euclid_z4", "wild": 1})
-        assert main(["invariance-check", "--config", path]) == 2
+    def test_unknown_key_is_two(self, tmp_path, capsys):
+        # level and max_halvings were fields once; they are unknown keys now
+        for key in ("wild", "level", "max_halvings"):
+            path = config_file(tmp_path, {"scenario": "euclid_z4", key: 1})
+            assert main(["invariance-check", "--config", path]) == 2
+            assert "unknown keys: %s" % key in capsys.readouterr().err
 
     def test_config_past_a_bound_is_two(self, tmp_path, capsys):
         path = config_file(tmp_path, {"scenario": "euclid_z4", "grid": 100000})
@@ -142,36 +145,19 @@ class TestFlags:
         assert code == 0
         assert capsys.readouterr().out == ""
 
-    def test_epsilon_steps_rebuilds_schedule(self, tmp_path):
-        path = config_file(tmp_path, {"scenario": "strip_two_charts",
-                                      "epsilons": [0.2], "delta": 1e9})
-        out = tmp_path / "out"
-        code = main(["smooth-metric", "--config", path, "--grid", "17",
-                     "--out", str(out), "--epsilon-steps", "3", "--quiet"])
-        assert code == 0
-        lines = (out / "results.csv").read_text().splitlines()
-        starts = [line.split(",")[0] for line in lines[1:]]
-        assert starts == ["0.20000000000000001", "0.10000000000000001",
-                          "0.050000000000000003"]
-
-    def test_epsilon_steps_must_be_positive(self, tmp_path, capsys):
-        path = config_file(tmp_path, {"scenario": "euclid_z4"})
-        code = main(["invariance-check", "--config", path,
-                     "--epsilon-steps", "0"])
-        assert code == 2
-        assert "at least 1" in capsys.readouterr().err
-
-    def test_epsilon_steps_are_bounded_before_the_schedule_is_built(self, tmp_path, capsys):
-        # a trillion halvings would need terabytes if the schedule were built
-        path = config_file(tmp_path, {"scenario": "euclid_z4"})
-        code = main(["invariance-check", "--config", path,
-                     "--epsilon-steps", "1000000000000"])
-        assert code == 2
-        assert "at most 40" in capsys.readouterr().err
+    def test_config_out_is_kept_without_the_flag(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = config_file(tmp_path, {"scenario": "euclid_z4", "epsilons": [0.1],
+                                      "out": "from-config"})
+        assert main(["invariance-check", "--config", path, "--quiet"]) == 0
+        assert (tmp_path / "from-config" / "summary.json").exists()
+        assert main(["invariance-check", "--config", path, "--quiet",
+                     "--out", "from-flag"]) == 0
+        assert (tmp_path / "from-flag" / "summary.json").exists()
 
     def test_seed_override_changes_rows(self, tmp_path, monkeypatch):
-        # the probe points are drawn from the seed; the residual rows they
-        # give can coincide at the rounding floor, so watch the draws
+        # the probe points are drawn from the config's seed; the residual
+        # rows they give can coincide at the rounding floor, so watch the draws
         drawn = []
         probe = experiments._probe_points
 
@@ -181,11 +167,12 @@ class TestFlags:
         monkeypatch.setattr(experiments, "_probe_points", recorded)
         payload = {"scenario": "euclid_z4", "epsilons": [0.1]}
         path = config_file(tmp_path, payload)
+        seeded = config_file(tmp_path, dict(payload, seed=7), name="seeded.json")
         base, other = tmp_path / "base", tmp_path / "other"
         assert main(["invariance-check", "--config", path, "--quiet",
                      "--out", str(base)]) == 0
-        assert main(["invariance-check", "--config", path, "--quiet",
-                     "--out", str(other), "--seed", "7"]) == 0
+        assert main(["invariance-check", "--config", seeded, "--quiet",
+                     "--out", str(other)]) == 0
         # different probe draws, same verdicts
         assert len(drawn) == 2 and not np.array_equal(drawn[0], drawn[1])
         verdicts = lambda d: [(c["name"], c["pass"]) for c in

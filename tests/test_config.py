@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -25,14 +26,12 @@ class TestDefaults:
     def test_scenario_only(self):
         config = ExperimentConfig(scenario="euclid_z4")
         assert config.epsilons == DEFAULT_EPSILONS
-        assert config.level is None
         assert config.grid == 65
         assert config.graph_grid == 25
         assert config.group_quadrature == 64
         assert config.pairs == 64
         assert config.delta is None
         assert config.k_values == (1, 2, 4)
-        assert config.max_halvings == 16
         assert config.out is None
         assert config.seed == 42
 
@@ -54,7 +53,7 @@ class TestValidation:
             ExperimentConfig(scenario="euclid_z4", epsilons=eps)
 
     @pytest.mark.parametrize("name", ["grid", "graph_grid", "group_quadrature",
-                                      "pairs", "max_halvings", "seed"])
+                                      "pairs", "seed"])
     def test_positive_int_fields(self, name):
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig(scenario="euclid_z4", **{name: 0})
@@ -62,7 +61,7 @@ class TestValidation:
             ExperimentConfig(scenario="euclid_z4", **{name: 2.5})
 
     @pytest.mark.parametrize("name", ["grid", "graph_grid", "group_quadrature",
-                                      "pairs", "max_halvings", "seed", "level"])
+                                      "pairs", "seed"])
     def test_bools_are_not_integers(self, name):
         # bool is an int subclass: JSON true must not run as 1
         with pytest.raises(ConfigError, match=name):
@@ -70,7 +69,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("name, upper", [("grid", 513), ("graph_grid", 129),
                                              ("group_quadrature", 512),
-                                             ("pairs", 256), ("max_halvings", 40)])
+                                             ("pairs", 256)])
     def test_upper_bounds(self, name, upper):
         assert getattr(ExperimentConfig(scenario="euclid_z4", **{name: upper}),
                        name) == upper
@@ -79,14 +78,6 @@ class TestValidation:
 
     def test_seed_has_no_upper_bound(self):
         assert ExperimentConfig(scenario="euclid_z4", seed=2**40).seed == 2**40
-
-    @pytest.mark.parametrize("level", [0, 4, 1.5])
-    def test_level_range(self, level):
-        with pytest.raises(ConfigError, match="level"):
-            ExperimentConfig(scenario="euclid_z4", level=level)
-
-    def test_level_none_allowed(self):
-        assert ExperimentConfig(scenario="euclid_z4", level=2).level == 2
 
     @pytest.mark.parametrize("delta", [0.0, -1.0])
     def test_delta_positive(self, delta):
@@ -111,15 +102,15 @@ class TestValidation:
 
 
 class TestOverride:
-    def test_none_values_ignored(self):
-        config = ExperimentConfig(scenario="euclid_z4")
-        assert config.override(seed=None, out=None) is config
-
     def test_replacement_revalidates(self):
+        # the CLI sets --out with dataclasses.replace, which runs
+        # __post_init__ again
         config = ExperimentConfig(scenario="euclid_z4")
-        assert config.override(seed=7).seed == 7
-        with pytest.raises(ConfigError):
-            config.override(epsilons=(0.1, 0.2))
+        assert replace(config, out="elsewhere").out == "elsewhere"
+        with pytest.raises(ConfigError, match="out"):
+            replace(config, out=7)
+        with pytest.raises(ConfigError, match="epsilons"):
+            replace(config, epsilons=(0.1, 0.2))
 
 
 class TestLoadConfig:

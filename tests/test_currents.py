@@ -490,6 +490,11 @@ class TestInvarianceResidual:
         probe = scalar_form(lambda x: np.exp(x[:, 0]))
         assert invariance_residual(current, trivial_group(2), [probe]) == 0.0
 
+    def test_nan_weight_gives_a_nan_residual(self):
+        current = DiracCurrent(np.array([[0.2, 0.0], [-0.2, 0.0]]), weights=[1.0, np.nan])
+        probe = scalar_form(lambda x: x[:, 0] ** 2)
+        assert np.isnan(invariance_residual(current, cyclic_rotation_group(2), [probe]))
+
 
 @settings(max_examples=25, deadline=None)
 @given(

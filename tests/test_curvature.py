@@ -101,7 +101,7 @@ E2 = np.tile(np.array([0.0, 1.0]), (len(PTS), 1))
 def christoffel(metric, points, step=FD_STEP):
     """Connection coefficients, indexed [point, upper, lower, lower], from
     the jet the field picks."""
-    return _christoffel_terms(*_metric_jet(metric, points, step)[:2])[0]
+    return _christoffel_terms(*_metric_jet(metric, points, step))[0]
 
 
 class TestChristoffel:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eqmollify import experiments
 from eqmollify.config import ConfigError, ExperimentConfig
 from eqmollify.experiments import (
     EXPERIMENT_KINDS,
@@ -162,6 +163,34 @@ class TestInvarianceKind:
         assert max(residuals) <= 1e-10
         assert report.passed
 
+    @pytest.mark.parametrize("nan_epsilon", [0.1, 0.05])
+    def test_nan_residuals_fail_in_any_row(self, monkeypatch, nan_epsilon):
+        # Python's max keeps a NaN only when it comes first; the worst row
+        # must be NaN whichever epsilon produced it
+        smoothed, sampled = experiments._smoothed_field, experiments.equivariant_sample
+        nan_field = MetricField(fn=lambda x: np.full((x.shape[0], 2, 2), np.nan),
+                                dimension=2)
+
+        def field(scenario, kernel, exact=False):
+            if kernel.epsilon == nan_epsilon:
+                return nan_field
+            return smoothed(scenario, kernel, exact)
+
+        def sample(current, kernel, cutoff, group):
+            out = sampled(current, kernel, cutoff, group)
+            if kernel.epsilon == nan_epsilon:
+                out = dataclasses.replace(out, weights=np.full_like(out.weights, np.nan))
+            return out
+
+        monkeypatch.setattr(experiments, "_smoothed_field", field)
+        monkeypatch.setattr(experiments, "equivariant_sample", sample)
+        config = ExperimentConfig(scenario="euclid_z4", epsilons=(0.1, 0.05))
+        report = run_experiment("invariance-check", config, write=False)
+        assert sum(np.isnan(row[2]) for row in report.rows) == 3
+        for check in report.checks:
+            assert np.isnan(check.value) and not check.passed
+        assert not report.passed
+
 
 class TestSmoothMetricKind:
     def test_selected_epsilon_is_first_crossing(self):
@@ -211,11 +240,10 @@ class TestTorusSweepField:
         64x Haar cost; the gap also collapses once the kernel support
         falls inside the shift plateau."""
         scenario = build_scenario("radial_c11")
-        config = ExperimentConfig(scenario="radial_c11")
         pts = _probe_points(scenario, count=10)
         gaps = []
         for eps in (0.05, 0.0125):
-            kernel = _kernel_for(eps, config, 2)
+            kernel = _kernel_for(eps, 2)
             chart_only = _smoothed_field(scenario, kernel)
             full = haar_average_metric(scenario.metric, scenario.atlas[0],
                                        kernel, scenario.group)
@@ -248,7 +276,7 @@ class TestChartStageGuard:
     @pytest.mark.parametrize("epsilon", [0.2, 0.05, 0.0125])
     def test_chart_stage_matches_group_average(self, name, epsilon):
         scenario = build_scenario(name)
-        kernel = _kernel_for(epsilon, ExperimentConfig(scenario=name), 2)
+        kernel = _kernel_for(epsilon, 2)
         assert _coset_count(scenario, kernel) == 1
         pts = _probe_points(scenario)
         # one coset: the group average is the chart stage itself
@@ -344,7 +372,7 @@ class TestChartStageGuard:
         for level in (1, 2, 3):
             kernel = MollifierKernel.create(2, 0.05, level=level)
             assert _coset_count(scenario, kernel) == len(scenario.group)
-        kernel = _kernel_for(0.05, ExperimentConfig(scenario=scenario.name), 2)
+        kernel = _kernel_for(0.05, 2)
         pts = _probe_points(scenario)
         assert np.array_equal(_smoothed_field(scenario, kernel).value(pts),
                               _full_average(scenario, kernel, pts))

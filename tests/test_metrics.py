@@ -8,6 +8,7 @@ there.  Exactness claims (locality, translation zone, strip overlap) are
 asserted bit for bit or to a few ulp, not to loose tolerances.
 """
 
+import json
 import math
 
 import numpy as np
@@ -15,15 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqmollify import ballmap, currents, metrics
+from eqmollify import ballmap, currents, experiments, metrics
 from eqmollify.ballmap import (BRIDGE_HI, BRIDGE_LO, R_IDENTITY, _compress_with_jacobian,
                                _expand_with_jacobian, _radial_jacobians)
+from eqmollify.cli import main
+from eqmollify.config import ExperimentConfig
 from eqmollify.experiments import _smoothed_field
 from eqmollify.kernel import MollifierKernel
 from eqmollify.maps import AffineChart, ChartCutoff, GroupAction, cyclic_rotation_group, torus_group, trivial_group
 from eqmollify.metrics import (
     BoxGrid,
-    EpsilonSelector,
     MetricError,
     MetricField,
     a_nu,
@@ -34,7 +36,6 @@ from eqmollify.metrics import (
     haar_average_metric,
     isometry_residual,
     mollify_metric,
-    select_epsilon_for_k,
     sobolev_seminorm,
 )
 from eqmollify.scenarios import build_scenario
@@ -320,6 +321,12 @@ class TestHaarAverage:
         averaged = haar_average_metric(sphere_metric(), cutoff, kernel, group)
         assert isometry_residual(averaged, group, probe) <= 1e-10
 
+    def test_nan_field_gives_a_nan_residual(self):
+        nan_field = MetricField(fn=lambda x: np.full((x.shape[0], 2, 2), np.nan),
+                                dimension=2)
+        probe = np.array([[0.3, 0.1], [0.5, -0.2]])
+        assert np.isnan(isometry_residual(nan_field, cyclic_rotation_group(4), probe))
+
     def test_torus_quadrature_sizes_agree(self):
         cutoff = unit_chart_cutoff()
         kernel = MollifierKernel.create(2, 0.1, level=2)
@@ -401,43 +408,51 @@ class TestEllipticityConstant:
 
 
 class TestEpsilonSelection:
+    """The select-epsilon kind walks 0.2 * 0.5**j, j = 0..16, against
+    a_nu / k; a_nu of the flat euclid_z4 metric is 1.  The smoothed field
+    is stubbed, so each rung costs one seminorm on a 5x5 grid."""
+
     @staticmethod
-    def _selector(calls=None, max_halvings=6):
-        def smoother(epsilon):
-            if calls is not None:
-                calls.append(epsilon)
-            return constant_metric((1.0 + 5.0 * epsilon) * np.eye(2))
-
-        grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (5, 5))
-        return EpsilonSelector(smoother, constant_metric(np.eye(2)), grid,
-                               start=0.2, max_halvings=max_halvings)
-
-    def test_selects_largest_passing_epsilon(self):
-        sel = self._selector()
-        result = select_epsilon_for_k(sel, 1, 1.0)
-        assert result.satisfied and result.epsilon == 0.2
-        assert abs(result.achieved - 1.0) < 1e-12
-
-    def test_tighter_bound_descends_the_ladder(self):
+    def _run(monkeypatch, k_values, deviation):
         calls = []
-        sel = self._selector(calls)
-        first = select_epsilon_for_k(sel, 1, 1.0)
-        fourth = select_epsilon_for_k(sel, 4, 1.0)
-        assert fourth.epsilon <= first.epsilon
-        assert fourth.epsilon == 0.05
-        # the cache means only the new ladder stages were evaluated
+
+        def smoothed(scenario, kernel, exact=False):
+            calls.append(kernel.epsilon)
+            return constant_metric((1.0 + deviation(kernel.epsilon)) * np.eye(2))
+
+        monkeypatch.setattr(experiments, "_smoothed_field", smoothed)
+        config = ExperimentConfig(scenario="euclid_z4", epsilons=(0.2,),
+                                  k_values=k_values, grid=5)
+        report = experiments.run_experiment("select-epsilon", config, write=False)
+        return report, calls
+
+    def test_selects_largest_passing_epsilon(self, monkeypatch):
+        report, _ = self._run(monkeypatch, (1,), lambda eps: 5.0 * eps)
+        assert report.rows == [(1, 0.2, 1.0, 1.0)]
+        assert report.passed
+
+    def test_tighter_bound_descends_the_ladder(self, monkeypatch):
+        report, calls = self._run(monkeypatch, (1, 2, 4), lambda eps: 5.0 * eps)
+        assert [row[1] for row in report.rows] == [0.2, 0.1, 0.05]
+        assert report.passed
+        # every rung is measured once, however many k reach it
         assert calls == [0.2, 0.1, 0.05]
 
-    def test_unattainable_bound_reports_diagnostics(self):
-        sel = self._selector(max_halvings=3)
-        result = sel.select(1e-9)
-        assert not result.satisfied
-        assert len(result.tested) == 4
-        assert result.achieved == min(v for _, v in result.tested)
+    def test_unattainable_bound_reports_diagnostics(self, monkeypatch):
+        # deviation 0.5 at best (epsilon 0.05) against the bound 1/4
+        report, calls = self._run(monkeypatch, (4,), lambda eps: 0.5 + abs(eps - 0.05))
+        assert calls == [0.2 * 0.5**j for j in range(17)]
+        assert report.rows == [(4, 0.05, 0.5, 0.25)]
+        checks = {check.name: check for check in report.checks}
+        assert not checks["bound_met_k4"].passed
+        assert checks["bound_met_k4"].value == 0.5
+        assert not report.passed
 
-    def test_invalid_k_rejected(self):
-        with pytest.raises(MetricError, match="at least 1"):
-            select_epsilon_for_k(self._selector(), 0, 1.0)
+    def test_invalid_k_rejected(self, tmp_path):
+        # the bound a_nu / k needs k >= 1; the config holds that line
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "euclid_z4", "k_values": [0]}))
+        assert main(["select-epsilon", "--config", str(path)]) == 2
 
 
 class TestLevelSchedule:

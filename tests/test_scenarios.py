@@ -11,7 +11,7 @@ import pytest
 
 from eqmollify.currents import DiracCurrent
 from eqmollify.maps import cyclic_rotation_group
-from eqmollify.metrics import constant_metric
+from eqmollify.metrics import MetricField, constant_metric
 from eqmollify.scenarios import (
     KINK_RADIUS,
     KINK_T,
@@ -101,6 +101,22 @@ class TestLoadChecks:
         bad = self._scenario_with(metric=constant_metric(np.diag([1.0, 2.0])))
         with pytest.raises(ScenarioError, match="not an isometry"):
             _check_isometry(bad)
+
+    def test_isometry_check_rejects_nan_metric(self):
+        nan_metric = MetricField(fn=lambda x: np.full((x.shape[0], 2, 2), np.nan),
+                                 dimension=2)
+        with pytest.raises(ScenarioError, match="not an isometry"):
+            _check_isometry(self._scenario_with(metric=nan_metric))
+
+    def test_current_bank_check_rejects_nan_weight(self):
+        # a Z4 orbit with one NaN weight
+        orbit = np.array([[0.3, 0.0], [0.0, 0.3], [-0.3, 0.0], [0.0, -0.3]])
+        bad = self._scenario_with(
+            currents=(DiracCurrent(orbit, weights=[1.0, 1.0, np.nan, 1.0]),),
+            forms=standard_form_bank(),
+        )
+        with pytest.raises(ScenarioError, match="not group invariant"):
+            _check_current_bank(bad)
 
     def test_current_bank_check_rejects_broken_current(self):
         # a single off-orbit atom cannot be Z4-invariant
