@@ -3,17 +3,19 @@
 Usage:
     python scripts/run_all.py [NAME ...] [--quiet]
 
-With no arguments all samples run in the order below (about 14.4 s in
-all with EQMOLLIFY_THREADS=1 on a 2-CPU AMD EPYC host with numpy 2.4.6 and
+With no arguments all samples run in the order below (about 11 s in all
+with EQMOLLIFY_THREADS=1 on a 2-CPU AMD EPYC host with numpy 2.4.6 and
 Python 3.11, the seminorm sweep on the sphere being the longest single run
-at about 5 s).  Passing sample
-names (with or without .json) restricts the run.  Reports land in runs/<sample name>/; the exit code is the worst
-CLI exit code seen, so a clean sweep returns 0.
+at about 4 s).  Passing sample names (with or without .json) restricts the
+run.  Reports land in runs/<sample name>/; the exit code is the worst CLI
+exit code seen, so a clean sweep returns 0.  Each sample's wall time is
+printed beside its exit code, and a last line gives the total.
 """
 
 import argparse
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -49,6 +51,7 @@ def main(argv=None):
         parser.error("unknown samples: %s" % ", ".join(sorted(unknown)))
 
     worst = 0
+    total = 0.0
     for stem, kind in SAMPLES:
         if wanted and stem not in wanted:
             continue
@@ -58,9 +61,13 @@ def main(argv=None):
         cli_args = [kind, "--config", config, "--out", out]
         if args.quiet:
             cli_args.append("--quiet")
+        start = time.perf_counter()
         code = cli_main(cli_args)
-        print("   exit %d" % code)
+        elapsed = time.perf_counter() - start
+        total += elapsed
+        print("   exit %d in %.2f s" % (code, elapsed))
         worst = max(worst, code)
+    print("== total %.2f s, worst exit %d" % (total, worst))
     return worst
 
 

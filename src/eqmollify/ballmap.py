@@ -25,6 +25,10 @@ the factors (t, e, u); the shift product forms its chain Jacobians per
 component from them, never as n x n stacks.  The bridge inverse takes
 each Newton value and slope from one set of exponentials, carries only
 unconverged rows, and hands its last slope to the compression Jacobian.
+The scan grids and kernel node rings are closed under sign flips and axis
+swaps, so most translated radii repeat bit for bit; ``radial_profile_inverse``
+inverts each distinct bridge radius once and gathers the result back, which
+moves no bit because a row's Newton path depends on its own radius alone.
 """
 
 import math
@@ -205,7 +209,8 @@ def radial_profile_inverse(s, derivative=False):
     slope g' at the inverse.
 
     Exact passthrough for s <= BRIDGE_LO, closed form on the exp branch, and
-    a bracketed Newton iteration with bisection safeguard on the bridge.
+    a bracketed Newton iteration with bisection safeguard on the bridge, run
+    once per distinct bridge value.
     Residuals satisfy |g(r) - s| <= _INVERSE_TOLERANCE * max(1, s).  The
     slope is Newton's last one where the inverse lies strictly inside the
     window, else ``radial_profile_derivative``'s; the two agree bit for bit.
@@ -227,7 +232,12 @@ def radial_profile_inverse(s, derivative=False):
     out[high] = 1.0 - 1.0 / np.sqrt(np.log(s[high]))
     slope = np.empty(s.shape)
     if np.any(mid):
-        out[mid], slope[mid] = _invert_bridge(s[mid])
+        # a row's Newton path depends on its s alone, so each distinct s is
+        # inverted once and its root and slope gathered back to every row
+        values, index = np.unique(s[mid], return_inverse=True)
+        roots, slopes = _invert_bridge(values)
+        out[mid] = roots[index]
+        slope[mid] = slopes[index]
     if not derivative:
         return float(out[0]) if scalar else out
     rest = ~mid | (out <= BRIDGE_LO) | (out >= BRIDGE_HI)
@@ -274,7 +284,12 @@ def _invert_bridge(s):
 
 
 def _norms(x):
-    return np.linalg.norm(x, axis=-1)
+    """Norms over the last axis: the squares summed in component order, as
+    ``np.linalg.norm`` sums them, bit for bit but without its strided reduce."""
+    total = x[..., 0] * x[..., 0]
+    for i in range(1, x.shape[-1]):
+        total += x[..., i] * x[..., i]
+    return np.sqrt(total)
 
 
 def _radial_map(x, inverse, jacobian):

@@ -129,14 +129,11 @@ def _smoothed_field(scenario, kernel, exact=False):
 
 def _series_step_ratio(values, floor=1e-13):
     """Worst consecutive ratio of a decay series; plateaus at the floor
-    count as flat rather than dividing by zero."""
-    worst = 0.0
-    for a, b in zip(values, values[1:]):
-        if a <= floor and b <= floor:
-            worst = max(worst, 1.0)
-        else:
-            worst = max(worst, b / max(a, floor))
-    return worst
+    count as flat rather than dividing by zero.  A NaN stage anywhere makes
+    the ratio NaN, so no check built on it can pass."""
+    ratios = [1.0 if a <= floor and b <= floor else b / np.maximum(a, floor)
+              for a, b in zip(values, values[1:])]
+    return float(np.max([0.0] + ratios))
 
 
 def _fmt(value):
@@ -204,11 +201,12 @@ def _run_mollify_current(scenario, config):
             tolerance = delta * max(1.0, abs(references[(ci, fi)]))
             ratios.append(_series_step_ratio(series))
             finals.append(series[-1] / tolerance)
+        worst_ratio, worst_final = np.max(ratios), np.max(finals)
         checks.append(CheckResult("%s_series_decreasing" % route,
-                                  max(ratios), 1.0 + 1e-9,
-                                  max(ratios) <= 1.0 + 1e-9))
+                                  worst_ratio, 1.0 + 1e-9,
+                                  worst_ratio <= 1.0 + 1e-9))
         checks.append(CheckResult("%s_final_error" % route,
-                                  max(finals), 1.0, max(finals) <= 1.0))
+                                  worst_final, 1.0, worst_final <= 1.0))
     header = ("epsilon", "current", "form", "route", "observed", "reference",
               "error", "tolerance")
     return header, rows, checks
@@ -227,7 +225,7 @@ def _run_smooth_metric(scenario, config):
     rows = _sweep(stage, config.epsilons)
     series = [row[2] for row in rows]
     ratio = _series_step_ratio(series)
-    best = min(series)
+    best = np.min(series)  # np.min, not min: a NaN stage must reach the check
     selected = next((eps for eps, _, dev, _ in rows if dev < delta), float("nan"))
     checks = [
         CheckResult("deviation_decreasing", ratio, 1.05, ratio <= 1.05),
@@ -261,17 +259,19 @@ def _run_curvature_report(scenario, config):
 
     for stage_rows in _sweep(stage, config.epsilons):
         rows.extend(stage_rows)
-    raw_gap = max(abs(raw.lower - declared[0]), abs(raw.upper - declared[1]))
+    # np.max and np.argmin, not max and min: a NaN bound must reach the
+    # checks whatever its row
+    raw_gap = np.max([abs(raw.lower - declared[0]), abs(raw.upper - declared[1])])
     gaps = {}
     for epsilon, quantity, value, reference, _ in rows[2:]:
-        gaps[epsilon] = max(gaps.get(epsilon, 0.0), abs(value - reference))
-    best_eps = min(gaps, key=gaps.get)
+        gaps.setdefault(epsilon, []).append(abs(value - reference))
+    worst = [np.max(stage_gaps) for stage_gaps in gaps.values()]
+    best = int(np.argmin(worst))
+    best_eps, best_gap = list(gaps)[best], worst[best]
     checks = [
         CheckResult("raw_bounds_gap", raw_gap, delta, raw_gap <= delta),
-        CheckResult("smoothed_bounds_gap", gaps[best_eps], delta,
-                    gaps[best_eps] <= delta),
-        CheckResult("smoothed_best_epsilon", best_eps, delta,
-                    gaps[best_eps] <= delta),
+        CheckResult("smoothed_bounds_gap", best_gap, delta, best_gap <= delta),
+        CheckResult("smoothed_best_epsilon", best_eps, delta, best_gap <= delta),
     ]
     header = ("epsilon", "quantity", "value", "reference", "tolerance")
     return header, rows, checks

@@ -249,8 +249,12 @@ def chart_smooth_metric(metric, cutoff, kernel):
         # by the scalar Jacobian radius; only positive semidefinite where the
         # bump decays, on purpose
         weight = cutoff.profile(np.linalg.norm(u, axis=1))
-        vals = metric.value(chart.apply_inverse(u))
-        return weight[:, None, None] * ((vals * chart.radius) * chart.radius)
+        # the same products in the same order, on one fresh array: the first
+        # product copies, so the input's own values are never written
+        vals = metric.value(chart.apply_inverse(u)) * chart.radius
+        vals *= chart.radius
+        vals *= weight[:, None, None]
+        return vals
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

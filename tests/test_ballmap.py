@@ -441,6 +441,58 @@ def test_newton_budget_exhausted_raises(monkeypatch):
     monkeypatch.setattr(bm, "_INVERSE_ITERATIONS", 2)
     with pytest.raises(bm.ConvergenceError, match="did not converge"):
         bm.radial_profile_inverse(np.geomspace(0.5, 500.0, 20))
+    # repeated values reach Newton deduplicated and must still raise
+    monkeypatch.setattr(bm, "_INVERSE_ITERATIONS", 1)
+    for derivative in (False, True):
+        with pytest.raises(bm.ConvergenceError, match="did not converge"):
+            bm.radial_profile_inverse(np.repeat(np.geomspace(0.5, 500.0, 20), 3),
+                                      derivative=derivative)
+
+
+# bridge values strictly inside the bridge branch of the inverse
+bridge_values = st.floats(bm.BRIDGE_LO * 1.0001, bm._OUTER_AT_HI * 0.9999)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(bridge_values, st.integers(1, 4)), min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_repeated_values_invert_as_the_undeduplicated_newton(values, seed):
+    # each distinct value is inverted once and gathered back to every row; the
+    # result must be bit for bit Newton run on every row as given
+    s = np.random.default_rng(seed).permutation(
+        np.repeat([v for v, _ in values], [k for _, k in values]))
+    rho, slope = bm.radial_profile_inverse(s, derivative=True)
+    direct_rho, direct_slope = bm._invert_bridge(s)
+    assert np.array_equal(rho, direct_rho)
+    assert np.array_equal(slope, direct_slope)
+
+
+def test_each_distinct_bridge_value_is_inverted_once(monkeypatch):
+    seen = []
+    invert = bm._invert_bridge
+
+    def spy(s):
+        seen.append(s.copy())
+        return invert(s)
+
+    monkeypatch.setattr(bm, "_invert_bridge", spy)
+    bridge = np.geomspace(0.5, 500.0, 7)
+    s = np.random.default_rng(5).permutation(
+        np.concatenate([np.repeat(bridge, 3), [0.2, 0.2, 1e6, 1e6]]))
+    rho = bm.radial_profile_inverse(s)
+    assert len(seen) == 1
+    assert np.array_equal(np.sort(seen[0]), bridge)
+    assert np.array_equal(rho, [bm.radial_profile_inverse(v) for v in s])
+
+
+def test_norms_sum_the_squares_in_component_order():
+    # bit for bit np.linalg.norm over the last axis, whose regrouping as
+    # x0² + (x1² + x2²) would move the last bit of many rows
+    rng = np.random.default_rng(11)
+    for n in (2, 3):
+        x = rng.standard_normal((20000, n))
+        for view in (x, np.asfortranarray(x), x[::3], x[:, ::-1]):
+            assert np.array_equal(bm._norms(view), np.linalg.norm(view, axis=-1))
 
 
 def test_inverse_rejects_values_past_the_profile_range():

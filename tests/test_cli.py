@@ -5,7 +5,10 @@ kind/scenario combinations; subprocess round trips stay out of the unit
 suite.
 """
 
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,3 +181,31 @@ class TestFlags:
         verdicts = lambda d: [(c["name"], c["pass"]) for c in
                               json.loads((d / "summary.json").read_text())["checks"]]
         assert verdicts(base) == verdicts(other)
+
+
+def _run_all_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all.py"
+    spec = importlib.util.spec_from_file_location("run_all", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunAll:
+    def test_prints_each_wall_time_and_a_total(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert _run_all_script().main(["euclid-invariance", "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^   exit 0 in \d+\.\d\d s$", out, re.M)
+        assert re.search(r"^== total \d+\.\d\d s, worst exit 0$", out, re.M)
+        assert (tmp_path / "runs" / "euclid-invariance" / "summary.json").is_file()
+
+    def test_returns_the_worst_exit_code(self, monkeypatch, capsys):
+        script = _run_all_script()
+        codes = {"euclid-invariance": 1, "orbit-mollify": 0}
+        monkeypatch.setattr(script, "cli_main",
+                            lambda args: codes[Path(args[2]).stem])
+        assert script.main(["euclid-invariance", "orbit-mollify"]) == 1
+        out = capsys.readouterr().out
+        assert len(re.findall(r"^   exit [01] in \d+\.\d\d s$", out, re.M)) == 2
+        assert re.search(r"^== total \d+\.\d\d s, worst exit 1$", out, re.M)

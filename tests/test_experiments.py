@@ -110,6 +110,98 @@ class TestSeriesStepRatio:
         assert _series_step_ratio([]) == 0.0
         assert _series_step_ratio([2.0]) == 0.0
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_stage_makes_the_ratio_nan(self, position):
+        series = [1.0, 0.5, 0.25]
+        series[position] = float("nan")
+        assert np.isnan(_series_step_ratio(series))
+        assert np.isnan(_series_step_ratio([1e-14, float("nan")]))
+
+
+# three stages that decay well below every delta; a NaN put in any one of
+# them must fail the series checks
+EPSILONS = (0.2, 0.1, 0.05)
+NAN_POSITIONS = pytest.mark.parametrize("position", [0, 1, 2])
+
+
+def _stage_values(position):
+    return {eps: float("nan") if k == position else 1e-3 * eps
+            for k, eps in enumerate(EPSILONS)}
+
+
+class TestNanStages:
+    @NAN_POSITIONS
+    def test_smooth_metric(self, monkeypatch, position):
+        values = _stage_values(position)
+        monkeypatch.setattr(experiments, "mollify_metric", lambda metric, kernel: kernel)
+        monkeypatch.setattr(experiments, "sobolev_seminorm",
+                            lambda kernel, grid, reference: values[kernel.epsilon])
+        config = ExperimentConfig(scenario="euclid_z4", epsilons=EPSILONS, grid=5,
+                                  delta=0.01)
+        checks = {c.name: c for c in run_experiment("smooth-metric", config,
+                                                    write=False).checks}
+        for name in ("deviation_decreasing", "below_delta"):
+            assert np.isnan(checks[name].value) and not checks[name].passed
+
+    @NAN_POSITIONS
+    def test_lipschitz_sweep(self, monkeypatch, position):
+        values = _stage_values(position)
+        monkeypatch.setattr(experiments, "_smoothed_field",
+                            lambda scenario, kernel: kernel.epsilon)
+        monkeypatch.setattr(
+            experiments, "dilation_estimate",
+            lambda metric, epsilon, pairs, grid, mask_radius:
+                dataclasses.make_dataclass("Report", ["max_deviation"])(values[epsilon]))
+        config = ExperimentConfig(scenario="euclid_z4", epsilons=EPSILONS,
+                                  graph_grid=5, pairs=2)
+        check = run_experiment("lipschitz-sweep", config, write=False).checks[0]
+        assert check.name == "deviation_decreasing"
+        assert np.isnan(check.value) and not check.passed
+
+    @NAN_POSITIONS
+    def test_curvature_report(self, monkeypatch, position):
+        values = _stage_values(position)
+        declared = build_scenario("round_sphere_chart").curvature_bounds
+        bounds = dataclasses.make_dataclass("Bounds", ["lower", "upper"])
+
+        def scan(field, grid, **kw):
+            # the input metric scans exactly; a stage's field is its epsilon
+            gap = values[field] if isinstance(field, float) else 0.0
+            return bounds(declared[0] - gap, declared[1])
+
+        monkeypatch.setattr(experiments, "_smoothed_field",
+                            lambda scenario, kernel: kernel.epsilon)
+        monkeypatch.setattr(experiments, "curvature_bounds", scan)
+        config = ExperimentConfig(scenario="round_sphere_chart", epsilons=EPSILONS,
+                                  grid=5)
+        checks = {c.name: c for c in run_experiment("curvature-report", config,
+                                                    write=False).checks}
+        assert checks["raw_bounds_gap"].passed
+        assert np.isnan(checks["smoothed_bounds_gap"].value)
+        assert checks["smoothed_best_epsilon"].value == EPSILONS[position]
+        assert not checks["smoothed_bounds_gap"].passed
+        assert not checks["smoothed_best_epsilon"].passed
+
+    def test_mollify_current(self, monkeypatch):
+        # a NaN pairing in the last form of each current at the middle stage;
+        # the first pair stays finite, so Python's max would drop the NaN
+        def sample(current, kernel, ball_shifts):
+            def pair_many(forms):
+                out = np.full(len(forms), 1e-3 * kernel.epsilon)
+                if kernel.epsilon == EPSILONS[1]:
+                    out[-1] = np.nan
+                return out
+            return dataclasses.make_dataclass("Sample", ["pair_many"])(pair_many)
+
+        monkeypatch.setattr(experiments, "evaluate", lambda current, form: 0.0)
+        monkeypatch.setattr(experiments, "mollified_sample", sample)
+        config = ExperimentConfig(scenario="euclid_z4", epsilons=EPSILONS)
+        checks = run_experiment("mollify-current", config, write=False).checks
+        series = [c for c in checks if c.name.endswith("_series_decreasing")]
+        assert len(series) == 2
+        for check in series:
+            assert np.isnan(check.value) and not check.passed
+
 
 class TestFormatting:
     def test_float_17_digits(self):

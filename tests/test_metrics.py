@@ -303,6 +303,22 @@ class TestChartSmoothing:
         assert np.abs(val[0, 0] - 1.0) < 1e-2
         assert np.min(np.linalg.eigvalsh(val)) > 0.5
 
+    def test_input_values_are_never_written(self):
+        # a field may hand out views of one cached array; the chart stage
+        # scales its own copy, so the cache keeps its bits and the result
+        # equals that of a field that copies
+        m = np.array([[2.0, 0.3], [0.3, 1.1]])
+        cache = np.tile(m, (1 << 14, 1, 1))
+        before = cache.copy()
+        cached = MetricField(fn=lambda x: cache[:x.shape[0]], dimension=2)
+        fresh = MetricField(fn=lambda x: before[:x.shape[0]].copy(), dimension=2)
+        cutoff = ChartCutoff(AffineChart([0.1, 0.0], 0.7))
+        kernel = MollifierKernel.create(2, 0.1, level=2)
+        pts = np.array([[0.1, 0.0], [0.35, -0.2], [0.5, 0.3], [1.2, 0.0]])
+        value = chart_smooth_metric(cached, cutoff, kernel).value(pts)
+        assert np.array_equal(cache, before)
+        assert np.array_equal(value, chart_smooth_metric(fresh, cutoff, kernel).value(pts))
+
 
 class TestHaarAverage:
     def test_finite_group_invariance_residual(self):
