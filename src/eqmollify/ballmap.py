@@ -29,6 +29,8 @@ The scan grids and kernel node rings are closed under sign flips and axis
 swaps, so most translated radii repeat bit for bit; ``radial_profile_inverse``
 inverts each distinct bridge radius once and gathers the result back, which
 moves no bit because a row's Newton path depends on its own radius alone.
+The maps take rows in any memory layout and return them component-major,
+in Fortran order: each coordinate is one contiguous row over the points.
 """
 
 import math
@@ -283,13 +285,18 @@ def _invert_bridge(s):
     return out, out_slope
 
 
-def _norms(x):
-    """Norms over the last axis: the squares summed in component order, as
-    ``np.linalg.norm`` sums them, bit for bit but without its strided reduce."""
+def _squared_norms(x):
+    """Squared norms over the last axis, summed in component order: bit for
+    bit ``np.sum(x**2, axis=-1)`` in any memory layout."""
     total = x[..., 0] * x[..., 0]
     for i in range(1, x.shape[-1]):
         total += x[..., i] * x[..., i]
-    return np.sqrt(total)
+    return total
+
+
+def _norms(x):
+    """Norms over the last axis, bit for bit those of ``np.linalg.norm``."""
+    return np.sqrt(_squared_norms(x))
 
 
 def _radial_map(x, inverse, jacobian):
@@ -302,7 +309,8 @@ def _radial_map(x, inverse, jacobian):
     passthrough for both maps, with t = 1, e = 0 and u = 0 exactly; the
     profile itself rejects expansion from R_OVERFLOW outward, and rows
     whose norm is not finite are rejected here rather than sent to the
-    origin or into the bridge inversion."""
+    origin or into the bridge inversion.  Rows in any layout give ``out``
+    as an array of its own in Fortran order, one row per component."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     with np.errstate(over="ignore"):
         r = _norms(pts)
@@ -315,7 +323,7 @@ def _radial_map(x, inverse, jacobian):
     move = r > BRIDGE_LO
     # allocated ahead of the inversion's temporaries, which keeps the heap
     # from fragmenting around it
-    out = np.empty(pts.shape)
+    out = np.empty(pts.shape, order="F")
     ratio = np.ones(r.shape)
     slope = np.ones(r.shape) if jacobian else None
     if np.any(move):
@@ -331,7 +339,7 @@ def _radial_map(x, inverse, jacobian):
                 slope[move] = radial_profile_derivative(r_m)
         ratio[move] = rho / r_m
         del r_m, rho
-    np.multiply(pts, ratio[:, None], out=out)
+    np.multiply(pts.T, ratio, out=out.T)
     if not jacobian:
         return out
     unit = np.zeros(pts.shape[::-1])
@@ -435,10 +443,13 @@ def _shift_blocks(points, shifts):
     """Every shift in ``shifts`` (M, n) applied to every row of ``points``
     (N, n), which must lie inside R_IDENTITY.  Yields node-major blocks
     (point slice, shift slice, moved (b, m, n), chain (n, n, b, m)) of at
-    most _MAX_ROWS rows, the chain Jacobians component-major; each point
-    block is expanded once and only the compression runs per shift block.
-    Points are split first, then shifts, and no output bit depends on the
-    blocking.
+    most _MAX_ROWS rows, ``moved`` and the chain Jacobians component-major
+    in memory; each point block is expanded once and only the compression,
+    fed (n, b m) component rows, runs per shift block.  Points are split
+    first, then shifts.  A row's moved point and chain do not depend on the
+    blocking, but a caller adding one partial sum per shift block groups
+    its node sum by the block size: only one block and blocks of one shift
+    give the same bits.
 
     The chain is formed per component, chain[i, c] = sum_a Jc[i, a] Je[a, c]
     with Jc[i, a] = e u_i u_a + [a = i] t rounded first, as the dense
@@ -457,7 +468,7 @@ def _shift_blocks(points, shifts):
         for j0 in range(0, shifts.shape[0], block):
             nodes = slice(j0, min(j0 + block, shifts.shape[0]))
             moved, (t, e, u) = _compress_with_jacobian(
-                (expanded[None, :, :] + shifts[nodes, None, :]).reshape(-1, n))
+                (expanded.T[:, None, :] + shifts[nodes].T[:, :, None]).reshape(n, -1).T)
             b = moved.shape[0] // m
             t, e, u = t.reshape(b, m), e.reshape(b, m), u.reshape(n, b, m)
             chain = np.empty((n, n, b, m))

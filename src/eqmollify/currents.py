@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ballmap import R_IDENTITY, _shift_blocks
+from .ballmap import R_IDENTITY, _norms, _shift_blocks
 from .maps import GroupAction, smooth_step
 
 __all__ = [
@@ -96,7 +96,7 @@ class TestForm:
                 raise CurrentError("multi-index %r leaves dimension %d" % (index, self.dimension))
 
     def cutoff(self, points):
-        radii = np.linalg.norm(np.atleast_2d(points) - self.center, axis=1)
+        radii = _norms(np.atleast_2d(points) - self.center)
         return smooth_step((self.support_radius - radii) / (self.support_radius - self.flat_radius))
 
     def evaluate(self, points, frames=None):
@@ -341,7 +341,7 @@ def _shift_product(sample, kernel):
     bit.  A sample with no row inside R_IDENTITY is returned as it is: the
     shifts fix all of it, and one copy pairs exactly like the convex
     combination of |nodes| equal ones."""
-    inner = np.flatnonzero(np.linalg.norm(sample.points, axis=1) < R_IDENTITY)
+    inner = np.flatnonzero(_norms(sample.points) < R_IDENTITY)
     if inner.size == 0:
         return sample
     nodes, node_w = kernel.convex_weights()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ballmap import smooth_step
+from .ballmap import _norms, smooth_step
 
 __all__ = [
     "GroupError",
@@ -64,7 +64,7 @@ class AffineChart:
     def chart_radius(self, x):
         """Norm of the chart image; < 1 inside the chart domain."""
         u = self.apply(np.atleast_2d(np.asarray(x, dtype=float)))
-        return np.linalg.norm(u, axis=1)
+        return _norms(u)
 
 
 @dataclass(frozen=True)

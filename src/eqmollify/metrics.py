@@ -12,14 +12,15 @@ and takes each congruence per component, with no BLAS call; points at
 radius R_IDENTITY or beyond skip it and reproduce the input bit for bit.
 Multi-chart stages are therefore composed exactly and never cached on a
 grid: interpolation would break that locality and the finite-difference
-curvature taken on top.
+curvature taken on top.  The quadrature reads its moved points and the
+built-in fields' values in Fortran order, one contiguous row per entry.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ballmap import R_IDENTITY, _shift_blocks
+from .ballmap import R_IDENTITY, _norms, _shift_blocks, _squared_norms
 from .maps import GroupAction
 
 __all__ = [
@@ -95,11 +96,13 @@ class BoxGrid:
 class MetricField:
     """SPD matrix field with optional analytic derivatives.
 
-    ``fn`` maps point batches (N, n) to matrices (N, n, n).  Analytic first
-    and second derivatives, when supplied, have shapes (N, n, n, n) for
-    d_a g_ij and (N, n, n, n, n) for d_a d_b g_ij.  A field carrying both
-    gets analytic curvature jets; any other field, a smoothed one among
-    them, gets central differences.
+    ``fn`` maps point batches (N, n) to matrices (N, n, n) in any memory
+    layout; the quadrature passes points in Fortran order, and the built-in
+    fields return values in Fortran order, each entry one contiguous row,
+    which it reads fastest.  Analytic first and second derivatives, when
+    supplied, have shapes (N, n, n, n) for d_a g_ij and (N, n, n, n, n) for
+    d_a d_b g_ij.  A field carrying both gets analytic curvature jets; any
+    other field, a smoothed one among them, gets central differences.
     """
 
     fn: object
@@ -118,7 +121,7 @@ def constant_metric(matrix):
     zeros1 = lambda pts: np.zeros((pts.shape[0], n, n, n))
     zeros2 = lambda pts: np.zeros((pts.shape[0], n, n, n, n))
     return MetricField(
-        fn=lambda pts: np.broadcast_to(matrix, (pts.shape[0], n, n)).copy(),
+        fn=lambda pts: np.broadcast_to(matrix, (pts.shape[0], n, n)).copy(order="F"),
         dimension=n,
         first_derivative=zeros1,
         second_derivative=zeros2,
@@ -135,7 +138,8 @@ def conformal_metric(factor, grad=None, hessian=None, dimension=2):
     eye = np.eye(n)
 
     def fn(pts):
-        return np.asarray(factor(pts), dtype=float)[:, None, None] * eye
+        c = np.asarray(factor(pts), dtype=float)
+        return np.multiply(c[:, None, None], eye, out=np.empty((c.shape[0], n, n), order="F"))
 
     first = None
     second = None
@@ -159,14 +163,14 @@ def radial_conformal_metric(profile, dprofile=None, d2profile=None, dimension=2)
     Profile derivatives, when given, turn into analytic metric derivatives
     via the chain rule grad c = 2 p'(t) x, hess c = 4 p'' x xT + 2 p' I.
     """
-    factor = lambda pts: profile(np.sum(pts**2, axis=-1))
+    factor = lambda pts: profile(_squared_norms(pts))
     grad = None
     hessian = None
     if dprofile is not None:
-        grad = lambda pts: 2.0 * dprofile(np.sum(pts**2, axis=-1))[:, None] * pts
+        grad = lambda pts: 2.0 * dprofile(_squared_norms(pts))[:, None] * pts
     if d2profile is not None:
         def hessian(pts):
-            t = np.sum(pts**2, axis=-1)
+            t = _squared_norms(pts)
             outer = pts[:, :, None] * pts[:, None, :]
             return (4.0 * d2profile(t))[:, None, None] * outer + (
                 2.0 * dprofile(t)
@@ -186,7 +190,7 @@ def _mollify_values(metric_fn, kernel, points):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     count, n = points.shape
-    inner = np.linalg.norm(points, axis=1) < R_IDENTITY
+    inner = _norms(points) < R_IDENTITY
     out = np.empty((count, n, n))
     if np.any(~inner):
         out[~inner] = metric_fn(points[~inner])
@@ -248,7 +252,7 @@ def chart_smooth_metric(metric, cutoff, kernel):
         # the bump-weighted metric pushed to chart coordinates, a congruence
         # by the scalar Jacobian radius; only positive semidefinite where the
         # bump decays, on purpose
-        weight = cutoff.profile(np.linalg.norm(u, axis=1))
+        weight = cutoff.profile(_norms(u))
         # the same products in the same order, on one fresh array: the first
         # product copies, so the input's own values are never written
         vals = metric.value(chart.apply_inverse(u)) * chart.radius

@@ -254,3 +254,19 @@ def test_criterion_12_determinism_byte_identical(tmp_path_factory):
                 == Path(second.csv_path).read_bytes()), kind
         assert (Path(first.summary_path).read_bytes()
                 == Path(second.summary_path).read_bytes()), kind
+
+
+def test_criterion_12_thread_counts_byte_identical(tmp_path_factory, monkeypatch):
+    # the sweep pool runs each stage on its own thread; one thread and two
+    # must write the same bytes
+    kw = dict(scenario="strip_two_charts", epsilons=(0.2, 0.1), grid=17, delta=1e9)
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("EQMOLLIFY_THREADS", threads)
+        out = tmp_path_factory.mktemp("smooth-metric-threads-%s" % threads)
+        report = run_experiment("smooth-metric", ExperimentConfig(out=str(out), **kw))
+        assert report.passed, "smooth-metric failed its checks with %s threads" % threads
+        outputs.append(report)
+    first, second = outputs
+    assert Path(first.csv_path).read_bytes() == Path(second.csv_path).read_bytes()
+    assert Path(first.summary_path).read_bytes() == Path(second.summary_path).read_bytes()

@@ -495,6 +495,62 @@ def test_norms_sum_the_squares_in_component_order():
             assert np.array_equal(bm._norms(view), np.linalg.norm(view, axis=-1))
 
 
+def test_squared_norms_sum_the_squares_in_component_order():
+    # bit for bit np.sum(x**2, axis=-1) in every memory layout
+    rng = np.random.default_rng(13)
+    for n in (2, 3):
+        x = rng.standard_normal((20000, n))
+        for view in (x, np.asfortranarray(x), x[::3], x[:, ::-1]):
+            assert np.array_equal(bm._squared_norms(view), np.sum(view**2, axis=-1))
+
+
+def _component_major(x):
+    """The same rows as ``x``, stored one component after another."""
+    return np.ascontiguousarray(x.T).T
+
+
+def _layout_points(n):
+    # rows in every regime of both maps, up to a hair inside R_IDENTITY
+    rng = np.random.default_rng(14 + n)
+    radii = np.concatenate([[0.0, 0.2, bm.BRIDGE_LO], np.linspace(0.37, 0.62, 6),
+                            [0.64, 0.7, 0.78, bm.R_IDENTITY * (1 - 1e-9)]])
+    direction = rng.normal(size=(radii.shape[0], n))
+    return radii[:, None] * direction / np.linalg.norm(direction, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_radial_maps_move_no_bit_with_the_input_layout(n):
+    points = _layout_points(n)
+    for fn in (bm._compress_with_jacobian, bm._expand_with_jacobian):
+        rows, factors = fn(points)
+        cols, col_factors = fn(_component_major(points))
+        assert np.array_equal(rows, cols)
+        assert all(np.array_equal(a, b) for a, b in zip(factors, col_factors))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_shift_blocks_move_no_bit_with_the_input_layout(n):
+    points = _layout_points(n)
+    shifts = np.random.default_rng(n).normal(size=(9, n)) * 0.1
+    rows = list(bm._shift_blocks(points, shifts))
+    cols = list(bm._shift_blocks(_component_major(points), shifts))
+    assert len(rows) == len(cols) == 1
+    for a, b in zip(rows[0], cols[0]):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+def test_maps_and_shift_blocks_store_points_component_major():
+    # one contiguous row per component, as the metric quadrature reads it;
+    # the maps' results own their memory, so the next product can reuse it
+    points = _layout_points(2)
+    for fn in (bm.ball_compress, bm.ball_expand):
+        out = fn(points)
+        assert out.flags.f_contiguous and out.flags.owndata
+    for _, _, moved, chain in bm._shift_blocks(points, np.full((5, 2), 0.05)):
+        assert np.moveaxis(moved, -1, 0).flags.c_contiguous
+        assert chain.flags.c_contiguous
+
+
 def test_inverse_rejects_values_past_the_profile_range():
     # past the profile's value just below R_OVERFLOW the inverse would land
     # where the profile itself overflows

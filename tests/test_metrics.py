@@ -670,8 +670,10 @@ def _shift_product_arrays(degree):
                               "shift_product_degree1"])
 def test_point_blocking_moves_no_bit(monkeypatch, arrays):
     # 60 inner points over 128 nodes fit one block; with the cap at 7 they
-    # are split into nine point blocks, each taken one node at a time.  The
-    # five points past R_IDENTITY, mixed in among them, enter no block.
+    # are split into nine point blocks, each taken one node at a time.  Only
+    # these two blockings agree bit for bit: a cap in between adds one
+    # partial node sum per multi-node block, which moves the last digits.
+    # The five points past R_IDENTITY, mixed in among them, enter no block.
     rng = np.random.default_rng(2)
     angles = rng.uniform(0.0, 2.0 * np.pi, 65)
     radii = rng.permutation(np.concatenate([rng.uniform(0.0, R_IDENTITY, 60),
@@ -687,3 +689,42 @@ def test_point_blocking_moves_no_bit(monkeypatch, arrays):
     assert calls == [7] * 8 + [4]
     assert len(split) == len(whole)
     assert all(np.array_equal(a, b) for a, b in zip(split, whole))
+
+
+def _component_major(x):
+    """The same array, stored with its first axis varying fastest."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+
+
+def test_mollify_values_move_no_bit_with_the_point_or_value_layout():
+    rng = np.random.default_rng(9)
+    points = rng.uniform(-0.8, 0.8, size=(40, 2))
+    mollifier = MollifierKernel.create(2, 0.1, level=1)
+    rows = metrics._mollify_values(aniso_fn, mollifier, points)
+    assert np.array_equal(rows, metrics._mollify_values(
+        aniso_fn, mollifier, _component_major(points)))
+    assert np.array_equal(rows, metrics._mollify_values(
+        lambda pts: _component_major(aniso_fn(pts)), mollifier, points))
+
+
+STRIP_MATRIX = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+
+@pytest.mark.parametrize("field, row_major", [
+    (constant_metric(STRIP_MATRIX),
+     lambda pts: np.broadcast_to(STRIP_MATRIX, (pts.shape[0], 2, 2))),
+    (conformal_metric(sphere_factor),
+     lambda pts: sphere_factor(pts)[:, None, None] * np.eye(2)),
+    (metrics.radial_conformal_metric(lambda t: 4.0 / (1.0 + t) ** 2),
+     lambda pts: (4.0 / (1.0 + np.sum(pts**2, axis=-1)) ** 2)[:, None, None] * np.eye(2)),
+], ids=["constant", "conformal", "radial_conformal"])
+def test_built_in_fields_store_values_component_major(field, row_major):
+    # one contiguous row per entry, as the metric quadrature reads it, with
+    # the values of the row-major construction bit for bit.  The values own
+    # their memory: the chart stage's first product then reuses it in place,
+    # where a view would cost one more array of values per block
+    points = np.random.default_rng(10).uniform(-0.9, 0.9, size=(30, 2))
+    vals = field.value(points)
+    assert vals.shape == (30, 2, 2)
+    assert vals.flags.f_contiguous and vals.flags.owndata
+    assert np.array_equal(vals, row_major(points))
