@@ -17,14 +17,17 @@ profile.
 Averaging the shifts over kernel nodes, as both the metric quadrature and
 the current smoothing do, is fused: the expansion half of every shift
 depends only on the point, so ``_shift_blocks`` computes it once per point
-and runs only the compression half per node.  Points at radius R_IDENTITY
-or beyond never enter it; the callers reproduce their input there bit for
-bit, which is what makes the locality guarantees exact rather than merely
-small.  A radial map's Jacobian is t I + e u u^T, and the maps hand back
-the factors (t, e, u); the shift product forms its chain Jacobians per
-component from them, never as n x n stacks.  The bridge inverse takes
-each Newton value and slope from one set of exponentials, carries only
-unconverged rows, and hands its last slope to the compression Jacobian.
+and runs only the compression half per node.  It splits the points, never
+the nodes, into chunks of about _MAX_ROWS rows taken in increasing radius,
+so each point's node sum is one ordered sum and no bit depends on the
+cap.  Points at radius R_IDENTITY or beyond never enter it; the callers
+reproduce their input there bit for bit, which is what makes the
+locality guarantees exact rather than merely small.  A radial map's
+Jacobian is t I + e u u^T, and the maps hand back the factors (t, e, u);
+the shift product forms its chain Jacobians per component from them,
+never as n x n stacks.  The bridge inverse takes each Newton value and
+slope from one set of exponentials, carries only unconverged rows, and
+hands its last slope to the compression Jacobian.
 The scan grids and kernel node rings are closed under sign flips and axis
 swaps, so most translated radii repeat bit for bit; ``radial_profile_inverse``
 inverts each distinct bridge radius once and gathers the result back, which
@@ -90,8 +93,9 @@ _PROFILE_MAX = math.exp(1.0 / (1.0 - math.nextafter(R_OVERFLOW, 0.0)) ** 2)
 # Largest |x| whose square is finite: the norms overflow past it.
 _NORM_LIMIT = math.sqrt(sys.float_info.max)
 
-# Row cap for every (shift x point) block of ``_shift_blocks``.
-_MAX_ROWS = 1 << 20
+# Rows (nodes x points) per chunk of ``_shift_blocks``; a memory bound
+# only, since no bit depends on it.
+_MAX_ROWS = 1 << 17
 
 # Bridge inversion: residual bound |g(r) - s| <= _INVERSE_TOLERANCE *
 # max(1, s), reached within _INVERSE_ITERATIONS Newton/bisection steps.
@@ -441,15 +445,21 @@ def shift_with_jacobian(x, y):
 
 def _shift_blocks(points, shifts):
     """Every shift in ``shifts`` (M, n) applied to every row of ``points``
-    (N, n), which must lie inside R_IDENTITY.  Yields node-major blocks
-    (point slice, shift slice, moved (b, m, n), chain (n, n, b, m)) of at
-    most _MAX_ROWS rows, ``moved`` and the chain Jacobians component-major
-    in memory; each point block is expanded once and only the compression,
-    fed (n, b m) component rows, runs per shift block.  Points are split
-    first, then shifts.  A row's moved point and chain do not depend on the
-    blocking, but a caller adding one partial sum per shift block groups
-    its node sum by the block size: only one block and blocks of one shift
-    give the same bits.
+    (N, n), which must lie inside R_IDENTITY.  Yields chunks (part, moved
+    (M, k, n), chain (n, n, M, k)) of k points over all M nodes, ``moved``
+    and the chain Jacobians component-major in memory; each chunk is
+    expanded once and only the compression, fed (n, M k) component rows,
+    runs per node.
+
+    Only the points are split: into max(1, N // max(2, _MAX_ROWS // M))
+    chunks of near-equal size, each of at least two points (unless N = 1)
+    and fewer than 2 max(_MAX_ROWS, 2 M) rows.  A single chunk has ``part`` = slice(0, N);
+    several take the points in increasing radius, ``part`` their index
+    array, which keeps repeated bridge radii together for the inversion's
+    deduplication.  A caller's node sum over a chunk's (M, k) rows is then
+    the sequential sum in node order whatever the cap, as it would not be
+    for a one-point chunk (numpy sums a contiguous column in another
+    order).
 
     The chain is formed per component, chain[i, c] = sum_a Jc[i, a] Je[a, c]
     with Jc[i, a] = e u_i u_a + [a = i] t rounded first, as the dense
@@ -457,34 +467,36 @@ def _shift_blocks(points, shifts):
     regrouping as t Je + u (e u^T Je) moves that rounding.  Rows the
     compression passes through get Je exactly."""
     count, n = points.shape
-    span = max(1, min(count, _MAX_ROWS))
-    block = max(1, _MAX_ROWS // span)
-    for p0 in range(0, count, span):
-        part = slice(p0, p0 + span)
+    m = shifts.shape[0]
+    chunks = max(1, count // max(2, _MAX_ROWS // m))
+    if chunks == 1:
+        parts = [slice(0, count)]
+    else:
+        parts = np.array_split(np.argsort(_squared_norms(points), kind="stable"), chunks)
+    for part in parts:
         expanded, factors = _expand_with_jacobian(points[part])
-        # the expansion Jacobians, component-major (n, n, m)
+        # the expansion Jacobians, component-major (n, n, k)
         jac_expand = np.moveaxis(_radial_jacobians(*factors), 0, -1).copy()
-        m = expanded.shape[0]
-        for j0 in range(0, shifts.shape[0], block):
-            nodes = slice(j0, min(j0 + block, shifts.shape[0]))
-            moved, (t, e, u) = _compress_with_jacobian(
-                (expanded.T[:, None, :] + shifts[nodes].T[:, :, None]).reshape(n, -1).T)
-            b = moved.shape[0] // m
-            t, e, u = t.reshape(b, m), e.reshape(b, m), u.reshape(n, b, m)
-            chain = np.empty((n, n, b, m))
-            row = np.empty((n, b, m))
-            scaled = np.empty((b, m))
-            for i in range(n):
-                # row a holds Jc[i, a] = (e u_i) u_a + [a = i] t, rounded as
-                # _radial_jacobians rounds it
-                np.multiply(e, u[i], out=scaled)
-                for a in range(n):
-                    np.multiply(scaled, u[a], out=row[a])
-                row[i] += t
-                for c in range(n):
-                    np.multiply(row[0], jac_expand[0, c], out=chain[i, c])
-                    for a in range(1, n):
-                        chain[i, c] += np.multiply(row[a], jac_expand[a, c], out=scaled)
-            # free the factors before the caller evaluates its block
-            del t, e, u, row, scaled
-            yield part, nodes, moved.reshape(b, m, n), chain
+        k = expanded.shape[0]
+        moved, (t, e, u) = _compress_with_jacobian(
+            (expanded.T[:, None, :] + shifts.T[:, :, None]).reshape(n, -1).T)
+        t, e, u = t.reshape(m, k), e.reshape(m, k), u.reshape(n, m, k)
+        chain = np.empty((n, n, m, k))
+        row = np.empty((n, m, k))
+        scaled = np.empty((m, k))
+        for i in range(n):
+            # row a holds Jc[i, a] = (e u_i) u_a + [a = i] t, rounded as
+            # _radial_jacobians rounds it
+            np.multiply(e, u[i], out=scaled)
+            for a in range(n):
+                np.multiply(scaled, u[a], out=row[a])
+            row[i] += t
+            for c in range(n):
+                np.multiply(row[0], jac_expand[0, c], out=chain[i, c])
+                for a in range(1, n):
+                    chain[i, c] += np.multiply(row[a], jac_expand[a, c], out=scaled)
+        # free the factors before the caller evaluates its chunk, and the
+        # chunk before the next one is compressed
+        del t, e, u, row, scaled
+        yield part, moved.reshape(m, k, n), chain
+        del moved, chain

@@ -6,6 +6,7 @@ quadrature, a profile inversion that did not converge, a singular matrix).
 """
 
 import argparse
+import ctypes
 import sys
 from dataclasses import replace
 
@@ -29,6 +30,23 @@ NUMERICAL_ERRORS = (BallDomainError, ConvergenceError, CurrentError, CurvatureEr
                     np.linalg.LinAlgError)
 
 
+# glibc's mallopt(M_TOP_PAD): free heap kept mapped above the top chunk.
+# The metric quadrature frees a working set of about 30 MiB after each
+# chunk of the shift product; at glibc's default pad the heap is trimmed
+# back and the next chunk faults the same memory in again, page by page.
+_M_TOP_PAD = -2
+_TOP_PAD = 64 << 20
+
+
+def _keep_heap_pad():
+    """Keep _TOP_PAD bytes of freed heap mapped across the quadrature's
+    chunks; nothing to do where the C library has no mallopt."""
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt(_M_TOP_PAD, _TOP_PAD)
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="eqmollify",
@@ -49,6 +67,7 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    _keep_heap_pad()
     try:
         config = load_config(args.config)
         if args.out is not None:

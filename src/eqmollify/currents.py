@@ -351,10 +351,10 @@ def _shift_product(sample, kernel):
     pts_out = np.broadcast_to(sample.points, (m, k, dim)).copy()
     frames_out = np.broadcast_to(sample.frames, (m, k, deg, dim)).copy()
     frames_in = sample.frames[inner]
-    for part, block, moved, chain in _shift_blocks(sample.points[inner], nodes):
+    for part, moved, chain in _shift_blocks(sample.points[inner], nodes):
         rows = inner[part]
-        pts_out[block, rows] = moved
-        frames_out[block, rows] = np.einsum("ijbk,kaj->bkai", chain, frames_in[part])
+        pts_out[:, rows] = moved
+        frames_out[:, rows] = np.einsum("ijbk,kaj->bkai", chain, frames_in[part])
     weights = (node_w[:, None] * sample.weights[None, :]).ravel()
     return WeightedSample(pts_out.reshape(m * k, dim),
                           frames_out.reshape(m * k, deg, dim), weights)

@@ -183,10 +183,11 @@ def _mollify_values(metric_fn, kernel, points):
     """Fused quadrature of the shifted pullbacks at each point.
 
     Rows at radius >= R_IDENTITY bypass the quadrature and copy the input
-    value; the rest average the congruences over the blocks of the shift
+    value; the rest average the congruences over the chunks of the shift
     product.  Each congruence J^T V J is taken per component, T = J^T V
-    then T J, as ordered sums over the inner index, and so is the node sum:
-    no BLAS call, so reruns and thread counts reproduce it bit for bit.
+    then T J, as ordered sums over the inner index, and so is the node sum,
+    one sum over every node per point: no BLAS call, so reruns, thread
+    counts and the chunk size reproduce it bit for bit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     count, n = points.shape
@@ -196,13 +197,13 @@ def _mollify_values(metric_fn, kernel, points):
         out[~inner] = metric_fn(points[~inner])
     if np.any(inner):
         nodes, node_w = kernel.convex_weights()
-        acc = np.zeros((n, n, int(np.count_nonzero(inner))))
-        for part, block, moved, chain in _shift_blocks(points[inner], nodes):
-            b, m = chain.shape[2:]
-            vals = metric_fn(moved.reshape(-1, n)).reshape(b, m, n, n)
-            row = np.empty((n, b, m))
-            work = np.empty((b, m))
-            term = np.empty((b, m))
+        acc = np.empty((n, n, int(np.count_nonzero(inner))))
+        for part, moved, chain in _shift_blocks(points[inner], nodes):
+            shape = chain.shape[2:]
+            vals = metric_fn(moved.reshape(-1, n)).reshape(shape + (n, n))
+            row = np.empty((n,) + shape)
+            work = np.empty(shape)
+            term = np.empty(shape)
             for i in range(n):
                 # row[c] = T_ic = sum_a chain[a, i] V_ac
                 for c in range(n):
@@ -214,7 +215,9 @@ def _mollify_values(metric_fn, kernel, points):
                     np.multiply(row[0], chain[0, k], out=work)
                     for a in range(1, n):
                         work += np.multiply(row[a], chain[a, k], out=term)
-                    acc[i, k, part] += np.einsum("j,jr->r", node_w[block], work)
+                    acc[i, k, part] = np.einsum("j,jr->r", node_w, work)
+            # free the chunk before the next one is compressed
+            del moved, chain, vals, row, work, term
         out[inner] = np.moveaxis(0.5 * (acc + np.swapaxes(acc, 0, 1)), -1, 0)
     return out
 

@@ -546,7 +546,7 @@ def test_maps_and_shift_blocks_store_points_component_major():
     for fn in (bm.ball_compress, bm.ball_expand):
         out = fn(points)
         assert out.flags.f_contiguous and out.flags.owndata
-    for _, _, moved, chain in bm._shift_blocks(points, np.full((5, 2), 0.05)):
+    for _, moved, chain in bm._shift_blocks(points, np.full((5, 2), 0.05)):
         assert np.moveaxis(moved, -1, 0).flags.c_contiguous
         assert chain.flags.c_contiguous
 
@@ -639,8 +639,8 @@ def test_closed_form_chain_matches_the_dense_product(n):
     moved, (t, e, u) = bm._compress_with_jacobian(translated.reshape(-1, n))
     shape = (scales.shape[0], radii.shape[0], n, n)
     dense = bm._radial_jacobians(t, e, u).reshape(shape) @ jac_expand
-    (part, nodes, out, chain), = bm._shift_blocks(points, shifts)
-    assert (part, nodes) == (slice(0, radii.shape[0]), slice(0, scales.shape[0]))
+    (part, out, chain), = bm._shift_blocks(points, shifts)
+    assert part == slice(0, radii.shape[0])
     assert np.array_equal(out.reshape(-1, n), moved)
     chain = np.moveaxis(chain, (0, 1), (2, 3))
     # the dense product of the same factors agrees to 1e-14 per row
@@ -661,3 +661,29 @@ def test_closed_form_chain_matches_the_dense_product(n):
     through = radius <= bm.BRIDGE_LO
     assert through.any() and (radius >= bm.BRIDGE_HI).any()
     assert np.array_equal(chain[through], np.broadcast_to(jac_expand, shape)[through])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 61, 3001])
+def test_shift_blocks_cover_every_point_once_in_increasing_radius(monkeypatch, count):
+    # sign-flipped pairs give ties in radius, which keep their input order
+    rng = np.random.default_rng(count)
+    points = rng.uniform(-0.5, 0.5, size=(count, 2))
+    points[1::2] = -points[0:count - 1:2]
+    shifts = rng.normal(size=(9, 2)) * 0.05
+    monkeypatch.setattr(bm, "_MAX_ROWS", 1 << 30)
+    (_, whole_moved, whole_chain), = bm._shift_blocks(points, shifts)
+    for cap in (1, 7, 30, 300, 1 << 17):
+        monkeypatch.setattr(bm, "_MAX_ROWS", cap)
+        chunks = list(bm._shift_blocks(points, shifts))
+        parts = [np.arange(count)[part] for part, _, _ in chunks]
+        order = np.concatenate(parts)
+        assert np.array_equal(np.sort(order), np.arange(count))
+        if len(parts) > 1:
+            assert np.array_equal(order, np.argsort(bm._squared_norms(points), kind="stable"))
+        for part, moved, chain in chunks:
+            # every node, at least two points and fewer than twice the
+            # larger of the cap and two nodes' worth of rows
+            assert moved.shape[0] == chain.shape[2] == 9
+            assert min(2, count) <= moved.shape[1] and moved.size // 2 < 2 * max(cap, 18)
+            assert np.array_equal(moved, whole_moved[:, part])
+            assert np.array_equal(chain, whole_chain[..., part])

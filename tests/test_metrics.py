@@ -10,6 +10,7 @@ asserted bit for bit or to a few ulp, not to loose tolerances.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -650,18 +651,28 @@ def test_pullback_congruence_uses_the_row_jacobian():
     assert_rows_close(pulled.value(points), np.einsum("ji,rjk,kl->ril", mat, vals, mat))
 
 
-def _mollified_arrays(points):
-    return (metrics._mollify_values(aniso_fn, MollifierKernel.create(2, 0.1, level=1),
+def _mollified_arrays(points, level):
+    return (metrics._mollify_values(aniso_fn, MollifierKernel.create(2, 0.1, level=level),
                                     points),)
 
 
 def _shift_product_arrays(degree):
-    def arrays(points):
+    def arrays(points, level):
         frames = np.random.default_rng(3).normal(size=(points.shape[0], degree, 2))
         sample = currents.WeightedSample(points, frames, np.ones(points.shape[0]))
-        out = currents._shift_product(sample, MollifierKernel.create(2, 0.1, level=1))
+        out = currents._shift_product(sample, MollifierKernel.create(2, 0.1, level=level))
         return out.points, out.frames, out.weights
     return arrays
+
+
+def _blocking_points(inner):
+    """``inner`` points inside R_IDENTITY with five past it mixed in among
+    them, which enter no chunk."""
+    rng = np.random.default_rng(2)
+    angles = rng.uniform(0.0, 2.0 * np.pi, inner + 5)
+    radii = rng.permutation(np.concatenate([rng.uniform(0.0, R_IDENTITY, inner),
+                                            rng.uniform(R_IDENTITY, 1.5, 5)]))
+    return radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
 
 
 @pytest.mark.parametrize("arrays", [_mollified_arrays, _shift_product_arrays(0),
@@ -669,26 +680,52 @@ def _shift_product_arrays(degree):
                          ids=["mollify_values", "shift_product_degree0",
                               "shift_product_degree1"])
 def test_point_blocking_moves_no_bit(monkeypatch, arrays):
-    # 60 inner points over 128 nodes fit one block; with the cap at 7 they
-    # are split into nine point blocks, each taken one node at a time.  Only
-    # these two blockings agree bit for bit: a cap in between adds one
-    # partial node sum per multi-node block, which moves the last digits.
-    # The five points past R_IDENTITY, mixed in among them, enter no block.
-    rng = np.random.default_rng(2)
-    angles = rng.uniform(0.0, 2.0 * np.pi, 65)
-    radii = rng.permutation(np.concatenate([rng.uniform(0.0, R_IDENTITY, 60),
-                                            rng.uniform(R_IDENTITY, 1.5, 5)]))
-    points = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
-    whole = arrays(points)
+    # every chunk holds all nodes and at least two points, so each point's
+    # node sum is the same ordered sum whatever the cap.  At levels 1 and 2
+    # (128 and 512 nodes), caps below twice the node count give chunks of
+    # two points, and 3 and 50 nodes' worth of rows chunks of three and of
+    # about 50 points (one chunk of all 61).  The shipped cap splits the
+    # 3,001 points into chunks of about 1,500 (level 1) and 270 (level 2)
+    for inner, caps in ((61, lambda m: (1, 7, 300, 3 * m, 50 * m, 1 << 17)),
+                        (3001, lambda m: (1, 50 * m, 1 << 17))):
+        points = _blocking_points(inner)
+        for level in (1, 2):
+            nodes = MollifierKernel.create(2, 0.1, level=level).convex_weights()[0].shape[0]
+            monkeypatch.setattr(ballmap, "_MAX_ROWS", 1 << 30)
+            whole = arrays(points, level)
+            for cap in caps(nodes):
+                monkeypatch.setattr(ballmap, "_MAX_ROWS", cap)
+                split = arrays(points, level)
+                assert len(split) == len(whole)
+                assert all(np.array_equal(a, b) for a, b in zip(split, whole)), (inner, level, cap)
+    # at cap 7 the 61 inner points over 128 nodes take 30 chunks, the
+    # first of three points
     monkeypatch.setattr(ballmap, "_MAX_ROWS", 7)
     calls = []
     expand = ballmap._expand_with_jacobian
     monkeypatch.setattr(ballmap, "_expand_with_jacobian",
                         lambda pts: calls.append(len(pts)) or expand(pts))
-    split = arrays(points)
-    assert calls == [7] * 8 + [4]
-    assert len(split) == len(whole)
-    assert all(np.array_equal(a, b) for a, b in zip(split, whole))
+    arrays(_blocking_points(61), 1)
+    assert calls == [3] + [2] * 29
+
+
+def test_mollify_values_working_set_stays_below_64_mib():
+    # 3,000 points at level 2 are 1.5 M quadrature rows, whose chains alone
+    # would take 47 MiB at once; chunks of about 2^17 rows, each freed
+    # before the next one is compressed, keep the peak near 32 MiB
+    rng = np.random.default_rng(0)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 3000)
+    points = rng.uniform(0.0, 0.74, 3000)[:, None] * np.stack(
+        [np.cos(angles), np.sin(angles)], 1)
+    metric = build_scenario("round_sphere_chart").metric
+    kernel = MollifierKernel.create(2, 0.05, level=2)
+    tracemalloc.start()
+    try:
+        metrics._mollify_values(metric.value, kernel, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def _component_major(x):
