@@ -32,6 +32,8 @@ The scan grids and kernel node rings are closed under sign flips and axis
 swaps, so most translated radii repeat bit for bit; ``radial_profile_inverse``
 inverts each distinct bridge radius once and gathers the result back, which
 moves no bit because a row's Newton path depends on its own radius alone.
+The metric quadrature may pass one point per signed-permutation orbit
+(see ``metrics``).
 The maps take rows in any memory layout and return them component-major,
 in Fortran order: each coordinate is one contiguous row over the points.
 """

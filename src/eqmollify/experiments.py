@@ -115,15 +115,19 @@ def _smoothed_field(scenario, kernel, exact=False):
     stage's symmetry subgroup).  Unless ``exact`` is set, a torus group
     takes the bare chart stage instead: its quadrature angles need not
     permute the kernel's, and the shortcut rests on quadrature accuracy,
-    which the invariance-check kind certifies with ``exact`` set.
+    which the invariance-check kind certifies with ``exact`` set.  The
+    chart stages fold their quadrature onto signed-permutation orbits
+    unless ``exact`` is set: a folded field is invariant under the signed
+    permutations by construction, so its residuals would certify nothing.
     """
     shortcut = not exact and scenario.group.is_quadrature
     field = scenario.metric
     for cutoff in scenario.atlas:
         if shortcut:
-            field = chart_smooth_metric(field, cutoff, kernel)
+            field = chart_smooth_metric(field, cutoff, kernel, fold=True)
         else:
-            field = haar_average_metric(field, cutoff, kernel, scenario.group)
+            field = haar_average_metric(field, cutoff, kernel, scenario.group,
+                                        fold=not exact)
     return field
 
 

@@ -14,14 +14,31 @@ Multi-chart stages are therefore composed exactly and never cached on a
 grid: interpolation would break that locality and the finite-difference
 curvature taken on top.  The quadrature reads its moved points and the
 built-in fields' values in Fortran order, one contiguous row per entry.
+
+The quadrature folds onto one point per signed-permutation orbit: the
+smoothing commutes with every isometry that preserves the metric and the
+kernel, and signed coordinate permutations are the ones floating point
+applies exactly.  So the value at x = S c, c = sort(|x|), is taken as
+S V(c) S^T: one shift product per distinct c, then an index gather and
+exact sign products.  A guard (``_folds``) admits the fold only if every
+signed permutation permutes the kernel nodes onto nodes of equal weight
+and is an isometry of the input at fixed probes, the tests of the
+group-average coset rule (``_stage_cosets``); otherwise the field is the
+unfolded quadrature bit for bit.  Folded values differ from unfolded ones
+by rounding only, and each depends on its own point alone.
+``mollify_metric`` folds wherever the guard passes; the chart stages fold
+on request (``fold``), because the invariance certificate runs them
+unfolded: a folded field is invariant under the signed permutations by
+construction and its residuals would measure nothing.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ballmap import R_IDENTITY, _norms, _shift_blocks, _squared_norms
-from .maps import GroupAction
+from .maps import AffineChart, GroupAction
 
 __all__ = [
     "MetricError",
@@ -179,7 +196,7 @@ def radial_conformal_metric(profile, dprofile=None, d2profile=None, dimension=2)
     return conformal_metric(factor, grad=grad, hessian=hessian, dimension=dimension)
 
 
-def _mollify_values(metric_fn, kernel, points):
+def _mollify_values(metric_fn, kernel, points, fold=False):
     """Fused quadrature of the shifted pullbacks at each point.
 
     Rows at radius >= R_IDENTITY bypass the quadrature and copy the input
@@ -188,6 +205,12 @@ def _mollify_values(metric_fn, kernel, points):
     then T J, as ordered sums over the inner index, and so is the node sum,
     one sum over every node per point: no BLAS call, so reruns, thread
     counts and the chunk size reproduce it bit for bit.
+
+    With ``fold`` set, which only a passed ``_folds`` guard may allow, the
+    quadrature runs once per distinct c = sort(|x|) and row x = S c gets
+    S V(c) S^T: coordinate i of x is sign_i c_(rank_i), a negative zero
+    counting as negative, so the entry (i, k) is the gathered
+    V(c)[rank_i, rank_k] times sign_i sign_k, all exact.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     count, n = points.shape
@@ -196,9 +219,19 @@ def _mollify_values(metric_fn, kernel, points):
     if np.any(~inner):
         out[~inner] = metric_fn(points[~inner])
     if np.any(inner):
+        quad = points[inner]
+        if fold:
+            magnitude = np.abs(quad)
+            order = np.argsort(magnitude, axis=1, kind="stable")
+            quad, orbit = np.unique(np.sort(magnitude, axis=1), axis=0,
+                                    return_inverse=True)
+            if quad.shape[0] == 1:
+                # numpy sums a lone point's node column in another order
+                # than a chunk's, so a single orbit is evaluated twice
+                quad = np.repeat(quad, 2, axis=0)
         nodes, node_w = kernel.convex_weights()
-        acc = np.empty((n, n, int(np.count_nonzero(inner))))
-        for part, moved, chain in _shift_blocks(points[inner], nodes):
+        acc = np.empty((n, n, quad.shape[0]))
+        for part, moved, chain in _shift_blocks(quad, nodes):
             shape = chain.shape[2:]
             vals = metric_fn(moved.reshape(-1, n)).reshape(shape + (n, n))
             row = np.empty((n,) + shape)
@@ -218,7 +251,14 @@ def _mollify_values(metric_fn, kernel, points):
                     acc[i, k, part] = np.einsum("j,jr->r", node_w, work)
             # free the chunk before the next one is compressed
             del moved, chain, vals, row, work, term
-        out[inner] = np.moveaxis(0.5 * (acc + np.swapaxes(acc, 0, 1)), -1, 0)
+        vals = np.moveaxis(0.5 * (acc + np.swapaxes(acc, 0, 1)), -1, 0)
+        if fold:
+            rank = np.argsort(order, axis=1)
+            sign = np.copysign(1.0, points[inner])
+            vals = vals[orbit.reshape(-1, 1, 1), rank[:, :, None], rank[:, None, :]]
+            vals *= sign[:, :, None]
+            vals *= sign[:, None, :]
+        out[inner] = vals
     return out
 
 
@@ -228,28 +268,34 @@ def mollify_metric(metric, kernel):
     Equals the input bit for bit from R_IDENTITY outward, and in particular
     everywhere outside the closed unit ball.  The output is a convex
     combination of congruent SPD matrices, so positive definiteness is
-    checked, not assumed.
+    checked, not assumed.  The quadrature folds onto signed-permutation
+    orbits wherever its guard passes at probes in the unit ball.
     """
     if kernel.dimension != metric.dimension:
         raise MetricError("kernel dimension does not match the metric")
+    fold = _folds(metric, AffineChart(np.zeros(metric.dimension), 1.0), kernel)
 
     def fn(pts):
-        vals = _mollify_values(metric.value, kernel, pts)
+        vals = _mollify_values(metric.value, kernel, pts, fold=fold)
         _require_spd(vals, pts, "mollified metric lost")
         return vals
 
     return MetricField(fn=fn, dimension=metric.dimension)
 
 
-def chart_smooth_metric(metric, cutoff, kernel):
+def chart_smooth_metric(metric, cutoff, kernel, *, fold=False):
     """Chart-localized smoothing: bump-weighted part mollified in chart
     coordinates, remainder untouched.
 
     Outside the chart domain the result is the input metric, returned bit
-    for bit: those rows never enter the quadrature path at all.
+    for bit: those rows never enter the quadrature path at all.  ``fold``
+    asks for the signed-permutation fold in chart coordinates, which runs
+    only where its guard passes at probes in the chart ball; the radial
+    bump never breaks it.
     """
     chart = cutoff.chart
     n = metric.dimension
+    fold = fold and _folds(metric, chart, kernel)
 
     def weighted_chart_metric(u):
         # the bump-weighted metric pushed to chart coordinates, a congruence
@@ -273,7 +319,8 @@ def chart_smooth_metric(metric, cutoff, kernel):
         inside = ~outside
         if np.any(inside):
             inner = pts[inside]
-            smoothed = _mollify_values(weighted_chart_metric, kernel, chart.apply(inner))
+            smoothed = _mollify_values(weighted_chart_metric, kernel, chart.apply(inner),
+                                       fold=fold)
             pulled = (smoothed * chart.scale) * chart.scale
             remainder = 1.0 - cutoff.profile(rho[inside])
             total = pulled + remainder[:, None, None] * metric.value(inner)
@@ -304,15 +351,66 @@ def isometry_residual(metric, group, points):
     return float(np.max([0.0] + _pullback_defects(metric, group, points)))
 
 
+def _generic_direction(n):
+    return np.sqrt(np.arange(1.0, n + 1.0))
+
+
+def _permutes_nodes(kernel, matrices):
+    """Per matrix, whether it maps each kernel node within 1e-14 * epsilon
+    onto a node of equal convex weight (within 1e-14 of the largest)."""
+    nodes, node_w = kernel.convex_weights()
+    # pair nodes with images by sorting both along one generic direction;
+    # at levels 1-3 distinct projections lie >= 1.1e-7 * epsilon apart
+    direction = _generic_direction(nodes.shape[1])
+    order = np.argsort(nodes @ direction, kind="stable")
+    out = np.zeros(len(matrices), dtype=bool)
+    for index, mat in enumerate(matrices):
+        moved = nodes @ mat.T
+        image = np.argsort(moved @ direction, kind="stable")
+        out[index] = (
+            np.max(np.linalg.norm(moved[image] - nodes[order], axis=1))
+            <= 1e-14 * kernel.epsilon
+            and np.max(np.abs(node_w[image] - node_w[order])) <= 1e-14 * np.max(node_w))
+    return out
+
+
+def _chart_isometries(metric, chart, matrices):
+    """Per matrix m, whether g(chart^-1(m u)) pulled back by m is g(chart^-1(u))
+    within 1e-8 at seven fixed generic points u of the chart ball, chart
+    radii 0.1-0.9."""
+    n = metric.dimension
+    u = np.cos(np.outer(np.arange(1.0, 8.0), _generic_direction(n)))
+    u *= (np.linspace(0.1, 0.9, 7) / np.linalg.norm(u, axis=1))[:, None]
+    pulled = MetricField(fn=lambda v: metric.value(chart.apply_inverse(v)), dimension=n)
+    return np.array(_pullback_defects(pulled, matrices, u)) <= 1e-8
+
+
+def _signed_permutations(n):
+    """The 2^n n! - 1 signed permutation matrices other than the identity."""
+    eye = np.eye(n)
+    mats = [np.array(signs)[:, None] * eye[list(perm)]
+            for perm in itertools.permutations(range(n))
+            for signs in itertools.product((1.0, -1.0), repeat=n)]
+    return np.array(mats[1:])
+
+
+def _folds(metric, chart, kernel):
+    """Whether the quadrature in the chart's coordinates may fold onto one
+    point per signed-permutation orbit: every signed permutation permutes
+    the kernel nodes and is an isometry of the input at the probes."""
+    mats = _signed_permutations(metric.dimension)
+    return bool(np.all(_permutes_nodes(kernel, mats))
+                and np.all(_chart_isometries(metric, chart, mats)))
+
+
 def _stage_cosets(metric, cutoff, kernel, group):
     """One representative per right coset of the chart stage's symmetry
     subgroup H, and each coset's total weight.
 
-    H holds the elements that fix the chart centre within 1e-14, map
-    each kernel node within 1e-14 * epsilon onto a node of equal convex
-    weight (within 1e-14 of the largest) and are isometries of the input
-    metric within 1e-8 at fixed probes in the chart ball (the exact
-    identity is not probed).  Ball charts, radial cutoffs and
+    H holds the elements that fix the chart centre within 1e-14, permute
+    the kernel nodes (``_permutes_nodes``) and are isometries of the input
+    at the chart's probes (``_chart_isometries``; the exact identity is
+    not probed).  Ball charts, radial cutoffs and
     rotation-equivariant shifts then make the stage S equivariant under
     H, S(hx) = h S(x) h^T, so g = h c gives g^T S(gx) g = c^T S(cx) c.
     H is represented by the identity; any other element c starts a coset
@@ -320,29 +418,13 @@ def _stage_cosets(metric, cutoff, kernel, group):
     O(|G|^2) match.  H = G gives one coset, H = {e} the full average in
     group order.
     """
-    nodes, node_w = kernel.convex_weights()
     center = cutoff.chart.center
-    # pair nodes with images by sorting both along one generic direction;
-    # at levels 1-3 distinct projections lie >= 1.1e-7 * epsilon apart
-    direction = np.sqrt(np.arange(1.0, center.shape[0] + 1.0))
-    order = np.argsort(nodes @ direction, kind="stable")
-    in_h = np.zeros(len(group), dtype=bool)
-    for index, mat in enumerate(group):
-        moved = nodes @ mat.T
-        image = np.argsort(moved @ direction, kind="stable")
-        in_h[index] = (
-            np.max(np.abs(mat @ center - center)) <= 1e-14
-            and np.max(np.linalg.norm(moved[image] - nodes[order], axis=1))
-            <= 1e-14 * kernel.epsilon
-            and np.max(np.abs(node_w[image] - node_w[order])) <= 1e-14 * np.max(node_w))
+    in_h = _permutes_nodes(kernel, group.matrices) & np.array(
+        [np.max(np.abs(mat @ center - center)) <= 1e-14 for mat in group])
     eye = np.eye(center.shape[0])
     probed = [i for i in np.flatnonzero(in_h) if not np.array_equal(group.matrices[i], eye)]
     if probed:
-        # seven fixed generic points in the chart ball, chart radii 0.1-0.9
-        u = np.cos(np.outer(np.arange(1.0, 8.0), direction))
-        u *= (np.linspace(0.1, 0.9, 7) / np.linalg.norm(u, axis=1))[:, None]
-        defects = _pullback_defects(metric, group.matrices[probed], cutoff.chart.apply_inverse(u))
-        in_h[probed] = np.array(defects) <= 1e-8
+        in_h[probed] = _chart_isometries(metric, cutoff.chart, group.matrices[probed])
     coset = np.where(in_h, 0, -1)
     reps = [eye]
     for index in range(len(group)):
@@ -355,7 +437,7 @@ def _stage_cosets(metric, cutoff, kernel, group):
     return np.array(reps), np.bincount(coset, weights=group.weights)
 
 
-def haar_average_metric(metric, cutoff, kernel, group):
+def haar_average_metric(metric, cutoff, kernel, group, *, fold=False):
     """Group average of the chart-localized smoothing.
 
     The average runs over one representative per coset of the stage's
@@ -367,11 +449,11 @@ def haar_average_metric(metric, cutoff, kernel, group):
     smooth integrands at hand.  An element joins the symmetry subgroup
     only if it is an isometry of the input at fixed probes in the chart
     ball, so a group that does not preserve the input gets the full
-    average over its elements.
+    average over its elements.  ``fold`` is passed to the chart stage.
     """
     if not isinstance(group, GroupAction):
         raise MetricError("group must be a GroupAction")
-    stage = chart_smooth_metric(metric, cutoff, kernel)
+    stage = chart_smooth_metric(metric, cutoff, kernel, fold=fold)
     reps, weights = _stage_cosets(metric, cutoff, kernel, group)
     if len(reps) == 1:
         return stage

@@ -345,10 +345,10 @@ class TestTorusSweepField:
         assert gaps[1] <= 1e-10
 
 
-def _full_average(scenario, kernel, points):
+def _full_average(scenario, kernel, points, fold=False):
     """The |G|-term group average of the first chart stage, one stage per
     element in group order: the reference for the coset rule."""
-    stage = chart_smooth_metric(scenario.metric, scenario.atlas[0], kernel)
+    stage = chart_smooth_metric(scenario.metric, scenario.atlas[0], kernel, fold=fold)
     acc = np.zeros((points.shape[0], 2, 2))
     for mat, weight in zip(scenario.group.matrices, scenario.group.weights):
         acc += weight * (mat.T @ stage.value(points @ mat.T) @ mat)
@@ -459,7 +459,9 @@ class TestChartStageGuard:
     def test_guard_rejects_and_falls_back_bit_for_bit(self, case):
         """A 120 degree rotation does not permute the 16/32/64 midpoint
         angles; an off-centre chart does not commute with the rotations.
-        Each element is its own coset, which is the full average."""
+        Each element is its own coset, which is the full average of the
+        chart stages the sweep kinds take, folded where their guard lets
+        them."""
         scenario = self._rejected(case)
         for level in (1, 2, 3):
             kernel = MollifierKernel.create(2, 0.05, level=level)
@@ -467,7 +469,7 @@ class TestChartStageGuard:
         kernel = _kernel_for(0.05, 2)
         pts = _probe_points(scenario)
         assert np.array_equal(_smoothed_field(scenario, kernel).value(pts),
-                              _full_average(scenario, kernel, pts))
+                              _full_average(scenario, kernel, pts, fold=True))
 
 
 class TestReportFiles:

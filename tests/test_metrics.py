@@ -8,6 +8,8 @@ there.  Exactness claims (locality, translation zone, strip overlap) are
 asserted bit for bit or to a few ulp, not to loose tolerances.
 """
 
+import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -23,7 +25,7 @@ from eqmollify.ballmap import (BRIDGE_HI, BRIDGE_LO, R_IDENTITY, _compress_with_
 from eqmollify.cli import main
 from eqmollify.config import ExperimentConfig
 from eqmollify.experiments import _smoothed_field
-from eqmollify.kernel import MollifierKernel
+from eqmollify.kernel import MollifierKernel, QuadratureRule
 from eqmollify.maps import AffineChart, ChartCutoff, GroupAction, cyclic_rotation_group, torus_group, trivial_group
 from eqmollify.metrics import (
     BoxGrid,
@@ -765,3 +767,168 @@ def test_built_in_fields_store_values_component_major(field, row_major):
     assert vals.shape == (30, 2, 2)
     assert vals.flags.f_contiguous and vals.flags.owndata
     assert np.array_equal(vals, row_major(points))
+
+
+def _signed_images(point):
+    """Each signed permutation (perm, signs) of a point and its image
+    signs * point[perm], signed zeros kept."""
+    for perm in itertools.permutations(range(point.shape[0])):
+        for signs in itertools.product((1.0, -1.0), repeat=point.shape[0]):
+            yield list(perm), np.array(signs), np.array(signs) * point[list(perm)]
+
+
+def _congruence(value, perm, signs):
+    """S V S^T for the signed permutation with (S c)_i = signs_i c_perm_i,
+    as an exact gather and sign products."""
+    return value[np.ix_(perm, perm)] * signs[:, None] * signs[None, :]
+
+
+class TestFold:
+    """The signed-permutation fold: one quadrature per orbit of
+    c = sort(|x|), each row S V(c) S^T, behind the guard of
+    ``metrics._folds``."""
+
+    @staticmethod
+    def _fields():
+        kernel = MollifierKernel.create(2, 0.05, level=2)
+        sphere = build_scenario("round_sphere_chart")
+        return [mollify_metric(sphere_metric(), kernel),
+                chart_smooth_metric(sphere.metric, sphere.atlas[0], kernel, fold=True)]
+
+    def test_guard_passes_on_the_shipped_sphere(self):
+        sphere = build_scenario("round_sphere_chart")
+        for level in (1, 2, 3):
+            kernel = MollifierKernel.create(2, 0.05, level=level)
+            assert metrics._folds(sphere.metric, sphere.atlas[0].chart, kernel)
+        assert len(metrics._signed_permutations(2)) == 7
+        assert len(metrics._signed_permutations(3)) == 47
+
+    @pytest.mark.parametrize("point", [[0.4, 0.0], [0.3, 0.3], [0.45, -0.2], [-0.0, 0.35]],
+                             ids=["axis", "diagonal", "generic", "negative_zero"])
+    def test_signed_images_are_congruences_of_the_canonical_value(self, point):
+        point = np.array(point)
+        canonical = np.sort(np.abs(point))
+        for field in self._fields():
+            base = field.value(canonical[None])[0]
+            for _, _, image in _signed_images(point):
+                value = field.value(image[None])[0]
+                # every S with S c = image, signed zeros included; a tie in
+                # |x| or a zero coordinate leaves more than one
+                matches = [_congruence(base, perm, signs)
+                           for perm, signs, moved in _signed_images(canonical)
+                           if np.array_equal(moved, image)
+                           and np.array_equal(np.signbit(moved), np.signbit(image))]
+                assert matches and any(np.array_equal(value, m) for m in matches), image
+
+    def test_a_point_alone_equals_its_value_in_a_batch(self):
+        rng = np.random.default_rng(11)
+        batch = rng.uniform(-0.8, 0.8, size=(60, 2))
+        batch[:8] = [[0.3, -0.2], [-0.2, 0.3], [0.2, 0.3], [0.0, 0.5],
+                     [0.5, -0.0], [0.25, 0.25], [-0.25, 0.25], [0.7, 0.1]]
+        for field in self._fields():
+            values = field.value(batch)
+            for index in range(batch.shape[0]):
+                assert np.array_equal(field.value(batch[index:index + 1])[0], values[index])
+            # and inside a batch of its own orbit only
+            assert np.array_equal(field.value(batch[:2]), values[:2])
+
+    def test_bypass_and_outside_rows_are_the_input(self):
+        g = sphere_metric()
+        kernel = MollifierKernel.create(2, 0.2, level=2)
+        far = np.array([[0.85, 0.1], [1.3, -0.2], [-0.95, 0.4], [0.1, -0.85]])
+        assert np.linalg.norm(far, axis=1).min() > R_IDENTITY
+        assert np.array_equal(mollify_metric(g, kernel).value(far), g.value(far))
+        cutoff = ChartCutoff(AffineChart([0.0, 0.0], 0.5))
+        assert metrics._folds(g, cutoff.chart, kernel)
+        outside = np.array([[0.5, 0.0], [-0.4, 0.4], [0.0, -0.7], [0.9, 0.9]])
+        assert np.array_equal(chart_smooth_metric(g, cutoff, kernel, fold=True).value(outside),
+                              g.value(outside))
+
+    def test_folded_values_agree_with_unfolded_on_the_sphere_scan(self, monkeypatch):
+        sphere = build_scenario("round_sphere_chart")
+        points = sphere.scan_grid(65).points()
+        rows = []
+        blocks = ballmap._shift_blocks
+        monkeypatch.setattr(metrics, "_shift_blocks",
+                            lambda pts, nodes: rows.append(len(pts)) or blocks(pts, nodes))
+        for epsilon, level in ((0.05, 2), (0.0125, 1)):
+            kernel = MollifierKernel.create(2, epsilon, level=level)
+            rows.clear()
+            unfolded = metrics._mollify_values(sphere.metric.value, kernel, points)
+            folded = mollify_metric(sphere.metric, kernel).value(points)
+            # the grid's 2,337 inner points lie on 556 orbits
+            assert rows == [2337, 556]
+            scale = np.max(np.abs(unfolded), axis=(1, 2))[:, None, None]
+            assert np.max(np.abs(folded - unfolded) / scale) <= 1e-12
+
+    @staticmethod
+    def _assert_mollify_falls_back(g, kernel, points):
+        assert np.array_equal(mollify_metric(g, kernel).value(points),
+                              metrics._mollify_values(g.value, kernel, points))
+
+    def test_guard_rejects_swapped_axes_and_falls_back_bit_for_bit(self):
+        g = constant_metric(np.diag([1.0, 2.0]))
+        kernel = MollifierKernel.create(2, 0.1, level=2)
+        assert not metrics._folds(g, AffineChart([0.0, 0.0], 1.0), kernel)
+        points = np.random.default_rng(12).uniform(-0.7, 0.7, size=(30, 2))
+        self._assert_mollify_falls_back(g, kernel, points)
+
+    def test_guard_rejects_an_off_centre_chart_and_falls_back_bit_for_bit(self):
+        sphere = build_scenario("round_sphere_chart")
+        cutoff = dataclasses.replace(sphere.atlas[0], chart=AffineChart([0.1, 0.0], 1.0))
+        kernel = experiments._kernel_for(0.05, 2)
+        assert not metrics._folds(sphere.metric, cutoff.chart, kernel)
+        points = experiments._probe_points(sphere)
+        assert np.array_equal(
+            chart_smooth_metric(sphere.metric, cutoff, kernel, fold=True).value(points),
+            chart_smooth_metric(sphere.metric, cutoff, kernel).value(points))
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_guard_rejects_a_three_dimensional_kernel_and_falls_back_bit_for_bit(self, level):
+        # the azimuthal rule is not closed under x <-> z, whatever the metric
+        g = conformal_metric(sphere_factor, dimension=3)
+        kernel = MollifierKernel.create(3, 0.1, level=level)
+        mats = metrics._signed_permutations(3)
+        assert np.all(metrics._chart_isometries(g, AffineChart(np.zeros(3), 1.0), mats))
+        assert not np.all(metrics._permutes_nodes(kernel, mats))
+        assert not metrics._folds(g, AffineChart(np.zeros(3), 1.0), kernel)
+        points = np.random.default_rng(13).uniform(-0.45, 0.45, size=(6, 3))
+        self._assert_mollify_falls_back(g, kernel, points)
+
+    def test_a_three_dimensional_rule_closed_under_signed_permutations_folds(self):
+        # every signed permutation of three generic nodes: the guard passes,
+        # and a 3-cycle, unlike any 2-D permutation, is not its own inverse
+        base = np.array([[0.1, 0.35, 0.6], [0.2, 0.25, 0.5], [0.05, 0.4, 0.45]])
+        nodes = np.array([signs * b[perm] for b in base for perm, signs, _ in
+                          _signed_images(np.arange(3.0))]) * 0.1
+        shipped = MollifierKernel.create(3, 0.1, level=1)
+        kernel = MollifierKernel(shipped.profile, 0.1,
+                                 QuadratureRule(nodes, np.ones(len(nodes)), 1))
+        g = conformal_metric(sphere_factor, dimension=3)
+        assert metrics._folds(g, AffineChart(np.zeros(3), 1.0), kernel)
+        field = mollify_metric(g, kernel)
+        point = np.array([0.3, -0.1, 0.2])
+        canonical = np.sort(np.abs(point))
+        base_value = field.value(canonical[None])[0]
+        images = np.array([image for _, _, image in _signed_images(point)])
+        values = field.value(images)
+        for image, value in zip(images, values):
+            matches = [_congruence(base_value, perm, signs)
+                       for perm, signs, moved in _signed_images(canonical)
+                       if np.array_equal(moved, image)]
+            assert len(matches) == 1 and np.array_equal(value, matches[0]), image
+        unfolded = metrics._mollify_values(g.value, kernel, images)
+        assert np.max(np.abs(values - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.05])
+    def test_invariance_check_route_never_folds(self, epsilon):
+        euclid = build_scenario("euclid_z4")
+        kernel = experiments._kernel_for(epsilon, 2)
+        points = experiments._probe_points(euclid)
+        exact = _smoothed_field(euclid, kernel, exact=True).value(points)
+        unfolded = haar_average_metric(euclid.metric, euclid.atlas[0], kernel, euclid.group)
+        assert np.array_equal(exact, unfolded.value(points))
+        # folded, the Z4 quarter turns are signed permutations: the residual
+        # vanishes by construction and would certify nothing
+        folded = _smoothed_field(euclid, kernel)
+        assert isometry_residual(folded, euclid.group, points) == 0.0
