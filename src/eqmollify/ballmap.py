@@ -26,8 +26,11 @@ locality guarantees exact rather than merely small.  A radial map's
 Jacobian is t I + e u u^T, and the maps hand back the factors (t, e, u);
 the shift product forms its chain Jacobians per component from them,
 never as n x n stacks.  The bridge inverse takes each Newton value and
-slope from one set of exponentials, carries only unconverged rows, and
-hands its last slope to the compression Jacobian.
+slope from one set of exponentials, evaluated in place, shares the first
+step every row takes from the window's midpoint, carries only unconverged
+rows, gathered by index, and hands its last slope to the compression
+Jacobian; each row's root and slope are bit for bit those of its own
+Newton path.
 The scan grids and kernel node rings are closed under sign flips and axis
 swaps, so most translated radii repeat bit for bit; ``radial_profile_inverse``
 inverts each distinct bridge radius once and gathers the result back, which
@@ -117,17 +120,31 @@ def _flat_exp(u):
 def _step(u, derivative):
     """``smooth_step`` of an array, and its derivative (else None) from the
     same two exponentials.  a + b > 0 at every u, so a / (a + b) is exactly
-    0 from u <= 0 and exactly 1 from u >= 1 with no case split."""
+    0 from u <= 0 and exactly 1 from u >= 1 with no case split.  ``u`` is
+    read only; the derivative reuses 1 - u and writes in place, rounded as
+    (a / u**2 * b + a * (b / (1 - u)**2)) / (a + b)**2."""
     a = _flat_exp(u)
-    b = _flat_exp(1.0 - u)
+    rest = 1.0 - u
+    b = _flat_exp(rest)
     total = a + b
     w = a / total
     if not derivative:
         return w, None
     with np.errstate(divide="ignore", invalid="ignore"):
-        dw = (a / u ** 2 * b + a * (b / (1.0 - u) ** 2)) / total ** 2
-    # zero wherever an exponential underflows, where a / u**2 can be 0 / 0
-    return w, np.where((a > 0.0) & (b > 0.0), dw, 0.0)
+        dw = np.square(u)
+        np.divide(a, dw, out=dw)
+        dw *= b
+        np.square(rest, out=rest)
+        np.divide(b, rest, out=rest)
+        rest *= a
+        dw += rest
+        np.square(total, out=total)
+        dw /= total
+    # zero wherever an exponential underflows, where a / u**2 can be 0 / 0;
+    # neither exponential is ever nan
+    np.minimum(a, b, out=a)
+    np.copyto(dw, 0.0, where=a <= 0.0)
+    return w, dw
 
 
 def smooth_step(u):
@@ -157,17 +174,29 @@ def _outer_slope(r, outer):
 
 def _bridge(r, derivative=False):
     """Convex blend of the two branch values across the window; with
-    ``derivative`` also its slope, from the same exponentials."""
+    ``derivative`` also its slope, from the same exponentials.  Written in
+    place over 1 - r and a few buffers, rounded as the formulas
+    (1 - w) r + w outer and (1 - w) + w outer' + dw (outer - r) read."""
     w, dw = _step(_window(r), derivative)
-    outer = _outer(r)
-    # (1 - w) r + w outer and (1 - w) + w outer' + dw (outer - r), in place
+    # outer = exp(1/(1 - r)^2), keeping 1 - r for the slope's cube
+    rest_r = 1.0 - r
+    outer = np.square(rest_r)
+    np.divide(1.0, outer, out=outer)
+    np.exp(outer, out=outer)
     rest = 1.0 - w
     value = rest * r
-    value += w * outer
+    term = w * outer
+    value += term
     if not derivative:
         return value
     dw /= BRIDGE_HI - BRIDGE_LO
-    rest += w * _outer_slope(r, outer)
+    # w outer' with outer' = outer 2 / (1 - r)**3; the cube stays np.power,
+    # which rounds otherwise than a product of three
+    np.power(rest_r, 3, out=rest_r)
+    np.multiply(outer, 2.0, out=term)
+    term /= rest_r
+    term *= w
+    rest += term
     outer -= r
     outer *= dw
     rest += outer
@@ -255,26 +284,37 @@ def radial_profile_inverse(s, derivative=False):
 
 def _invert_bridge(s):
     """Bracketed Newton on the bridge, returning the roots and the slopes g'
-    there; rows leave as they converge, so a sweep carries only live rows."""
+    there.
+
+    Every row starts at the window's midpoint, so the first value and slope
+    are one evaluation, broadcast.  A row's root and slope are taken at the
+    sweep where it converges, and the next sweep carries only the live
+    rows, gathered by index: a boolean gather or scatter over rows that
+    converge in no order costs several times an index ``take``.  Each
+    row's path is the one it would take alone."""
     out = np.empty(s.shape)
     out_slope = np.empty(s.shape)
     rows = np.arange(s.shape[0])
     bound = _INVERSE_TOLERANCE * np.maximum(1.0, np.abs(s))
     lo = np.full(s.shape, BRIDGE_LO)
     hi = np.full(s.shape, BRIDGE_HI)
-    r = 0.5 * (lo + hi)
-    f, d = _bridge(r, derivative=True)
-    f -= s
+    start = 0.5 * (BRIDGE_LO + BRIDGE_HI)
+    value, slope = _bridge(np.array([start]), derivative=True)
+    r = np.full(s.shape, start)
+    f = value[0] - s
+    d = np.full(s.shape, slope[0])
     for _ in range(_INVERSE_ITERATIONS):
         done = np.abs(f) <= bound
-        if np.any(done):
-            out[rows[done]] = r[done]
-            out_slope[rows[done]] = d[done]
-            live = ~done
-            if not np.any(live):
+        hit = np.flatnonzero(done)
+        if hit.shape[0]:
+            at = rows.take(hit)
+            out[at] = r.take(hit)
+            out_slope[at] = d.take(hit)
+            if hit.shape[0] == rows.shape[0]:
                 break
+            keep = np.flatnonzero(~done)
             rows, r, f, d, lo, hi, s, bound = (
-                v[live] for v in (rows, r, f, d, lo, hi, s, bound))
+                v.take(keep) for v in (rows, r, f, d, lo, hi, s, bound))
         # keep the bracket consistent with the sign of the residual
         np.copyto(lo, r, where=f < 0.0)
         np.copyto(hi, r, where=f > 0.0)
@@ -453,9 +493,10 @@ def _shift_blocks(points, shifts):
     expanded once and only the compression, fed (n, M k) component rows,
     runs per node.
 
-    Only the points are split: into max(1, N // max(2, _MAX_ROWS // M))
+    Only the points are split: into max(1, min(N // 2, ceil(N M / _MAX_ROWS)))
     chunks of near-equal size, each of at least two points (unless N = 1)
-    and fewer than 2 max(_MAX_ROWS, 2 M) rows.  A single chunk has ``part`` = slice(0, N);
+    and at most max(_MAX_ROWS + M, 3 M) rows.  A single chunk has
+    ``part`` = slice(0, N);
     several take the points in increasing radius, ``part`` their index
     array, which keeps repeated bridge radii together for the inversion's
     deduplication.  A caller's node sum over a chunk's (M, k) rows is then
@@ -470,7 +511,7 @@ def _shift_blocks(points, shifts):
     compression passes through get Je exactly."""
     count, n = points.shape
     m = shifts.shape[0]
-    chunks = max(1, count // max(2, _MAX_ROWS // m))
+    chunks = max(1, min(count // 2, math.ceil(count * m / _MAX_ROWS)))
     if chunks == 1:
         parts = [slice(0, count)]
     else:

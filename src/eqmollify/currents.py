@@ -107,9 +107,8 @@ class TestForm:
     def _times_cutoff(self, rows):
         """The form at the points whose ``_cutoff_rows`` are given."""
         bump, live, pts, frames = rows
-        out = np.zeros(live.shape[0])
-        if not np.any(live) or not self.coefficients:
-            return out
+        if pts.shape[0] == 0 or not self.coefficients:
+            return np.zeros(bump.shape[0])
         total = np.zeros(pts.shape[0])
         for index, fn in self.coefficients.items():
             coef = np.asarray(fn(pts), dtype=float)
@@ -119,19 +118,27 @@ class TestForm:
                 total += coef * frames[:, 0, index[0]]
             else:
                 total += coef * np.linalg.det(frames[:, :, list(index)])
+        if live is None:
+            return np.multiply(bump, total, out=total)
+        out = np.zeros(bump.shape[0])
         out[live] = bump[live] * total
         return out
 
 
 def _cutoff_rows(form, points, frames):
     """The form's radial cutoff at the points, the mask of rows where it is
-    nonzero, and the points and frames of those rows.  Depends on the form
-    only through its cutoff, so forms sharing one can share the result."""
+    nonzero, and the points and frames of those rows.  Where the cutoff is
+    nonzero at every point the mask is None and the points and frames are
+    those given, with no gather: the standard form bank's plateau covers
+    every built-in current.  Depends on the form only through its cutoff,
+    so forms sharing one can share the result."""
     bump = form.cutoff(points)
     live = bump > 0.0
     if form.degree > 0:
-        frames = np.asarray(frames, dtype=float)[live]
-    return bump, live, points[live], frames
+        frames = np.asarray(frames, dtype=float)
+    if np.all(live):
+        return bump, None, points, frames
+    return bump, live, points[live], frames[live] if form.degree > 0 else frames
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,22 @@ def radial_conformal_metric(profile, dprofile=None, d2profile=None, dimension=2)
     return conformal_metric(factor, grad=grad, hessian=hessian, dimension=dimension)
 
 
+def _distinct_rows(rows):
+    """The distinct rows of ``rows`` (N, n) in lexicographic order, and the
+    index of each row among them: ``np.unique(rows, axis=0,
+    return_inverse=True)`` for finite rows free of negative zeros.  A
+    lexsort and a first-of-run mask take an eighth of the time that
+    ``np.unique``'s sort of one structured value per row does."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.empty(rows.shape[0], dtype=bool)
+    first[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    index = np.empty(rows.shape[0], dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return ranked[first], index
+
+
 def _mollify_values(metric_fn, kernel, points, fold=False):
     """Fused quadrature of the shifted pullbacks at each point.
 
@@ -223,8 +239,7 @@ def _mollify_values(metric_fn, kernel, points, fold=False):
         if fold:
             magnitude = np.abs(quad)
             order = np.argsort(magnitude, axis=1, kind="stable")
-            quad, orbit = np.unique(np.sort(magnitude, axis=1), axis=0,
-                                    return_inverse=True)
+            quad, orbit = _distinct_rows(np.sort(magnitude, axis=1))
             if quad.shape[0] == 1:
                 # numpy sums a lone point's node column in another order
                 # than a chunk's, so a single orbit is evaluated twice

@@ -614,6 +614,144 @@ def test_mask_free_bridge_sweep_matches_the_masked_formulas():
     assert np.array_equal(bm._bridge(r), value_ref)
 
 
+# the bridge Newton as it stood before its first step was shared, its
+# evaluation went in place and its compaction was amortized, kept here as
+# the bit-for-bit oracle; ``bisected`` collects the rows each sweep sends
+# to the bisection fallback
+def _oracle_flat_exp(u):
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.divide(-1.0, u)
+        np.exp(out, out=out)
+    out[~(u > 0.0)] = 0.0
+    return out
+
+
+def _oracle_step(u, derivative):
+    a = _oracle_flat_exp(u)
+    b = _oracle_flat_exp(1.0 - u)
+    total = a + b
+    w = a / total
+    if not derivative:
+        return w, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dw = (a / u ** 2 * b + a * (b / (1.0 - u) ** 2)) / total ** 2
+    return w, np.where((a > 0.0) & (b > 0.0), dw, 0.0)
+
+
+def _oracle_bridge(r, derivative=False):
+    w, dw = _oracle_step((r - bm.BRIDGE_LO) / (bm.BRIDGE_HI - bm.BRIDGE_LO), derivative)
+    outer = np.exp(1.0 / (1.0 - r) ** 2)
+    rest = 1.0 - w
+    value = rest * r
+    value += w * outer
+    if not derivative:
+        return value
+    dw /= bm.BRIDGE_HI - bm.BRIDGE_LO
+    rest += w * (outer * 2.0 / (1.0 - r) ** 3)
+    outer -= r
+    outer *= dw
+    rest += outer
+    return value, rest
+
+
+def _oracle_invert_bridge(s, bisected=None):
+    out = np.empty(s.shape)
+    out_slope = np.empty(s.shape)
+    rows = np.arange(s.shape[0])
+    bound = bm._INVERSE_TOLERANCE * np.maximum(1.0, np.abs(s))
+    lo = np.full(s.shape, bm.BRIDGE_LO)
+    hi = np.full(s.shape, bm.BRIDGE_HI)
+    r = 0.5 * (lo + hi)
+    f, d = _oracle_bridge(r, derivative=True)
+    f -= s
+    for _ in range(bm._INVERSE_ITERATIONS):
+        done = np.abs(f) <= bound
+        if np.any(done):
+            out[rows[done]] = r[done]
+            out_slope[rows[done]] = d[done]
+            live = ~done
+            if not np.any(live):
+                break
+            rows, r, f, d, lo, hi, s, bound = (
+                v[live] for v in (rows, r, f, d, lo, hi, s, bound))
+        np.copyto(lo, r, where=f < 0.0)
+        np.copyto(hi, r, where=f > 0.0)
+        f /= d
+        r -= f
+        outside = (r <= lo) | (r >= hi)
+        if bisected is not None:
+            bisected.extend(rows[outside])
+        np.copyto(r, 0.5 * (lo + hi), where=outside)
+        f, d = _oracle_bridge(r, derivative=True)
+        f -= s
+    else:
+        raise AssertionError("oracle did not converge")
+    return out, out_slope
+
+
+def _ulps(x, count=4):
+    return x + np.arange(-count, count + 1.0) * np.spacing(x)
+
+
+def _assert_newton_matches_the_oracle(s):
+    # roots, slopes, and the bridge at the roots, each bit for bit
+    rho, slope = bm._invert_bridge(s)
+    rho_ref, slope_ref = _oracle_invert_bridge(s)
+    np.testing.assert_array_equal(rho, rho_ref)
+    np.testing.assert_array_equal(slope, slope_ref)
+    for got, want in zip(bm._bridge(rho, True), _oracle_bridge(rho, True)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(bm._bridge(rho), _oracle_bridge(rho))
+
+
+def test_bridge_newton_matches_the_frozen_oracle_at_the_branch_ends():
+    # the ulp neighbours of the window's ends and of the exp branch's start,
+    # as values to invert and as radii to evaluate
+    s = np.concatenate([_ulps(bm.BRIDGE_LO)[5:], _ulps(bm.BRIDGE_HI), _ulps(bm._OUTER_AT_HI)])
+    _assert_newton_matches_the_oracle(s)
+    r = np.concatenate([_ulps(bm.BRIDGE_LO)[4:], _ulps(bm.BRIDGE_HI)[:5], WINDOW])
+    for got, want in zip(bm._bridge(r, True), _oracle_bridge(r, True)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_bridge_newton_matches_the_frozen_oracle_where_it_bisects():
+    s = np.geomspace(bm.BRIDGE_LO * (1 + 1e-15), bm._OUTER_AT_HI * (1 - 1e-15), 4000)
+    bisected = []
+    _oracle_invert_bridge(s, bisected)
+    assert len(set(bisected)) > 100
+    _assert_newton_matches_the_oracle(s[np.unique(bisected)])
+    _assert_newton_matches_the_oracle(s)
+
+
+def test_bridge_newton_matches_the_frozen_oracle_where_an_exponential_underflows():
+    # exp(-1/u) underflows for u below about 1/745, exp(-1/(1 - u)) for u
+    # above 1 - 1/745: radii within 3e-4 of either window end
+    width = bm.BRIDGE_HI - bm.BRIDGE_LO
+    r = np.concatenate([bm.BRIDGE_LO + width * np.geomspace(1e-300, 2e-3, 500),
+                        bm.BRIDGE_HI - width * np.geomspace(1e-16, 2e-3, 500)])
+    u = bm._window(r)
+    with np.errstate(divide="ignore", under="ignore"):
+        assert np.any(np.exp(-1.0 / u) == 0.0) and np.any(np.exp(-1.0 / (1.0 - u)) == 0.0)
+    for got, want in zip(bm._bridge(r, True), _oracle_bridge(r, True)):
+        np.testing.assert_array_equal(got, want)
+    _assert_newton_matches_the_oracle(np.unique(_oracle_bridge(r)))
+
+
+def test_one_row_bridge_is_the_batch_bridge_row_by_row():
+    # the shared first step evaluates one row and broadcasts it
+    r = np.concatenate([[0.5 * (bm.BRIDGE_LO + bm.BRIDGE_HI)], WINDOW[::97]])
+    batch = _oracle_bridge(r, True)
+    for i in range(r.shape[0]):
+        one = bm._bridge(r[i:i + 1], True)
+        assert one[0][0] == batch[0][i] and one[1][0] == batch[1][i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(bridge_values, min_size=1, max_size=40))
+def test_bridge_newton_matches_the_frozen_oracle(values):
+    _assert_newton_matches_the_oracle(np.array(values))
+
+
 def _extended_jacobians(t, e, u):
     """``_radial_jacobians`` in extended precision, from the same factors."""
     t, e, unit = (np.asarray(v, dtype=np.longdouble) for v in (t, e, u.T))
@@ -681,9 +819,9 @@ def test_shift_blocks_cover_every_point_once_in_increasing_radius(monkeypatch, c
         if len(parts) > 1:
             assert np.array_equal(order, np.argsort(bm._squared_norms(points), kind="stable"))
         for part, moved, chain in chunks:
-            # every node, at least two points and fewer than twice the
-            # larger of the cap and two nodes' worth of rows
+            # every node, at least two points, and at most the cap plus one
+            # point's rows, or three points' rows where the cap is smaller
             assert moved.shape[0] == chain.shape[2] == 9
-            assert min(2, count) <= moved.shape[1] and moved.size // 2 < 2 * max(cap, 18)
+            assert min(2, count) <= moved.shape[1] and moved.size // 2 <= max(cap + 9, 27)
             assert np.array_equal(moved, whole_moved[:, part])
             assert np.array_equal(chain, whole_chain[..., part])

@@ -95,6 +95,30 @@ class ShiftMap:
         return shift_with_jacobian(x, self.y)[1]
 
 
+def _masked_values(form, sample):
+    """A form's values at a sample's rows through the gather of the rows
+    where its cutoff is nonzero and the scatter back, whatever the rows."""
+    bump = form.cutoff(sample.points)
+    live = bump > 0.0
+    pts, frames = sample.points[live], sample.frames[live]
+    total = np.zeros(pts.shape[0])
+    for index, fn in form.coefficients.items():
+        coef = np.asarray(fn(pts), dtype=float)
+        if form.degree == 0:
+            total += coef
+        elif form.degree == 1:
+            total += coef * frames[:, 0, index[0]]
+        else:
+            total += coef * np.linalg.det(frames[:, :, list(index)])
+    out = np.zeros(live.shape[0])
+    out[live] = bump[live] * total
+    return out
+
+
+def _masked_pairing(form, sample):
+    return float(np.dot(sample.weights, _masked_values(form, sample)))
+
+
 class TestEvaluate:
     def test_dirac_mass_pairing(self):
         current = DiracCurrent(np.zeros((1, 2)))
@@ -164,6 +188,31 @@ class TestEvaluate:
         assert np.array_equal(together, one_by_one)
         # one cutoff for the whole bank, one for the narrow form
         assert len(cutoffs) == 2 and cutoffs[0] is bank[0] and cutoffs[1] is narrow
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_all_live_cutoff_pairs_as_the_masked_path(self, degree):
+        # a cutoff nonzero at every point hands the rows over as given, with
+        # no mask; every pairing must equal the masked gather and scatter
+        bank = [f for f in scenarios.standard_form_bank() if f.degree == degree]
+        if degree == 2:
+            bank = [TestForm(2, 2, {(0, 1): lambda x: np.cos(x[:, 0]) + x[:, 1]}, 1.6, 1.2)]
+        rng = np.random.default_rng(degree)
+        angles = rng.uniform(0.0, 2.0 * np.pi, 400)
+        radii = rng.uniform(0.3, 1.0, 400)
+        points = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
+        frames = rng.normal(size=(400, degree, 2))
+        weights = rng.normal(size=400)
+        for scale, live in ((1.0, "all"), (2.0, "some"), (6.0, "none")):
+            sample = WeightedSample(points * scale, frames, weights)
+            rows = currents._cutoff_rows(bank[0], sample.points, sample.frames)
+            inside = radii * scale < bank[0].support_radius
+            assert (rows[1] is None) == (live == "all")
+            assert inside.any() == (live != "none") and inside.all() == (live == "all")
+            for form in bank:
+                masked = _masked_pairing(form, sample)
+                assert sample.pair(form) == masked
+                assert form.evaluate(sample.points, sample.frames).tolist() == \
+                    _masked_values(form, sample).tolist()
 
 
 class TestPushforward:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from eqmollify import experiments
-from eqmollify.config import ConfigError, ExperimentConfig
+from eqmollify.config import ConfigError, ExperimentConfig, load_config
 from eqmollify.experiments import (
     EXPERIMENT_KINDS,
     CheckResult,
@@ -514,6 +514,42 @@ class TestReportFiles:
         assert report.csv_path == os.path.join(
             "runs", "euclid_z4-invariance-check", "results.csv")
         assert os.path.isfile(report.csv_path)
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _cell_close(observed, reference):
+    """The benchmark's rule for a results.csv cell: |a - b| <= 1e-12 +
+    1e-6 |b| for numbers, nan only against nan, text equal."""
+    try:
+        a, b = float(observed), float(reference)
+    except ValueError:
+        return observed == reference
+    if np.isnan(a) or np.isnan(b):
+        return bool(np.isnan(a) and np.isnan(b))
+    return abs(a - b) <= 1e-12 + 1e-6 * abs(b)
+
+
+def test_bench_size_sphere_seminorm_stays_on_the_benchmark_reference(tmp_path):
+    # the sphere-seminorm benchmark workload (grid 65, shipped epsilons)
+    # against its reference.  Any change to a bridge root's Newton path
+    # moves the cell at epsilon 1.22e-5 by about 1.3e-4 relative, past the
+    # benchmark's bound, and fails here rather than only in the benchmark
+    config = json.loads((REPO / "configs" / "sphere-seminorm.json").read_text())
+    config.update(grid=65, seed=42, out=str(tmp_path / "out"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    report = run_experiment("smooth-metric", load_config(str(path)))
+    observed = [line.split(",") for line in Path(report.csv_path).read_text().splitlines()]
+    reference = [line.split(",") for line in
+                 (REPO / "bench" / "references" / "sphere-seminorm.csv").read_text().splitlines()]
+    assert observed[0] == reference[0] and len(observed) == len(reference) == 16
+    far = [(row[0], name, cell, ref)
+           for row, ref_row in zip(observed[1:], reference[1:])
+           for name, cell, ref in zip(reference[0], row, ref_row)
+           if not _cell_close(cell, ref)]
+    assert all(len(row) == len(reference[0]) for row in observed) and far == []
 
 
 class TestCheckResult:

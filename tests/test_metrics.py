@@ -685,9 +685,10 @@ def test_point_blocking_moves_no_bit(monkeypatch, arrays):
     # every chunk holds all nodes and at least two points, so each point's
     # node sum is the same ordered sum whatever the cap.  At levels 1 and 2
     # (128 and 512 nodes), caps below twice the node count give chunks of
-    # two points, and 3 and 50 nodes' worth of rows chunks of three and of
-    # about 50 points (one chunk of all 61).  The shipped cap splits the
-    # 3,001 points into chunks of about 1,500 (level 1) and 270 (level 2)
+    # two points, and 3 and 50 nodes' worth of rows chunks of two or three
+    # and of at most 50 points (two chunks of 30 and 31 of the 61).  The
+    # shipped cap splits the 3,001 points into chunks of about 1,000
+    # (level 1) and 250 (level 2)
     for inner, caps in ((61, lambda m: (1, 7, 300, 3 * m, 50 * m, 1 << 17)),
                         (3001, lambda m: (1, 50 * m, 1 << 17))):
         points = _blocking_points(inner)
@@ -843,6 +844,45 @@ class TestFold:
         outside = np.array([[0.5, 0.0], [-0.4, 0.4], [0.0, -0.7], [0.9, 0.9]])
         assert np.array_equal(chart_smooth_metric(g, cutoff, kernel, fold=True).value(outside),
                               g.value(outside))
+
+    @staticmethod
+    def _orbit_keys(points):
+        """c = sort(|x|) of the inner rows, as the fold keys them."""
+        inner = points[ballmap._norms(points) < R_IDENTITY]
+        return np.sort(np.abs(inner), axis=1)
+
+    def test_distinct_rows_are_those_of_np_unique(self):
+        # the scan grid's keys tie on the diagonal and hold zeros on the
+        # axes; random keys rarely repeat; a single orbit is one row
+        rng = np.random.default_rng(19)
+        sphere = build_scenario("round_sphere_chart")
+        single = np.repeat(self._orbit_keys(np.array([[0.3, -0.2]])), 8, axis=0)
+        cases = [self._orbit_keys(sphere.scan_grid(65).points()),
+                 self._orbit_keys(rng.uniform(-0.7, 0.7, size=(3000, 2))),
+                 self._orbit_keys(rng.uniform(-0.4, 0.4, size=(500, 3))),
+                 single, single[:1]]
+        assert np.any(cases[0][:, 0] == 0.0) and np.any(cases[0][:, 0] == cases[0][:, 1])
+        for keys in cases:
+            rows, index = metrics._distinct_rows(keys)
+            unique_rows, unique_index = np.unique(keys, axis=0, return_inverse=True)
+            assert rows.dtype == unique_rows.dtype and index.dtype == unique_index.dtype
+            assert np.array_equal(rows, unique_rows)
+            assert np.array_equal(index, unique_index.reshape(-1))
+        assert metrics._distinct_rows(single)[0].shape == (1, 2)
+
+    def test_folded_quadrature_is_that_of_the_np_unique_orbits(self, monkeypatch):
+        # on the grid-65 scan, bit for bit the fold keyed by np.unique
+        sphere = build_scenario("round_sphere_chart")
+        points = sphere.scan_grid(65).points()
+        kernels = [MollifierKernel.create(2, 0.05, level=2),
+                   MollifierKernel.create(2, 0.0125, level=1)]
+        folded = [metrics._mollify_values(sphere.metric.value, kernel, points, fold=True)
+                  for kernel in kernels]
+        monkeypatch.setattr(metrics, "_distinct_rows",
+                            lambda keys: np.unique(keys, axis=0, return_inverse=True))
+        for kernel, values in zip(kernels, folded):
+            assert np.array_equal(
+                values, metrics._mollify_values(sphere.metric.value, kernel, points, fold=True))
 
     def test_folded_values_agree_with_unfolded_on_the_sphere_scan(self, monkeypatch):
         sphere = build_scenario("round_sphere_chart")
