@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# by name, so that numpy loads the submodule at import, not inside a run
+from numpy.polynomial.legendre import leggauss
 
 from .ballmap import R_IDENTITY, _norms, _shift_blocks
 from .maps import GroupAction, smooth_step
@@ -47,7 +49,7 @@ class CurrentError(ValueError):
 
 def _gauss_panels(panels, order):
     """Nodes and weights of a composite Gauss rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     width = 1.0 / panels
     starts = width * np.arange(panels)
     nodes = (starts[:, None] + 0.5 * width * (x[None, :] + 1.0)).ravel()

@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+# by name, so that numpy loads the submodule at import, not inside a run
+from numpy.random import default_rng
 
 from .metrics import BoxGrid, MetricError, _central_differences
 
@@ -156,7 +158,7 @@ def curvature_bounds(metric, grid, sections=8, seed=42, step=FD_STEP,
     if points.shape[0] == 0:
         raise CurvatureError("no grid points survive the exclusions")
     n = metric.dimension
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     lower = np.inf
     upper = -np.inf
     lower_point = upper_point = points[0]

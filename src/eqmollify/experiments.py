@@ -14,6 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+# by name, so that numpy loads the submodule at import, not inside a run
+from numpy.random import default_rng
 
 from .config import ConfigError, ExperimentConfig
 from .curvature import FD_STEP, curvature_bounds
@@ -151,7 +153,7 @@ def _fmt(value):
 
 
 def _probe_points(scenario, count=40, seed=42):
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     raw = rng.standard_normal((count, scenario.dimension))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     radii = scenario.domain_radius * rng.uniform(0.05, 1.0, size=count) ** 0.5

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# by name, so that numpy loads the submodule at import, not inside a run
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "QuadratureError",
@@ -73,7 +75,7 @@ def _integrate_unit_interval(fn, tolerance, max_level=16):
     max(1, |value|)) and raises QuadratureError if the refinement budget is
     exhausted first.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes, weights = leggauss(16)
     previous = None
     for level in range(max_level + 1):
         panels = 2 ** level
@@ -158,7 +160,7 @@ def _radial_gauss(epsilon, count, power):
     # Gauss-Legendre on [0, epsilon] with the measure r**power absorbed into
     # the weights.  Exact for the polynomial measure itself, so weight sums
     # reproduce ball volumes to machine precision.
-    u, gw = np.polynomial.legendre.leggauss(count)
+    u, gw = leggauss(count)
     r = 0.5 * epsilon * (u + 1.0)
     w = 0.5 * epsilon * gw * r ** power
     return r, w
@@ -198,7 +200,7 @@ def ball_quadrature(epsilon, dimension, level=3):
         nmu = 2 * 2 ** level
         naz = 4 * 2 ** level
         r, wr = _radial_gauss(epsilon, nr, 2)
-        mu, wmu = np.polynomial.legendre.leggauss(nmu)
+        mu, wmu = leggauss(nmu)
         phi = 2.0 * math.pi * (np.arange(naz) + 0.5) / naz
         wphi = 2.0 * math.pi / naz
         sin_pol = np.sqrt(1.0 - mu ** 2)

@@ -1,5 +1,8 @@
 """Curve length, graph distance, and dilation estimator tests.
 
+The library's lattice shortest paths are checked bit for bit against
+scipy's Dijkstra, which only the tests import.
+
 Frozen constants come from scripts/make_fixtures.py: chord lengths by
 adaptive 1-D quadrature, the graph value from a run at ten times the
 resolution used here.
@@ -7,18 +10,25 @@ resolution used here.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import sparse
 from scipy.sparse import csgraph
 
+from eqmollify import distances
 from eqmollify.distances import (
     DistanceError,
     DilationReport,
     SampleGraph,
+    _lattice_distances,
+    _lattice_steps,
     curve_length,
     dilation_estimate,
     graph_distance,
     sample_graph,
     seeded_point_pairs,
 )
+from eqmollify.experiments import _kernel_for, _smoothed_field
 from eqmollify.kernel import MollifierKernel
 from eqmollify.metrics import (
     BoxGrid,
@@ -27,6 +37,7 @@ from eqmollify.metrics import (
     constant_metric,
     mollify_metric,
 )
+from eqmollify.scenarios import build_scenario
 
 SPHERE_DIAMETER_CHORD = 3.0390510195030829
 SPHERE_OFFSET_CHORD = 2.8628008576685842
@@ -44,6 +55,22 @@ def sphere_metric():
 def chord(a, b, segments):
     t = np.linspace(0.0, 1.0, segments + 1)[:, None]
     return np.asarray(a) * (1.0 - t) + np.asarray(b) * t
+
+
+def scipy_matrix(graph):
+    """The graph as the symmetric sparse matrix that scipy's csgraph reads."""
+    count = graph.nodes.shape[0]
+    a, b = graph.edges.T
+    return sparse.csr_matrix((np.concatenate([graph.lengths, graph.lengths]),
+                              (np.concatenate([a, b]), np.concatenate([b, a]))),
+                             shape=(count, count))
+
+
+def entering(graph, a, b):
+    """The length the graph stores for its edge from node a into node b."""
+    steps = _lattice_steps(graph.sites.shape[1])
+    k = np.flatnonzero(np.all(steps == graph.sites[b] - graph.sites[a], axis=1))[0]
+    return graph.weights[(k,) + tuple(graph.sites[b] + 1)]
 
 
 class TestCurveLength:
@@ -89,19 +116,22 @@ class TestSampleGraph:
         graph = sample_graph(constant_metric(np.eye(2)), grid)
         assert graph.nodes.shape == (441, 2)
         assert np.all(graph.lengths > 0.0)
-        assert (graph.matrix - graph.matrix.T).nnz == 0
+        # each edge listed once, its length stored for both directions
+        assert np.unique(np.sort(graph.edges, axis=1), axis=0).shape == graph.edges.shape
+        for (a, b), length in zip(graph.edges, graph.lengths):
+            assert entering(graph, a, b) == entering(graph, b, a) == length
 
     def test_interior_degree_two_dimensional(self):
         grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (5, 5))
         graph = sample_graph(constant_metric(np.eye(2)), grid)
         center = graph.snap((0.0, 0.0))
-        assert graph.matrix[center].nnz == 8
+        assert np.count_nonzero(graph.edges == center) == 8
 
     def test_interior_degree_three_dimensional(self):
         grid = BoxGrid((-1.0,) * 3, (1.0,) * 3, (5, 5, 5))
         graph = sample_graph(constant_metric(np.eye(3)), grid)
         center = graph.snap((0.0, 0.0, 0.0))
-        assert graph.matrix[center].nnz == 26
+        assert np.count_nonzero(graph.edges == center) == 26
 
     def test_mask_drops_corners(self):
         grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (21, 21))
@@ -109,16 +139,139 @@ class TestSampleGraph:
         assert graph.nodes.shape[0] < 441
         assert np.max(np.linalg.norm(graph.nodes, axis=1)) <= 0.95
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("one_point_per_block", [False, True])
+    def test_snap_picks_the_first_nearest_node(self, dimension, one_point_per_block,
+                                               monkeypatch):
+        if one_point_per_block:
+            monkeypatch.setattr(distances, "_MAX_CELLS", 1)
+        grid = BoxGrid((-0.95,) * dimension, (0.95,) * dimension, (13,) * dimension)
+        graph = sample_graph(constant_metric(np.eye(dimension)), grid, mask_radius=0.95)
+        points = seeded_point_pairs(64, 42, 0.9, dimension=dimension).reshape(-1, dimension)
+        nodes = graph.nodes
+        expected = [np.argmin(np.einsum("ri,ri->r", nodes - p, nodes - p)) for p in points]
+        assert np.array_equal(graph.snap(points), expected)
+        assert [graph.snap(p) for p in points] == expected
+        assert isinstance(graph.snap(points[0]), int)
+
+    def test_snap_ties_go_to_the_first_node(self):
+        # nodes at -1, 0 and 1 per axis; (0.5, 0) is 0.5 from nodes 4 and 7
+        grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (3, 3))
+        graph = sample_graph(constant_metric(np.eye(2)), grid)
+        assert graph.snap((0.5, 0.0)) == 4
+        assert np.array_equal(graph.snap([(0.5, 0.0), (0.0, -0.5)]), [4, 3])
+
     def test_disconnected_components_rejected(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0]])
         edges = np.array([[0, 1], [2, 3]])
         with pytest.raises(DistanceError, match="disconnected"):
-            SampleGraph(nodes, edges, np.array([1.0, 1.0]), (4,))
+            SampleGraph(nodes, nodes.astype(int), edges, np.array([1.0, 1.0]))
 
     def test_nonpositive_length_rejected(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DistanceError, match="positive"):
-            SampleGraph(nodes, np.array([[0, 1]]), np.array([0.0]), (2,))
+            SampleGraph(nodes, nodes.astype(int), np.array([[0, 1]]), np.array([0.0]))
+
+
+def dijkstra(graph, sources):
+    return csgraph.dijkstra(scipy_matrix(graph), directed=False, indices=sources)
+
+
+# an off-centre box: a mask gives its padded lattice a different size per
+# axis even where the counts agree
+OFF_CENTRE = {2: ((-0.8, -1.0), (1.0, 0.7)), 3: ((-0.9, -1.0, -0.6), (1.0, 0.8, 0.9))}
+
+
+def lattice_graph(counts, mask_radius=None, off_centre=False):
+    dimension = len(counts)
+    lo, hi = OFF_CENTRE[dimension] if off_centre else ((-1.0,) * dimension, (1.0,) * dimension)
+    metric = sphere_metric() if dimension == 2 else constant_metric(np.diag([1.0, 2.0, 0.5]))
+    return sample_graph(metric, BoxGrid(lo, hi, counts), mask_radius=mask_radius)
+
+
+_DRAWN_BASE = {2: lattice_graph((7, 7), mask_radius=0.95), 3: lattice_graph((4, 4, 4))}
+
+
+def corner_nodes(graph):
+    """The node furthest out along each of the 2^n lattice diagonals."""
+    signs = np.array(list(np.ndindex(*((2,) * graph.sites.shape[1])))) * 2 - 1
+    return np.unique(np.argmax(graph.sites @ signs.T, axis=0))
+
+
+class TestLatticeDistances:
+    """The lattice sweep returns scipy's Dijkstra distances bit for bit."""
+
+    @pytest.mark.parametrize("counts, off_centre", [
+        ((9, 9), False), ((9, 9), True), ((9, 6), True),
+        ((5, 5, 5), False), ((5, 5, 5), True), ((5, 4, 3), True),
+    ], ids=["9x9", "9x9-off", "9x6-off", "5x5x5", "5x5x5-off", "5x4x3-off"])
+    @pytest.mark.parametrize("mask_radius", [None, 0.95])
+    @pytest.mark.parametrize("sources", ["one", "every", "corners"])
+    def test_matches_dijkstra(self, counts, off_centre, mask_radius, sources):
+        graph = lattice_graph(counts, mask_radius, off_centre)
+        indices = {"one": np.array([graph.snap(np.full(len(counts), 0.3))]),
+                   "every": np.arange(graph.nodes.shape[0]),
+                   "corners": corner_nodes(graph)}[sources]
+        assert np.array_equal(_lattice_distances(graph, indices), dijkstra(graph, indices))
+
+    def test_source_blocks_move_no_bit(self, monkeypatch):
+        graph = lattice_graph((9, 9), mask_radius=0.95)
+        indices = np.arange(graph.nodes.shape[0])
+        whole = _lattice_distances(graph, indices)
+        # seven sources per sweep, the last block shorter
+        monkeypatch.setattr(distances, "_MAX_CELLS", 7 * graph.weights[0].size)
+        assert np.array_equal(_lattice_distances(graph, indices), whole)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dimension=st.sampled_from([2, 3]), data=st.data())
+    def test_matches_dijkstra_under_drawn_weights(self, dimension, data):
+        # scaling each edge by 0.01-10 bends the shortest paths, so the
+        # sweep needs more than one round to settle
+        graph = _DRAWN_BASE[dimension]
+        scale = data.draw(arrays(np.float64, graph.lengths.shape,
+                                 elements=st.floats(0.01, 10.0)))
+        drawn = SampleGraph(graph.nodes, graph.sites, graph.edges, graph.lengths * scale)
+        indices = np.arange(graph.nodes.shape[0])
+        assert np.array_equal(_lattice_distances(drawn, indices), dijkstra(drawn, indices))
+
+    @pytest.mark.parametrize("epsilon", [None, 0.0125])
+    def test_matches_dijkstra_on_the_benchmark_graphs(self, epsilon):
+        # the radial-lipschitz benchmark's lattice and sources, on the
+        # reference metric and on its smoothing at the first epsilon
+        scenario = build_scenario("radial_c11")
+        metric = scenario.metric
+        if epsilon is not None:
+            metric = _smoothed_field(scenario, _kernel_for(epsilon, 2))
+        graph = sample_graph(metric, scenario.scan_grid(25), mask_radius=scenario.scan_radius)
+        pairs = seeded_point_pairs(64, 42, 0.9 * scenario.domain_radius,
+                                   min_separation=0.4 * scenario.domain_radius)
+        indices = np.unique(graph.snap(pairs.reshape(-1, 2)))
+        assert indices.shape == (103,)
+        assert np.array_equal(_lattice_distances(graph, indices), dijkstra(graph, indices))
+
+    def test_disconnected_lattice_reports_its_component_count(self):
+        # two 5 x 2 blocks either side of an empty column, and a lone site
+        sites = np.array([(i, j) for i in range(5) for j in (0, 1, 3, 4)] + [(0, 6)])
+        edges = np.array([(a, b) for a in range(len(sites)) for b in range(a + 1, len(sites))
+                          if np.max(np.abs(sites[a] - sites[b])) == 1])
+        lengths = np.linalg.norm(sites[edges[:, 1]] - sites[edges[:, 0]], axis=1)
+        with pytest.raises(DistanceError, match=r"disconnected \(3 components\)"):
+            SampleGraph(sites.astype(float), sites, edges, lengths)
+
+    @pytest.mark.parametrize("sites, edges, message", [
+        ([[0, 0], [2, 0]], [[0, 1]], "lattice neighbours"),
+        ([[0, 0], [1, 1]], [[0, 1], [1, 1]], "lattice neighbours"),
+        ([[0, 0], [1, 1]], [[0, 1], [1, 0]], "repeats an edge"),
+        ([[0, 0], [0, 0]], [[0, 1]], "distinct lattice sites"),
+        ([[0, -1], [0, 0]], [[0, 1]], "non-negative lattice site"),
+        ([[0, 0, 0], [0, 0, 1]], [[0, 1]], "non-negative lattice site"),
+    ])
+    def test_malformed_lattice_rejected(self, sites, edges, message):
+        # the nodes are planar, so three-dimensional sites do not fit them
+        sites, edges = np.array(sites), np.array(edges)
+        nodes = sites[:, :2].astype(float)
+        with pytest.raises(DistanceError, match=message):
+            SampleGraph(nodes, sites, edges, np.ones(edges.shape[0]))
 
 
 class TestGraphDistance:
@@ -186,7 +339,7 @@ def shortest_path(graph, p, q):
     """The node chain Dijkstra realizes between the snapped p and q, with
     its length, read back from the predecessor tree."""
     i, j = graph.snap(p), graph.snap(q)
-    dist, pred = csgraph.dijkstra(graph.matrix, directed=False, indices=[i],
+    dist, pred = csgraph.dijkstra(scipy_matrix(graph), directed=False, indices=[i],
                                   return_predecessors=True)
     chain = [j]
     while chain[-1] != i:
@@ -250,6 +403,9 @@ class TestDilation:
         assert isinstance(report, DilationReport)
         assert np.all(report.deviations >= 0.0)
         assert report.pairs.shape == (4, 2)
+        graph = sample_graph(sphere_metric(), self.grid(), mask_radius=0.95)
+        assert np.array_equal(report.pairs, graph.snap(pairs.reshape(-1, 2)).reshape(-1, 2))
+
 
     def test_mollified_deviation_shrinks_with_epsilon(self):
         metric = sphere_metric()
