@@ -192,7 +192,7 @@ def distances_section():
 
     # graph oracle: same library route at ten times the test resolution, so
     # this pins self-convergence of the discrete distance, not a second method
-    from eqmollify.distances import graph_distance, sample_graph
+    from eqmollify.distances import _lattice_distances, sample_graph
     from eqmollify.metrics import BoxGrid, conformal_metric
 
     metric = conformal_metric(sphere_factor)
@@ -201,7 +201,9 @@ def distances_section():
     for per_axis in (33, 331):
         grid = BoxGrid((-0.95, -0.95), (0.95, 0.95), (per_axis, per_axis))
         graph = sample_graph(metric, grid, mask_radius=0.95)
-        values[per_axis] = graph_distance(graph, p, q)
+        # from the smaller snapped index, so the value is symmetric in p, q
+        i, j = sorted(graph.snap([p, q]))
+        values[per_axis] = float(_lattice_distances(graph, [i])[0, j])
     print("GRAPH_OFFSET_ORACLE = %.17g  # 331 nodes per axis" % values[331])
     print("# 33-per-axis value %.17g, gap %.3e, chord length %.17g"
           % (values[33], abs(values[33] - values[331]), offset))

@@ -40,9 +40,7 @@ from .distances import (
     DilationReport,
     DistanceError,
     SampleGraph,
-    curve_length,
     dilation_estimate,
-    graph_distance,
     sample_graph,
     seeded_point_pairs,
 )

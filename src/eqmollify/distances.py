@@ -1,4 +1,4 @@
-"""Curve lengths, grid-graph geodesic distances, and dilation estimates.
+"""Grid-graph geodesic distances and dilation estimates.
 
 Distances come from shortest paths on a regular grid graph with full
 diagonal neighborhoods, edge weights being quadrature lengths of straight
@@ -23,10 +23,8 @@ from .metrics import BoxGrid, MetricError
 
 __all__ = [
     "DistanceError",
-    "curve_length",
     "SampleGraph",
     "sample_graph",
-    "graph_distance",
     "DilationReport",
     "dilation_estimate",
     "seeded_point_pairs",
@@ -54,21 +52,6 @@ def _chord_lengths(metric, starts, chords, order):
     tangents = np.repeat(chords, order, axis=0)
     speeds = np.sqrt(np.einsum("rij,ri,rj->r", g, tangents, tangents))
     return speeds.reshape(-1, order) @ (0.5 * weights)
-
-
-def curve_length(polyline, metric, order=12, domain_radius=None):
-    """Length of a polyline under the metric, per-segment Gauss quadrature."""
-    vertices = np.atleast_2d(np.asarray(polyline, dtype=float))
-    if vertices.shape[0] < 2:
-        raise DistanceError("polyline needs at least two vertices")
-    if domain_radius is not None:
-        worst = float(np.max(np.linalg.norm(vertices, axis=1)))
-        if worst > domain_radius:
-            raise DistanceError(
-                "curve leaves the domain (radius %.6g > %.6g)" % (worst, domain_radius)
-            )
-    chords = vertices[1:] - vertices[:-1]
-    return float(np.sum(_chord_lengths(metric, vertices[:-1], chords, order)))
 
 
 def _lattice_steps(dimension):
@@ -277,20 +260,6 @@ def _sweep_sources(graph, indices):
 
 # bench/layers.py hooks the shortest paths by this name and reads indices=
 csgraph = SimpleNamespace(dijkstra=_lattice_distances)
-
-
-def graph_distance(graph, p, q):
-    """Shortest-path length between the nodes nearest to p and q.
-
-    The source is the smaller snapped index, so symmetry in (p, q) holds
-    exactly rather than up to summation order.
-    """
-    i, j = graph.snap([p, q])
-    src, dst = min(i, j), max(i, j)
-    dist = csgraph.dijkstra(graph, indices=[src])[0, dst]
-    if not np.isfinite(dist):
-        raise DistanceError("nodes are disconnected")
-    return float(dist)
 
 
 @dataclass(frozen=True)

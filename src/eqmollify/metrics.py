@@ -15,25 +15,29 @@ grid: interpolation would break that locality and the finite-difference
 curvature taken on top.  The quadrature reads its moved points and the
 built-in fields' values in Fortran order, one contiguous row per entry.
 
-The quadrature folds onto one point per signed-permutation orbit: the
-smoothing commutes with every isometry that preserves the metric and the
-kernel, and signed coordinate permutations are the ones floating point
-applies exactly.  So the value at x = S c, c = sort(|x|), is taken as
-S V(c) S^T: one shift product per distinct c, then an index gather and
-exact sign products.  A guard (``_folds``) admits the fold only if every
-signed permutation permutes the kernel nodes onto nodes of equal weight
-and is an isometry of the input at fixed probes, the tests of the
-group-average coset rule (``_stage_cosets``); otherwise the field is the
-unfolded quadrature bit for bit.  Folded values differ from unfolded ones
-by rounding only, and each depends on its own point alone.
-``mollify_metric`` folds wherever the guard passes; the chart stages fold
-on request (``fold``), because the invariance certificate runs them
-unfolded: a folded field is invariant under the signed permutations by
-construction and its residuals would measure nothing.
+Every symmetry shortcut rests on isometries that are declared and exact:
+a field states its own (``MetricField.isometry``), and one rule
+(``_stage_symmetries``) admits a matrix as a symmetry of a chart stage
+when it fixes the chart centre, permutes the kernel nodes onto nodes of
+equal weight, and is the identity or declared by the field.  The group
+average takes its symmetry subgroup from that rule (``_stage_cosets``).
+
+The quadrature folds onto one point per signed-permutation orbit when
+every signed permutation is a symmetry of the stage (``_folds``); signed
+coordinate permutations are the ones floating point applies exactly.  So
+the value at x = S c, c = sort(|x|), is taken as S V(c) S^T: one shift
+product per distinct c, then an index gather and exact sign products.
+Otherwise the field is the unfolded quadrature bit for bit.  Folded values
+differ from unfolded ones by rounding only, and each depends on its own
+point alone.  ``mollify_metric`` folds wherever the rule admits it; the
+chart stages fold on request (``fold``), because the invariance
+certificate runs them unfolded: a folded field is invariant under the
+signed permutations by construction and its residuals would measure
+nothing.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,12 +124,18 @@ class MetricField:
     supplied, have shapes (N, n, n, n) for d_a g_ij and (N, n, n, n, n) for
     d_a d_b g_ij.  A field carrying both gets analytic curvature jets; any
     other field, a smoothed one among them, gets central differences.
+
+    ``isometry``, when supplied, is a predicate on an orthogonal matrix m
+    that is true only if m^T g(m x) m = g(x) exactly at every x.  The
+    symmetry shortcuts trust it and nothing else: a field without one,
+    a smoothed one among them, declares no isometry but the identity.
     """
 
     fn: object
     dimension: int
     first_derivative: object = None
     second_derivative: object = None
+    isometry: object = None
 
     def value(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -133,6 +143,7 @@ class MetricField:
 
 
 def constant_metric(matrix):
+    """The constant field A; it declares m an isometry iff m^T A m == A."""
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     zeros1 = lambda pts: np.zeros((pts.shape[0], n, n, n))
@@ -142,6 +153,7 @@ def constant_metric(matrix):
         dimension=n,
         first_derivative=zeros1,
         second_derivative=zeros2,
+        isometry=lambda m: np.array_equal(m.T @ matrix @ m, matrix),
     )
 
 
@@ -175,7 +187,8 @@ def conformal_metric(factor, grad=None, hessian=None, dimension=2):
 
 
 def radial_conformal_metric(profile, dprofile=None, d2profile=None, dimension=2):
-    """Conformal metric p(|x|^2) * identity from a radial profile in t = |x|^2.
+    """Conformal metric p(|x|^2) * identity from a radial profile in t = |x|^2,
+    which declares every orthogonal matrix an isometry.
 
     Profile derivatives, when given, turn into analytic metric derivatives
     via the chain rule grad c = 2 p'(t) x, hess c = 4 p'' x xT + 2 p' I.
@@ -193,7 +206,8 @@ def radial_conformal_metric(profile, dprofile=None, d2profile=None, dimension=2)
                 2.0 * dprofile(t)
             )[:, None, None] * np.eye(pts.shape[1])
 
-    return conformal_metric(factor, grad=grad, hessian=hessian, dimension=dimension)
+    return replace(conformal_metric(factor, grad=grad, hessian=hessian, dimension=dimension),
+                   isometry=lambda m: True)
 
 
 def _distinct_rows(rows):
@@ -222,8 +236,8 @@ def _mollify_values(metric_fn, kernel, points, fold=False):
     one sum over every node per point: no BLAS call, so reruns, thread
     counts and the chunk size reproduce it bit for bit.
 
-    With ``fold`` set, which only a passed ``_folds`` guard may allow, the
-    quadrature runs once per distinct c = sort(|x|) and row x = S c gets
+    With ``fold`` set, which only ``_folds`` may allow, the quadrature
+    runs once per distinct c = sort(|x|) and row x = S c gets
     S V(c) S^T: coordinate i of x is sign_i c_(rank_i), a negative zero
     counting as negative, so the entry (i, k) is the gathered
     V(c)[rank_i, rank_k] times sign_i sign_k, all exact.
@@ -284,7 +298,8 @@ def mollify_metric(metric, kernel):
     everywhere outside the closed unit ball.  The output is a convex
     combination of congruent SPD matrices, so positive definiteness is
     checked, not assumed.  The quadrature folds onto signed-permutation
-    orbits wherever its guard passes at probes in the unit ball.
+    orbits when each one permutes the kernel nodes and is an isometry the
+    field declares: declared and exact, never probed.
     """
     if kernel.dimension != metric.dimension:
         raise MetricError("kernel dimension does not match the metric")
@@ -304,9 +319,10 @@ def chart_smooth_metric(metric, cutoff, kernel, *, fold=False):
 
     Outside the chart domain the result is the input metric, returned bit
     for bit: those rows never enter the quadrature path at all.  ``fold``
-    asks for the signed-permutation fold in chart coordinates, which runs
-    only where its guard passes at probes in the chart ball; the radial
-    bump never breaks it.
+    asks for the signed-permutation fold in chart coordinates.  It runs on
+    a chart centred at the origin whose signed permutations permute the
+    kernel nodes and are isometries the field declares: declared and
+    exact, never probed.
     """
     chart = cutoff.chart
     n = metric.dimension
@@ -346,15 +362,6 @@ def chart_smooth_metric(metric, cutoff, kernel, *, fold=False):
     return MetricField(fn=fn, dimension=n)
 
 
-def _pullback_defects(metric, matrices, points):
-    """Per matrix, the largest entry of its pullback defect of g at the
-    points; g is evaluated at the points once."""
-    base = metric.value(points)
-    return [float(np.max(np.abs(
-        np.einsum("ji,rjk,kl->ril", mat, metric.value(points @ mat.T), mat) - base)))
-        for mat in matrices]
-
-
 def isometry_residual(metric, group, points):
     """max over group elements and points of the pullback defect of g.
 
@@ -363,11 +370,10 @@ def isometry_residual(metric, group, points):
     A NaN defect makes the residual NaN.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return float(np.max([0.0] + _pullback_defects(metric, group, points)))
-
-
-def _generic_direction(n):
-    return np.sqrt(np.arange(1.0, n + 1.0))
+    base = metric.value(points)
+    defects = [np.max(np.abs(np.einsum("ji,rjk,kl->ril", mat, metric.value(points @ mat.T), mat)
+                              - base)) for mat in group]
+    return float(np.max([0.0] + defects))
 
 
 def _permutes_nodes(kernel, matrices):
@@ -376,7 +382,7 @@ def _permutes_nodes(kernel, matrices):
     nodes, node_w = kernel.convex_weights()
     # pair nodes with images by sorting both along one generic direction;
     # at levels 1-3 distinct projections lie >= 1.1e-7 * epsilon apart
-    direction = _generic_direction(nodes.shape[1])
+    direction = np.sqrt(np.arange(1.0, nodes.shape[1] + 1.0))
     order = np.argsort(nodes @ direction, kind="stable")
     out = np.zeros(len(matrices), dtype=bool)
     for index, mat in enumerate(matrices):
@@ -389,15 +395,18 @@ def _permutes_nodes(kernel, matrices):
     return out
 
 
-def _chart_isometries(metric, chart, matrices):
-    """Per matrix m, whether g(chart^-1(m u)) pulled back by m is g(chart^-1(u))
-    within 1e-8 at seven fixed generic points u of the chart ball, chart
-    radii 0.1-0.9."""
-    n = metric.dimension
-    u = np.cos(np.outer(np.arange(1.0, 8.0), _generic_direction(n)))
-    u *= (np.linspace(0.1, 0.9, 7) / np.linalg.norm(u, axis=1))[:, None]
-    pulled = MetricField(fn=lambda v: metric.value(chart.apply_inverse(v)), dimension=n)
-    return np.array(_pullback_defects(pulled, matrices, u)) <= 1e-8
+def _stage_symmetries(metric, chart, kernel, matrices):
+    """Per matrix m, whether m is a symmetry of the chart stage: m fixes the
+    chart centre within 1e-14, permutes the kernel nodes
+    (``_permutes_nodes``), and is exactly the identity or an isometry the
+    field declares.  The field itself is never evaluated."""
+    center = chart.center
+    eye = np.eye(metric.dimension)
+    declared = metric.isometry or (lambda m: False)
+    return np.array([
+        bool(permutes) and np.max(np.abs(mat @ center - center)) <= 1e-14
+        and (np.array_equal(mat, eye) or bool(declared(mat)))
+        for mat, permutes in zip(matrices, _permutes_nodes(kernel, matrices))], dtype=bool)
 
 
 def _signed_permutations(n):
@@ -411,37 +420,27 @@ def _signed_permutations(n):
 
 def _folds(metric, chart, kernel):
     """Whether the quadrature in the chart's coordinates may fold onto one
-    point per signed-permutation orbit: every signed permutation permutes
-    the kernel nodes and is an isometry of the input at the probes."""
-    mats = _signed_permutations(metric.dimension)
-    return bool(np.all(_permutes_nodes(kernel, mats))
-                and np.all(_chart_isometries(metric, chart, mats)))
+    point per signed-permutation orbit: every signed permutation is a
+    symmetry of the stage (``_stage_symmetries``)."""
+    return bool(np.all(_stage_symmetries(metric, chart, kernel,
+                                         _signed_permutations(metric.dimension))))
 
 
 def _stage_cosets(metric, cutoff, kernel, group):
     """One representative per right coset of the chart stage's symmetry
     subgroup H, and each coset's total weight.
 
-    H holds the elements that fix the chart centre within 1e-14, permute
-    the kernel nodes (``_permutes_nodes``) and are isometries of the input
-    at the chart's probes (``_chart_isometries``; the exact identity is
-    not probed).  Ball charts, radial cutoffs and
-    rotation-equivariant shifts then make the stage S equivariant under
-    H, S(hx) = h S(x) h^T, so g = h c gives g^T S(gx) g = c^T S(cx) c.
-    H is represented by the identity; any other element c starts a coset
-    and takes every remaining element within 1e-14 of some h c, an
-    O(|G|^2) match.  H = G gives one coset, H = {e} the full average in
-    group order.
+    H holds the elements that ``_stage_symmetries`` admits.  Ball charts,
+    radial cutoffs and rotation-equivariant shifts make the stage S
+    equivariant under h in H, S(hx) = h S(x) h^T, so g = h c gives
+    g^T S(gx) g = c^T S(cx) c.  H is represented by the identity; any
+    other element c starts a coset and takes every remaining element
+    within 1e-14 of some h c, an O(|G|^2) match.  H = G gives one coset,
+    H = {e} the full average in group order.
     """
-    center = cutoff.chart.center
-    in_h = _permutes_nodes(kernel, group.matrices) & np.array(
-        [np.max(np.abs(mat @ center - center)) <= 1e-14 for mat in group])
-    eye = np.eye(center.shape[0])
-    probed = [i for i in np.flatnonzero(in_h) if not np.array_equal(group.matrices[i], eye)]
-    if probed:
-        in_h[probed] = _chart_isometries(metric, cutoff.chart, group.matrices[probed])
+    in_h = _stage_symmetries(metric, cutoff.chart, kernel, group.matrices)
     coset = np.where(in_h, 0, -1)
-    reps = [eye]
+    reps = [np.eye(metric.dimension)]
     for index in range(len(group)):
         if coset[index] < 0:
             products = group.matrices[in_h] @ group.matrices[index]
@@ -462,9 +461,10 @@ def haar_average_metric(metric, cutoff, kernel, group, *, fold=False):
     rounding of the permuted quadrature sums; the torus carrier is its
     equispaced-angle quadrature, which is spectrally accurate for the
     smooth integrands at hand.  An element joins the symmetry subgroup
-    only if it is an isometry of the input at fixed probes in the chart
-    ball, so a group that does not preserve the input gets the full
-    average over its elements.  ``fold`` is passed to the chart stage.
+    only if it is the identity or an isometry the input declares: declared
+    and exact, never probed.  A field that declares nothing gets the full
+    average over the group's elements.  ``fold`` is passed to the chart
+    stage.
     """
     if not isinstance(group, GroupAction):
         raise MetricError("group must be a GroupAction")

@@ -63,19 +63,6 @@ def sphere_factor(points):
     return 4.0 / (1.0 + t) ** 2
 
 
-def sphere_grad(points):
-    t = np.sum(points**2, axis=-1)
-    return (-16.0 / (1.0 + t) ** 3)[:, None] * points
-
-
-def sphere_hessian(points):
-    t = np.sum(points**2, axis=-1)
-    outer = points[:, :, None] * points[:, None, :]
-    return (96.0 / (1.0 + t) ** 4)[:, None, None] * outer + (
-        -16.0 / (1.0 + t) ** 3
-    )[:, None, None] * np.eye(points.shape[1])
-
-
 def radial_factor(points):
     t = np.sum(points**2, axis=-1)
     inner = 1.0 + 0.3 * t - 0.5 * t**2
@@ -83,8 +70,28 @@ def radial_factor(points):
     return np.where(t <= KINK_T, inner, outer)
 
 
-def sphere_metric():
-    return conformal_metric(sphere_factor, grad=sphere_grad, hessian=sphere_hessian)
+def sphere_metric(dimension=2):
+    """The curvature +1 chart metric 4 / (1 + |x|^2)^2 I with analytic
+    derivatives, built radial so that it declares its isometries."""
+    return metrics.radial_conformal_metric(
+        lambda t: 4.0 / (1.0 + t) ** 2, lambda t: -8.0 / (1.0 + t) ** 3,
+        lambda t: 24.0 / (1.0 + t) ** 4, dimension=dimension)
+
+
+def bump_metric(center):
+    """f(x) I with f = 1 + 0.5 bump, a smooth bump of radius 0.05 at
+    ``center``: a plain field with no symmetry, which declares none."""
+    center = np.asarray(center, dtype=float)
+    n = center.shape[0]
+
+    def fn(pts):
+        s = np.sum((pts - center) ** 2, axis=-1) / 0.05**2
+        factor = np.ones(pts.shape[0])
+        inside = s < 1.0
+        factor[inside] += 0.5 * np.exp(1.0 - 1.0 / (1.0 - s[inside]))
+        return factor[:, None, None] * np.eye(n)
+
+    return MetricField(fn=fn, dimension=n)
 
 
 def radial_metric():
@@ -338,6 +345,18 @@ class TestHaarAverage:
         group = cyclic_rotation_group(8)
         probe = np.array([[0.5, 0.1], [0.05, -0.62], [0.33, 0.41]])
         averaged = haar_average_metric(sphere_metric(), cutoff, kernel, group)
+        assert isometry_residual(averaged, group, probe) <= 1e-10
+
+    def test_an_undeclared_field_gets_the_full_average(self):
+        # Z4 fixes the centre and permutes the level-1 nodes, but the bump
+        # field declares no isometry: four cosets, and an invariant average
+        g = bump_metric([0.5, 0.2])
+        cutoff = unit_chart_cutoff()
+        kernel = MollifierKernel.create(2, 0.02, level=1)
+        group = cyclic_rotation_group(4)
+        assert len(metrics._stage_cosets(g, cutoff, kernel, group)[0]) == 4
+        averaged = haar_average_metric(g, cutoff, kernel, group)
+        probe = np.array([[0.5, 0.2], [0.51, 0.19], [0.3, -0.1]])
         assert isometry_residual(averaged, group, probe) <= 1e-10
 
     def test_nan_field_gives_a_nan_residual(self):
@@ -925,26 +944,33 @@ class TestFold:
 
     @pytest.mark.parametrize("level", [1, 2])
     def test_guard_rejects_a_three_dimensional_kernel_and_falls_back_bit_for_bit(self, level):
-        # the azimuthal rule is not closed under x <-> z, whatever the metric
-        g = conformal_metric(sphere_factor, dimension=3)
+        # the azimuthal rule is not closed under x <-> z, whatever the metric:
+        # the field declares every signed permutation, so only the nodes fail
+        g = sphere_metric(3)
         kernel = MollifierKernel.create(3, 0.1, level=level)
         mats = metrics._signed_permutations(3)
-        assert np.all(metrics._chart_isometries(g, AffineChart(np.zeros(3), 1.0), mats))
-        assert not np.all(metrics._permutes_nodes(kernel, mats))
+        symmetries = metrics._stage_symmetries(g, AffineChart(np.zeros(3), 1.0), kernel, mats)
+        assert np.array_equal(symmetries, metrics._permutes_nodes(kernel, mats))
+        assert not np.all(symmetries)
         assert not metrics._folds(g, AffineChart(np.zeros(3), 1.0), kernel)
         points = np.random.default_rng(13).uniform(-0.45, 0.45, size=(6, 3))
         self._assert_mollify_falls_back(g, kernel, points)
 
-    def test_a_three_dimensional_rule_closed_under_signed_permutations_folds(self):
-        # every signed permutation of three generic nodes: the guard passes,
-        # and a 3-cycle, unlike any 2-D permutation, is not its own inverse
+    @staticmethod
+    def _closed_rule():
+        """Every signed permutation of three generic nodes, at epsilon 0.1."""
         base = np.array([[0.1, 0.35, 0.6], [0.2, 0.25, 0.5], [0.05, 0.4, 0.45]])
         nodes = np.array([signs * b[perm] for b in base for perm, signs, _ in
                           _signed_images(np.arange(3.0))]) * 0.1
         shipped = MollifierKernel.create(3, 0.1, level=1)
-        kernel = MollifierKernel(shipped.profile, 0.1,
-                                 QuadratureRule(nodes, np.ones(len(nodes)), 1))
-        g = conformal_metric(sphere_factor, dimension=3)
+        return MollifierKernel(shipped.profile, 0.1,
+                               QuadratureRule(nodes, np.ones(len(nodes)), 1))
+
+    def test_a_three_dimensional_rule_closed_under_signed_permutations_folds(self):
+        # the guard passes, and a 3-cycle, unlike any 2-D permutation, is
+        # not its own inverse
+        kernel = self._closed_rule()
+        g = sphere_metric(3)
         assert metrics._folds(g, AffineChart(np.zeros(3), 1.0), kernel)
         field = mollify_metric(g, kernel)
         point = np.array([0.3, -0.1, 0.2])
@@ -959,6 +985,28 @@ class TestFold:
             assert len(matches) == 1 and np.array_equal(value, matches[0]), image
         unfolded = metrics._mollify_values(g.value, kernel, images)
         assert np.max(np.abs(values - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
+
+    def test_an_undeclared_field_never_folds(self):
+        # the bump has no symmetry, and it misses any fixed sample set that
+        # misses its ball and the ball's images: folded, the value at its
+        # centre would be that at the orbit point (0.2, 0.5)
+        g = bump_metric([0.5, 0.2])
+        kernel = MollifierKernel.create(2, 0.02, level=1)
+        assert not metrics._folds(g, AffineChart([0.0, 0.0], 1.0), kernel)
+        points = np.array([[0.5, 0.2], [0.2, 0.5], [0.51, 0.19], [-0.5, 0.2], [0.3, -0.1]])
+        values = mollify_metric(g, kernel).value(points)
+        assert np.array_equal(values, metrics._mollify_values(g.value, kernel, points))
+        assert values[0, 0, 0] > 1.4
+
+    def test_an_undeclared_field_never_folds_in_three_dimensions(self):
+        kernel = self._closed_rule()
+        g = bump_metric([0.5, 0.2, 0.1])
+        assert not metrics._folds(g, AffineChart(np.zeros(3), 1.0), kernel)
+        points = np.array([[0.5, 0.2, 0.1], [0.2, 0.1, 0.5], [-0.1, 0.5, -0.2],
+                           [0.3, -0.1, 0.2]])
+        values = mollify_metric(g, kernel).value(points)
+        assert np.array_equal(values, metrics._mollify_values(g.value, kernel, points))
+        assert values[0, 0, 0] > 1.4
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.05])
     def test_invariance_check_route_never_folds(self, epsilon):
