@@ -4,11 +4,11 @@ Distances come from shortest paths on a regular grid graph with full
 diagonal neighborhoods, edge weights being quadrature lengths of straight
 chords under the metric.  That upper-bounds the true geodesic distance up
 to a discretization error which is estimated empirically by resolution
-doubling, not proved.  The shortest paths come from sweeping the lattice
-until no distance can fall, which returns Dijkstra's distances bit for
-bit.  The dilation estimator compares two metrics on the same node set
-over a fixed seeded pair sample; it is a proxy for the full dilation
-supremum and documented as such.
+doubling, not proved.  The graph is its padded lattice of edge weights,
+and sweeping that lattice until no distance can fall returns Dijkstra's
+distances bit for bit.  The dilation estimator compares two metrics on
+the same node set over a fixed seeded pair sample; it is a proxy for the
+full dilation supremum and documented as such.
 """
 
 from dataclasses import dataclass
@@ -37,7 +37,7 @@ _MAX_CELLS = 1 << 22
 
 
 class DistanceError(RuntimeError):
-    """Domain escape, disconnection, or a degenerate pair."""
+    """An empty graph, an edge length not positive and finite, or a degenerate pair."""
 
 
 def _chord_lengths(metric, starts, chords, order):
@@ -62,75 +62,40 @@ def _lattice_steps(dimension):
     return np.delete(raw, raw.shape[0] // 2, axis=0)
 
 
-def _component_count(count, edges):
-    """Connected components of the graph on ``count`` nodes.  Each node's
-    label is the smallest node index known to share its component: labels
-    spread along the edges, and pointer jumping takes each to its root."""
-    labels = np.arange(count)
-    a, b = edges[:, 0], edges[:, 1]
-    while True:
-        at_a, at_b = labels[a], labels[b]
-        if np.array_equal(at_a, at_b):
-            return int(np.count_nonzero(labels == np.arange(count)))
-        low = np.minimum(at_a, at_b)
-        np.minimum.at(labels, a, low)
-        np.minimum.at(labels, b, low)
-        jumped = labels[labels]
-        while not np.array_equal(jumped, labels):
-            labels, jumped = jumped, jumped[jumped]
+def _window(step, shape):
+    """Per lattice axis, the slice of a padded array that holds the source
+    of the edge entering each inner site by ``step``."""
+    return tuple(slice(1 - s, size - 1 - s) for s, size in zip(step, shape))
 
 
 @dataclass(frozen=True)
 class SampleGraph:
     """Lattice nodes with full diagonal neighborhoods and metric edge lengths.
 
-    ``sites`` (N, n) are the nodes' integer lattice coordinates, and every
-    edge joins two lattice neighbours.  ``weights[k]`` holds, on the lattice
-    padded by one cell on every side, the length of the edge that enters
-    each site by the step ``_lattice_steps(n)[k]``, and inf where no edge
-    does.
+    ``sites`` (N, n) are the nodes' integer lattice coordinates.
+    ``weights[k]`` holds, on the grid's lattice padded by one cell on every
+    side, the length of the edge that enters each site by the step
+    ``_lattice_steps(n)[k]``, and inf where no edge does.  The lattice is
+    the graph: no other representation is kept.
     """
 
     nodes: np.ndarray
     sites: np.ndarray
-    edges: np.ndarray
-    lengths: np.ndarray
     weights: np.ndarray
 
-    def __init__(self, nodes, sites, edges, lengths):
-        if not np.all((lengths > 0.0) & np.isfinite(lengths)):
-            raise DistanceError("edge lengths must be positive and finite")
-        parts = _component_count(nodes.shape[0], edges)
-        if parts != 1:
-            raise DistanceError("graph is disconnected (%d components)" % parts)
-        sites = np.asarray(sites, dtype=int)
-        if sites.shape != nodes.shape or np.any(sites < 0):
-            raise DistanceError("each node needs one non-negative lattice site")
-        padded = tuple(np.max(sites, axis=0) + 3)
-        occupied = np.zeros(padded, dtype=bool)
-        occupied[tuple(sites.T + 1)] = True
-        if np.count_nonzero(occupied) != sites.shape[0]:
-            raise DistanceError("nodes must sit on distinct lattice sites")
-        moves = sites[edges[:, 1]] - sites[edges[:, 0]]
-        if np.any(np.abs(moves) > 1) or not np.all(np.any(moves, axis=1)):
-            raise DistanceError("edges must join lattice neighbours")
-        dimension = sites.shape[1]
-        count = 3 ** dimension - 1
-        # each move's place among _lattice_steps: its np.ndindex position,
-        # less one past the zero step
-        code = (moves + 1) @ 3 ** np.arange(dimension - 1, -1, -1)
-        step = code - (code > count // 2)
-        weights = np.full((count,) + padded, np.inf)
-        # edge (a, b) enters b by its move and a by the opposite step
-        weights[(step,) + tuple(sites[edges[:, 1]].T + 1)] = lengths
-        weights[(count - 1 - step,) + tuple(sites[edges[:, 0]].T + 1)] = lengths
-        if np.count_nonzero(np.isfinite(weights)) != 2 * edges.shape[0]:
-            raise DistanceError("graph repeats an edge")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "weights", weights)
+    # bench/layers.py counts a traced graph's edges by this name
+    @property
+    def edges(self):
+        """The (E, 2) node pairs (a, b), each edge once: b entered from a by
+        a step in the upper half of ``_lattice_steps``, step-major, then in
+        C order of b."""
+        ids = np.full(self.weights.shape[1:], -1)
+        ids[tuple(self.sites.T + 1)] = np.arange(self.sites.shape[0])
+        steps = _lattice_steps(self.sites.shape[1])
+        half = steps.shape[0] // 2
+        k, *site = np.nonzero(np.isfinite(self.weights[half:]))
+        source = tuple(site - steps[half + k].T)
+        return np.stack([ids[source], ids[tuple(site)]], axis=1)
 
     def snap(self, points):
         """The first nearest node to a point, as an int, or to each row of
@@ -152,7 +117,10 @@ def sample_graph(metric, grid, mask_radius=None, order=8):
 
     Edge lengths are Gauss quadratures along straight chords, evaluated in
     one metric batch across all edges; for quadrature-backed fields that
-    batching is what keeps graph construction affordable.
+    batching is what keeps graph construction affordable.  The kept sites,
+    lattice points of a ball in a box, form one run on every axis line,
+    nested in the runs beside it (the float norm grows with each
+    |coordinate|), so a graph with a node is connected.
     """
     if not isinstance(grid, BoxGrid):
         raise MetricError("graph construction expects a BoxGrid")
@@ -161,39 +129,28 @@ def sample_graph(metric, grid, mask_radius=None, order=8):
     keep = np.ones(grid.counts, dtype=bool)
     if mask_radius is not None:
         keep = np.linalg.norm(lattice, axis=-1) <= mask_radius
-    ids = np.full(grid.counts, -1, dtype=int)
-    ids[keep] = np.arange(int(np.sum(keep)))
-    nodes = lattice[keep]
+    if not np.any(keep):
+        raise DistanceError("graph has no node")
+    shape = tuple(count + 2 for count in grid.counts)
     steps = _lattice_steps(n)
-    pairs = []
-    # undirected: one step of each opposite pair
-    for offset in steps[steps.shape[0] // 2:]:
-        src_sl, dst_sl = [], []
-        for axis, step in enumerate(offset):
-            size = grid.counts[axis]
-            if step == 0:
-                src_sl.append(slice(None))
-                dst_sl.append(slice(None))
-            elif step > 0:
-                src_sl.append(slice(0, size - 1))
-                dst_sl.append(slice(1, size))
-            else:
-                src_sl.append(slice(1, size))
-                dst_sl.append(slice(0, size - 1))
-        a = ids[tuple(src_sl)].ravel()
-        b = ids[tuple(dst_sl)].ravel()
-        valid = (a >= 0) & (b >= 0)
-        pairs.append(np.stack([a[valid], b[valid]], axis=1))
-    edges = np.concatenate(pairs, axis=0)
-    starts = nodes[edges[:, 0]]
-    lengths = _chord_lengths(metric, starts, nodes[edges[:, 1]] - starts, order)
-    return SampleGraph(nodes, np.argwhere(keep), edges, lengths)
-
-
-def _window(step, shape):
-    """Per lattice axis, the slice of a padded array that holds the source
-    of the edge entering each inner site by ``step``."""
-    return tuple(slice(1 - s, size - 1 - s) for s, size in zip(step, shape))
+    half = steps.shape[0] // 2
+    # undirected: one step of each opposite pair; C order over the stacked
+    # masks takes the edges step by step, each by the site it enters
+    windows = [_window(step, shape) for step in steps[half:]]
+    held, points = np.pad(keep, 1), np.pad(lattice, [(1, 1)] * n + [(0, 0)])
+    enters = np.stack([keep & held[window] for window in windows])
+    starts = np.stack([points[window] for window in windows])[enters]
+    ends = np.broadcast_to(lattice, enters.shape + (n,))[enters]
+    lengths = _chord_lengths(metric, starts, ends - starts, order)
+    if not np.all((lengths > 0.0) & np.isfinite(lengths)):
+        raise DistanceError("edge lengths must be positive and finite")
+    weights = np.full((2 * half,) + shape, np.inf)
+    inner = tuple(slice(1, -1) for _ in shape)
+    weights[(slice(half, None),) + inner][enters] = lengths
+    # and each edge by the opposite step at the site it leaves
+    for k, window in enumerate(windows):
+        weights[half - 1 - k][window] = weights[half + k][inner]
+    return SampleGraph(lattice[keep], np.argwhere(keep), weights)
 
 
 def _lattice_distances(graph, indices):
@@ -283,8 +240,9 @@ def dilation_estimate(reference, smoothed, pairs, grid, mask_radius=None, order=
     snapped = base.snap(pairs.reshape(-1, pairs.shape[-1])).reshape(-1, 2)
     if np.any(snapped[:, 0] == snapped[:, 1]):
         raise DistanceError("zero-distance pair after snapping")
-    sources, inverse = np.unique(snapped, return_inverse=True)
-    rows = inverse.reshape(snapped.shape)[:, 0]
+    # only the rows of the first ends are read; each source is its own
+    # column of the sweep, so leaving the others out moves no bit
+    sources, rows = np.unique(snapped[:, 0], return_inverse=True)
     d0 = csgraph.dijkstra(base, indices=sources)[rows, snapped[:, 1]]
     d1 = csgraph.dijkstra(moved, indices=sources)[rows, snapped[:, 1]]
     degenerate = ~(np.isfinite(d0) & np.isfinite(d1)) | (d0 == 0.0)

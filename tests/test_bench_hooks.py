@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from eqmollify import ballmap, currents, kernel, maps, metrics
+from eqmollify import ballmap, currents, distances, kernel, maps, metrics
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
 PATCHED_CLASSES = (maps.AffineChart, maps.ChartCutoff, currents.WeightedSample,
@@ -127,3 +127,24 @@ def test_quadrature_rows_reach_the_compression_hook(bench_modules):
     nodes = mollifier.quadrature.nodes.shape[0]
     assert rows("ballmap.compress") == 30 * nodes
     assert rows("ballmap.expand") == 30
+
+
+def test_graph_and_sweep_spans_report_their_counts(bench_modules):
+    # the benchmark's graph_edges and dijkstra_sources read these attributes
+    layers, tracer = bench_modules
+    hooks = tracer.Tracer()
+    grid = metrics.BoxGrid((-1.0, -1.0), (1.0, 1.0), (5, 5))
+    flat = metrics.constant_metric(np.eye(2))
+    pairs = distances.seeded_point_pairs(6, 42, 0.9, min_separation=0.5)
+    try:
+        layers.install(hooks)
+        report = distances.dilation_estimate(flat, flat, pairs, grid)
+    finally:
+        hooks.uninstall()
+
+    def attrs(name, key):
+        return [span.attrs[key] for span in hooks.spans if span.name == name]
+    # a full 5 x 5 grid: 2 * 4 * 5 axis edges and 2 * 4 * 4 diagonals
+    assert attrs("distances.graph", "edges") == [72, 72]
+    first_ends = np.unique(report.pairs[:, 0]).shape[0]
+    assert attrs("distances.dijkstra", "sources") == [first_ends, first_ends]

@@ -71,20 +71,67 @@ def chord(a, b, segments):
     return np.asarray(a) * (1.0 - t) + np.asarray(b) * t
 
 
+def step_index(sites, a, b):
+    """The place among ``_lattice_steps`` of the step from site a into
+    site b: its ``np.ndindex`` position, less one past the zero step."""
+    dimension = sites.shape[1]
+    code = (sites[b] - sites[a] + 1) @ 3 ** np.arange(dimension - 1, -1, -1)
+    return code - (code > (3 ** dimension - 1) // 2)
+
+
+def entering(graph, a, b):
+    """The lengths the graph stores for its edges from nodes a into nodes b."""
+    a, b = np.asarray(a), np.asarray(b)
+    k = step_index(graph.sites, a, b)
+    return graph.weights[(k,) + tuple(graph.sites[b].T + 1)]
+
+
+def lattice_from_edges(nodes, sites, edges, lengths):
+    """A graph built by the former edge-list route: each edge's length is
+    written at the site it enters, by its step, and at the site it leaves,
+    by the opposite step, on the lattice of the sites padded to two cells
+    past the highest one."""
+    count = 3 ** sites.shape[1] - 1
+    step = step_index(sites, edges[:, 0], edges[:, 1])
+    weights = np.full((count,) + tuple(np.max(sites, axis=0) + 3), np.inf)
+    weights[(step,) + tuple(sites[edges[:, 1]].T + 1)] = lengths
+    weights[(count - 1 - step,) + tuple(sites[edges[:, 0]].T + 1)] = lengths
+    return SampleGraph(nodes, sites, weights)
+
+
+def edge_list_graph(metric, grid, mask_radius=None, order=8):
+    """The former ``sample_graph``: node ids on the grid, each edge listed
+    by slicing the grid for one step of each opposite pair, and one chord
+    batch, then the weight lattice rebuilt from the list."""
+    lattice = grid.points().reshape(grid.counts + (grid.dimension,))
+    keep = np.ones(grid.counts, dtype=bool)
+    if mask_radius is not None:
+        keep = np.linalg.norm(lattice, axis=-1) <= mask_radius
+    ids = np.full(grid.counts, -1, dtype=int)
+    ids[keep] = np.arange(int(np.sum(keep)))
+    nodes = lattice[keep]
+    steps = _lattice_steps(grid.dimension)
+    pairs = []
+    for offset in steps[steps.shape[0] // 2:]:
+        src = tuple(slice(max(0, -s), size - max(0, s)) for s, size in zip(offset, grid.counts))
+        dst = tuple(slice(max(0, s), size - max(0, -s)) for s, size in zip(offset, grid.counts))
+        a, b = ids[src].ravel(), ids[dst].ravel()
+        valid = (a >= 0) & (b >= 0)
+        pairs.append(np.stack([a[valid], b[valid]], axis=1))
+    edges = np.concatenate(pairs, axis=0)
+    starts = nodes[edges[:, 0]]
+    lengths = _chord_lengths(metric, starts, nodes[edges[:, 1]] - starts, order)
+    return edges, lattice_from_edges(nodes, np.argwhere(keep), edges, lengths)
+
+
 def scipy_matrix(graph):
     """The graph as the symmetric sparse matrix that scipy's csgraph reads."""
     count = graph.nodes.shape[0]
     a, b = graph.edges.T
-    return sparse.csr_matrix((np.concatenate([graph.lengths, graph.lengths]),
+    lengths = entering(graph, a, b)
+    return sparse.csr_matrix((np.concatenate([lengths, lengths]),
                               (np.concatenate([a, b]), np.concatenate([b, a]))),
                              shape=(count, count))
-
-
-def entering(graph, a, b):
-    """The length the graph stores for its edge from node a into node b."""
-    steps = _lattice_steps(graph.sites.shape[1])
-    k = np.flatnonzero(np.all(steps == graph.sites[b] - graph.sites[a], axis=1))[0]
-    return graph.weights[(k,) + tuple(graph.sites[b] + 1)]
 
 
 class TestCurveLength:
@@ -120,11 +167,14 @@ class TestSampleGraph:
         grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (21, 21))
         graph = sample_graph(constant_metric(np.eye(2)), grid)
         assert graph.nodes.shape == (441, 2)
-        assert np.all(graph.lengths > 0.0)
         # each edge listed once, its length stored for both directions
-        assert np.unique(np.sort(graph.edges, axis=1), axis=0).shape == graph.edges.shape
-        for (a, b), length in zip(graph.edges, graph.lengths):
-            assert entering(graph, a, b) == entering(graph, b, a) == length
+        edges = graph.edges
+        assert edges.shape == (2 * 20 * 21 + 2 * 20 * 20, 2)
+        assert np.unique(np.sort(edges, axis=1), axis=0).shape == edges.shape
+        lengths = entering(graph, edges[:, 0], edges[:, 1])
+        assert np.all(lengths > 0.0)
+        assert np.array_equal(entering(graph, edges[:, 1], edges[:, 0]), lengths)
+        assert np.count_nonzero(np.isfinite(graph.weights)) == 2 * edges.shape[0]
 
     def test_interior_degree_two_dimensional(self):
         grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (5, 5))
@@ -166,16 +216,57 @@ class TestSampleGraph:
         assert graph.snap((0.5, 0.0)) == 4
         assert np.array_equal(graph.snap([(0.5, 0.0), (0.0, -0.5)]), [4, 3])
 
-    def test_disconnected_components_rejected(self):
-        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0]])
-        edges = np.array([[0, 1], [2, 3]])
-        with pytest.raises(DistanceError, match="disconnected"):
-            SampleGraph(nodes, nodes.astype(int), edges, np.array([1.0, 1.0]))
-
     def test_nonpositive_length_rejected(self):
-        nodes = np.array([[0.0, 0.0], [1.0, 0.0]])
+        grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (3, 3))
         with pytest.raises(DistanceError, match="positive"):
-            SampleGraph(nodes, nodes.astype(int), np.array([[0, 1]]), np.array([0.0]))
+            sample_graph(constant_metric(np.zeros((2, 2))), grid)
+
+    def test_empty_graph_rejected(self):
+        # no site of a 2 x 2 lattice lies inside the inscribed disk
+        grid = BoxGrid((-1.0, -1.0), (1.0, 1.0), (2, 2))
+        with pytest.raises(DistanceError, match="no node"):
+            sample_graph(constant_metric(np.eye(2)), grid, mask_radius=1.0)
+
+    @pytest.mark.parametrize("counts, off_centre", [
+        ((9, 9), False), ((9, 9), True), ((9, 6), True),
+        ((5, 5, 5), False), ((5, 5, 5), True), ((5, 4, 3), True),
+    ], ids=["9x9", "9x9-off", "9x6-off", "5x5x5", "5x5x5-off", "5x4x3-off"])
+    @pytest.mark.parametrize("mask_radius", [None, 0.95])
+    def test_weights_match_the_edge_list_route(self, counts, off_centre, mask_radius):
+        # the edge list's lattice stops two cells past the highest kept
+        # site, short of the grid's own pad where the mask cuts the high side
+        graph = lattice_graph(counts, mask_radius, off_centre)
+        metric, grid = lattice_inputs(counts, off_centre)
+        edges, listed = edge_list_graph(metric, grid, mask_radius)
+        assert np.array_equal(graph.nodes, listed.nodes)
+        assert np.array_equal(graph.sites, listed.sites)
+        assert np.array_equal(graph.edges, edges)
+        shared = tuple(slice(0, size) for size in listed.weights.shape)
+        rest = graph.weights.copy()
+        assert np.array_equal(rest[shared], listed.weights)
+        rest[shared] = np.inf
+        assert np.all(rest == np.inf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dimension=st.sampled_from([2, 3]), data=st.data())
+    def test_every_masked_lattice_with_a_node_is_connected(self, dimension, data):
+        # a box and a ball keep one run of sites on each axis line, nested
+        # in the runs beside it, so no component count is needed
+        def draw(low, high):
+            return np.array(data.draw(st.tuples(*[st.floats(low, high)] * dimension)))
+        lo = draw(-1.5, 1.0)
+        counts = data.draw(st.tuples(*[st.integers(2, 9)] * dimension))
+        grid = BoxGrid(lo, lo + draw(0.05, 1.5), counts)
+        radius = data.draw(st.floats(0.0, 2.0))
+        keep = np.linalg.norm(grid.points(), axis=1) <= radius
+        metric = constant_metric(np.eye(dimension))
+        if not np.any(keep):
+            with pytest.raises(DistanceError, match="no node"):
+                sample_graph(metric, grid, mask_radius=radius)
+            return
+        graph = sample_graph(metric, grid, mask_radius=radius)
+        assert graph.nodes.shape[0] == np.count_nonzero(keep)
+        assert np.all(np.isfinite(_lattice_distances(graph, [0])))
 
 
 def dijkstra(graph, sources):
@@ -187,14 +278,23 @@ def dijkstra(graph, sources):
 OFF_CENTRE = {2: ((-0.8, -1.0), (1.0, 0.7)), 3: ((-0.9, -1.0, -0.6), (1.0, 0.8, 0.9))}
 
 
-def lattice_graph(counts, mask_radius=None, off_centre=False):
+def lattice_inputs(counts, off_centre=False):
     dimension = len(counts)
     lo, hi = OFF_CENTRE[dimension] if off_centre else ((-1.0,) * dimension, (1.0,) * dimension)
     metric = sphere_metric() if dimension == 2 else constant_metric(np.diag([1.0, 2.0, 0.5]))
-    return sample_graph(metric, BoxGrid(lo, hi, counts), mask_radius=mask_radius)
+    return metric, BoxGrid(lo, hi, counts)
 
 
-_DRAWN_BASE = {2: lattice_graph((7, 7), mask_radius=0.95), 3: lattice_graph((4, 4, 4))}
+def lattice_graph(counts, mask_radius=None, off_centre=False):
+    return sample_graph(*lattice_inputs(counts, off_centre), mask_radius=mask_radius)
+
+
+def with_edge_list(graph):
+    return graph, graph.edges, entering(graph, *graph.edges.T)
+
+
+_DRAWN_BASE = {2: with_edge_list(lattice_graph((7, 7), mask_radius=0.95)),
+               3: with_edge_list(lattice_graph((4, 4, 4)))}
 
 
 def corner_nodes(graph):
@@ -232,17 +332,17 @@ class TestLatticeDistances:
     def test_matches_dijkstra_under_drawn_weights(self, dimension, data):
         # scaling each edge by 0.01-10 bends the shortest paths, so the
         # sweep needs more than one round to settle
-        graph = _DRAWN_BASE[dimension]
-        scale = data.draw(arrays(np.float64, graph.lengths.shape,
-                                 elements=st.floats(0.01, 10.0)))
-        drawn = SampleGraph(graph.nodes, graph.sites, graph.edges, graph.lengths * scale)
+        graph, edges, lengths = _DRAWN_BASE[dimension]
+        scale = data.draw(arrays(np.float64, lengths.shape, elements=st.floats(0.01, 10.0)))
+        drawn = lattice_from_edges(graph.nodes, graph.sites, edges, lengths * scale)
         indices = np.arange(graph.nodes.shape[0])
         assert np.array_equal(_lattice_distances(drawn, indices), dijkstra(drawn, indices))
 
     @pytest.mark.parametrize("epsilon", [None, 0.0125])
     def test_matches_dijkstra_on_the_benchmark_graphs(self, epsilon):
-        # the radial-lipschitz benchmark's lattice and sources, on the
-        # reference metric and on its smoothing at the first epsilon
+        # the radial-lipschitz benchmark's lattice, swept from every end of
+        # its pairs, on the reference metric and on its smoothing at the
+        # first epsilon
         scenario = build_scenario("radial_c11")
         metric = scenario.metric
         if epsilon is not None:
@@ -253,30 +353,6 @@ class TestLatticeDistances:
         indices = np.unique(graph.snap(pairs.reshape(-1, 2)))
         assert indices.shape == (103,)
         assert np.array_equal(_lattice_distances(graph, indices), dijkstra(graph, indices))
-
-    def test_disconnected_lattice_reports_its_component_count(self):
-        # two 5 x 2 blocks either side of an empty column, and a lone site
-        sites = np.array([(i, j) for i in range(5) for j in (0, 1, 3, 4)] + [(0, 6)])
-        edges = np.array([(a, b) for a in range(len(sites)) for b in range(a + 1, len(sites))
-                          if np.max(np.abs(sites[a] - sites[b])) == 1])
-        lengths = np.linalg.norm(sites[edges[:, 1]] - sites[edges[:, 0]], axis=1)
-        with pytest.raises(DistanceError, match=r"disconnected \(3 components\)"):
-            SampleGraph(sites.astype(float), sites, edges, lengths)
-
-    @pytest.mark.parametrize("sites, edges, message", [
-        ([[0, 0], [2, 0]], [[0, 1]], "lattice neighbours"),
-        ([[0, 0], [1, 1]], [[0, 1], [1, 1]], "lattice neighbours"),
-        ([[0, 0], [1, 1]], [[0, 1], [1, 0]], "repeats an edge"),
-        ([[0, 0], [0, 0]], [[0, 1]], "distinct lattice sites"),
-        ([[0, -1], [0, 0]], [[0, 1]], "non-negative lattice site"),
-        ([[0, 0, 0], [0, 0, 1]], [[0, 1]], "non-negative lattice site"),
-    ])
-    def test_malformed_lattice_rejected(self, sites, edges, message):
-        # the nodes are planar, so three-dimensional sites do not fit them
-        sites, edges = np.array(sites), np.array(edges)
-        nodes = sites[:, :2].astype(float)
-        with pytest.raises(DistanceError, match=message):
-            SampleGraph(nodes, sites, edges, np.ones(edges.shape[0]))
 
 
 class TestGraphDistance:
@@ -410,6 +486,25 @@ class TestDilation:
         assert report.pairs.shape == (4, 2)
         graph = sample_graph(sphere_metric(), self.grid(), mask_radius=0.95)
         assert np.array_equal(report.pairs, graph.snap(pairs.reshape(-1, 2)).reshape(-1, 2))
+
+    def test_sweeping_every_end_moves_no_bit(self):
+        # the estimate sweeps only the first ends, whose rows it reads: 56
+        # of the 103 ends on the radial-lipschitz benchmark's pairs, at its
+        # first epsilon
+        scenario = build_scenario("radial_c11")
+        grid, radius = scenario.scan_grid(25), scenario.scan_radius
+        smoothed = _smoothed_field(scenario, _kernel_for(0.0125, 2))
+        pairs = seeded_point_pairs(64, 42, 0.9 * scenario.domain_radius,
+                                   min_separation=0.4 * scenario.domain_radius)
+        report = dilation_estimate(scenario.metric, smoothed, pairs, grid, mask_radius=radius)
+        ends = report.pairs
+        every = np.unique(ends)
+        assert np.unique(ends[:, 0]).shape == (56,) and every.shape == (103,)
+        rows = np.searchsorted(every, ends[:, 0])
+        d0, d1 = (_lattice_distances(sample_graph(metric, grid, mask_radius=radius),
+                                     every)[rows, ends[:, 1]]
+                  for metric in (scenario.metric, smoothed))
+        assert np.array_equal(report.deviations, np.abs(d1 / d0 - 1.0))
 
 
     def test_mollified_deviation_shrinks_with_epsilon(self):
