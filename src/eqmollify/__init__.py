@@ -2,7 +2,8 @@
 
 Two smoothing pipelines with shared machinery:
 
-* de Rham currents are smoothed by averaging shifted pushforwards against a
+* de Rham currents, each a weighted sample of points, tangent frames and
+  weights, are smoothed by averaging shifted pushforwards against a
   compactly supported kernel, either by plain translations on R^n or by
   compactly supported shift maps that fix the complement of the unit ball;
 * low-regularity metrics are smoothed by kernel-averaged pullbacks under the

@@ -1,26 +1,27 @@
 """Finitely represented currents and their mollification.
 
-A current of degree m is paired weakly with compactly supported test forms.
-Every pairing here reduces to a weighted sample: points, tangent frames and
-weights such that T(w) = sum_k weight_k * w(point_k; frame_k).  Pushforwards
-are then realized as pullbacks on forms, which at the sample level means
-mapping the points and multiplying the frames by Jacobians.  This is exact
-for the pairing and never re-meshes geometry under the nonlinear shifts.
+A current of degree m is paired weakly with compactly supported test forms,
+and every current here is a weighted sample (``WeightedSample``): points,
+tangent frames and weights such that T(w) = sum_k weight_k *
+w(point_k; frame_k).  ``DiracCurrent`` and ``PolyhedralCurrent`` only build
+those rows from atoms or simplices.  Pushforwards are realized as pullbacks
+on forms: the points are mapped and the frames multiplied by Jacobians.
+This is exact for the pairing and never re-meshes geometry under the
+nonlinear shifts.
 
-Two smoothing operators act on a current, both through ``mollified_sample``:
+Two smoothing operators act on a sample, both through ``mollified_sample``:
 translation smoothing averages the pushforwards under tau_y over the
 mollifier ball, and shift smoothing (``ball_shifts``) uses the ball-preserving
 maps from ``ballmap`` instead, so the open unit ball is mapped to itself and
 everything from R_IDENTITY outward is left untouched: sample rows there pass
 through bit for bit, and a sample with no row inside is not copied at all.
-The equivariant operator (``equivariant_sample``) splits the current's
-sample with a chart cutoff (``localize``), smooths the chart half by shifts
-in chart coordinates and averages the result over a group of orthogonal
-matrices.
+The equivariant operator (``equivariant_sample``) splits the weights with a
+chart cutoff (``localize``), smooths the chart half by shifts in chart
+coordinates and averages the result over a group of orthogonal matrices.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 # by name, so that numpy loads the submodule at import, not inside a run
@@ -159,10 +160,6 @@ class WeightedSample:
     def dimension(self):
         return self.points.shape[1]
 
-    def sample(self):
-        """A sample is its own pairing data, like the sample of a current."""
-        return self
-
     def pair(self, form):
         return self._pairings([form])[0]
 
@@ -208,19 +205,8 @@ class WeightedSample:
         )
 
 
-def _empty_sample(dimension, degree):
-    return WeightedSample(
-        np.zeros((0, dimension)), np.zeros((0, degree, dimension)), np.zeros(0)
-    )
-
-
-@dataclass(frozen=True)
-class DiracCurrent:
+class DiracCurrent(WeightedSample):
     """Weighted point masses, each carrying an ordered m-frame (empty for m=0)."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    frames: np.ndarray
 
     def __init__(self, points, weights=None, frames=None):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -228,6 +214,8 @@ class DiracCurrent:
         if weights is None:
             weights = np.ones(count)
         weights = np.asarray(weights, dtype=float)
+        if weights.shape != (count,):
+            raise CurrentError("need one weight per point")
         if frames is None:
             frames = np.zeros((count, 0, dim))
         frames = np.asarray(frames, dtype=float)
@@ -240,35 +228,17 @@ class DiracCurrent:
             for fr in frames:
                 if np.linalg.matrix_rank(fr) < m:
                     raise CurrentError("frame does not span an m-plane")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def degree(self):
-        return self.frames.shape[1]
-
-    @property
-    def dimension(self):
-        return self.points.shape[1]
-
-    def sample(self):
-        return WeightedSample(self.points, self.frames, self.weights)
+        super().__init__(points, frames, weights)
 
 
-@dataclass(frozen=True)
-class PolyhedralCurrent:
+class PolyhedralCurrent(WeightedSample):
     """Oriented m-simplices with multiplicities.
 
     The pairing integrates the form against the constant edge frame of each
     simplex over barycentric parameters, with a composite Gauss rule per
-    simplex (tensorized through a collapsed square for triangles).
+    simplex (tensorized through a collapsed square for triangles); the
+    rows are those Gauss nodes, built once here.
     """
-
-    simplices: np.ndarray
-    multiplicities: np.ndarray
-    panels: int = 8
-    order: int = 10
 
     def __init__(self, simplices, multiplicities=None, panels=8, order=10):
         simplices = np.asarray(simplices, dtype=float)
@@ -278,6 +248,11 @@ class PolyhedralCurrent:
         if multiplicities is None:
             multiplicities = np.ones(count)
         multiplicities = np.asarray(multiplicities, dtype=float)
+        if multiplicities.shape != (count,):
+            raise CurrentError("need one multiplicity per simplex")
+        for name, value in (("panels", panels), ("order", order)):
+            if not isinstance(value, Integral) or value < 1:
+                raise CurrentError("%s must be an integer >= 1, not %r" % (name, value))
         m = simplices.shape[1] - 1
         if not 1 <= m <= simplices.shape[2]:
             raise CurrentError("simplex degree must lie in [1, dimension]")
@@ -287,28 +262,11 @@ class PolyhedralCurrent:
             edges = sim[1:] - sim[0]
             if np.linalg.svd(edges, compute_uv=False)[-1] <= 1e-12:
                 raise CurrentError("degenerate simplex with vanishing m-volume")
-        object.__setattr__(self, "simplices", simplices)
-        object.__setattr__(self, "multiplicities", multiplicities)
-        object.__setattr__(self, "panels", int(panels))
-        object.__setattr__(self, "order", int(order))
-
-    @property
-    def degree(self):
-        return self.simplices.shape[1] - 1
-
-    @property
-    def dimension(self):
-        return self.simplices.shape[2]
-
-    @cached_property
-    def _sample(self):
-        count = self.simplices.shape[0]
-        if count == 0:
-            return _empty_sample(self.dimension, self.degree)
-        base, roots = self.simplices[:, 0, :], self.simplices[:, 1:, :]
+        dim = simplices.shape[2]
+        base, roots = simplices[:, 0, :], simplices[:, 1:, :]
         edges = roots - base[:, None, :]
-        t, w = _gauss_panels(self.panels, self.order)
-        if self.degree == 1:
+        t, w = _gauss_panels(panels, order)
+        if m == 1:
             params = t[None, :, None]
             node_w = w
         else:
@@ -318,19 +276,14 @@ class PolyhedralCurrent:
             node_w = (np.outer(w, w) * (1.0 - u)).ravel()
         pts = base[:, None, :] + np.einsum("sqm,smn->sqn", np.broadcast_to(params, (count,) + params.shape[1:]), edges)
         q = pts.shape[1]
-        frames = np.broadcast_to(edges[:, None, :, :], (count, q, self.degree, self.dimension))
-        weights = self.multiplicities[:, None] * node_w[None, :]
-        return WeightedSample(pts.reshape(-1, self.dimension),
-                              frames.reshape(-1, self.degree, self.dimension),
-                              weights.ravel())
-
-    def sample(self):
-        return self._sample
+        frames = np.broadcast_to(edges[:, None, :, :], (count, q, m, dim))
+        weights = multiplicities[:, None] * node_w[None, :]
+        super().__init__(pts.reshape(-1, dim), frames.reshape(-1, m, dim), weights.ravel())
 
 
 def evaluate(current, form):
     """The pairing T(w)."""
-    return current.sample().pair(form)
+    return current.pair(form)
 
 
 def _translation_product(sample, kernel):
@@ -372,86 +325,26 @@ def _shift_product(sample, kernel):
 def mollified_sample(current, kernel, ball_shifts=False):
     """Sample of the smoothed current; pair it with any number of forms.
 
-    ``current`` is a current or a WeightedSample.  With ``ball_shifts`` the
-    averaging runs over the ball-preserving shift maps.  Those are the
-    identity from R_IDENTITY outward, so a sample lying there entirely is
-    returned unsmoothed (``_shift_product``) and reproduces its pairings
-    bit for bit.
+    With ``ball_shifts`` the averaging runs over the ball-preserving shift
+    maps.  Those are the identity from R_IDENTITY outward, so a sample
+    lying there entirely is returned unsmoothed (``_shift_product``) and
+    reproduces its pairings bit for bit; so is an empty one.
     """
     if kernel.dimension != current.dimension:
         raise CurrentError("kernel dimension does not match the current")
-    sample = current.sample()
-    if sample.points.shape[0] == 0:
-        return _empty_sample(current.dimension, current.degree)
+    if current.points.shape[0] == 0:
+        return current
     product = _shift_product if ball_shifts else _translation_product
-    return product(sample, kernel)
+    return product(current, kernel)
 
 
-def _segment_splits(chart, a, b, levels):
-    """Parameters in (0, 1) where the chart radius of a + t(b - a) crosses
-    the given levels.  The squared radius is an exact quadratic in t."""
-    u0 = chart.apply(a)
-    du = chart.apply(b) - u0
-    qa = float(np.dot(du, du))
-    qb = 2.0 * float(np.dot(u0, du))
-    qc = float(np.dot(u0, u0))
-    cuts = []
-    for level in levels:
-        roots = np.roots([qa, qb, qc - level * level]) if qa > 0 else []
-        for root in roots:
-            if abs(root.imag) < 1e-14 and 1e-12 < root.real < 1.0 - 1e-12:
-                cuts.append(float(root.real))
-    return sorted(cuts)
-
-
-def _split(sample, h):
-    """The sample with its weights times h, and times 1 - h."""
+def localize(sample, cutoff):
+    """Split the sample of T by the chart bump h into the inside half,
+    weighted by h, and the outside half, weighted by 1 - h.  Both halves
+    keep every row, and they pair back to T."""
+    h = cutoff.value(sample.points)
     return (WeightedSample(sample.points, sample.frames, sample.weights * h),
             WeightedSample(sample.points, sample.frames, sample.weights * (1.0 - h)))
-
-
-def _joined(samples, dimension, degree):
-    """The concatenated samples; an empty sample when every one is empty."""
-    if all(s.points.shape[0] == 0 for s in samples):
-        return _empty_sample(dimension, degree)
-    return WeightedSample.concatenate(samples)
-
-
-def localize(current, cutoff):
-    """Split the sample of T by the chart bump h into the inside half,
-    weighted by h, and the outside half, weighted by 1 - h.
-
-    ``current`` is a current or a WeightedSample, and both halves are
-    WeightedSamples that pair back to T.  Segments are first cut at the
-    exact parameters where they cross the bump's inner and outer levels, so
-    pieces on the plateaus keep their weights and only the band pieces
-    carry the bump.  Any other sample (point masses, triangles) has its
-    weights multiplied by h and by 1 - h.
-    """
-    if not (isinstance(current, PolyhedralCurrent) and current.degree == 1):
-        sample = current.sample()
-        return _split(sample, cutoff.value(sample.points))
-    # (pieces, multiplicities) on the inner plateau, the band and outside
-    split = {"in": ([], []), "band": ([], []), "out": ([], [])}
-    for sim, mult in zip(current.simplices, current.multiplicities):
-        a, b = sim
-        cuts = _segment_splits(cutoff.chart, a, b, (cutoff.inner, cutoff.outer))
-        knots = [0.0] + cuts + [1.0]
-        for t0, t1 in zip(knots[:-1], knots[1:]):
-            piece = np.stack([a + t0 * (b - a), a + t1 * (b - a)])
-            rho = float(cutoff.chart.chart_radius(piece.mean(axis=0))[0])
-            key = "in" if rho <= cutoff.inner else "out" if rho >= cutoff.outer else "band"
-            split[key][0].append(piece)
-            # the shortened edge frame already carries the factor t1 - t0
-            split[key][1].append(mult)
-    samples = {
-        key: PolyhedralCurrent(np.array(sims), np.array(mults), current.panels,
-                               current.order).sample()
-        if sims else _empty_sample(current.dimension, 1)
-        for key, (sims, mults) in split.items()}
-    band_in, band_out = _split(samples["band"], cutoff.value(samples["band"].points))
-    return (_joined([samples["in"], band_in], current.dimension, 1),
-            _joined([samples["out"], band_out], current.dimension, 1))
 
 
 def equivariant_sample(current, kernel, cutoff, group):
@@ -459,39 +352,34 @@ def equivariant_sample(current, kernel, cutoff, group):
 
     The inside half of ``localize`` is pushed into chart coordinates,
     smoothed by shifts in the unit ball, pushed back and averaged over the
-    group together with the untouched outside half.
+    group together with the untouched outside half.  An empty current is
+    returned as it is.
     """
     if not isinstance(group, GroupAction):
         raise CurrentError("group must be a GroupAction")
+    if current.points.shape[0] == 0:
+        return current
     inside, rest = localize(current, cutoff)
     chart = cutoff.chart
+    # a ball chart's Jacobian is scale * I, so its frames only scale
+    in_chart = WeightedSample(chart.apply(inside.points),
+                              inside.frames * chart.scale, inside.weights)
+    smoothed = _shift_product(in_chart, kernel)
+    back = WeightedSample(chart.apply_inverse(smoothed.points),
+                          smoothed.frames * chart.radius, smoothed.weights)
     pieces = []
-    if inside.points.shape[0] > 0:
-        # a ball chart's Jacobian is scale * I, so its frames only scale
-        in_chart = WeightedSample(chart.apply(inside.points),
-                                  inside.frames * chart.scale, inside.weights)
-        smoothed = _shift_product(in_chart, kernel)
-        back = WeightedSample(chart.apply_inverse(smoothed.points),
-                              smoothed.frames * chart.radius, smoothed.weights)
-    else:
-        back = None
     for matrix, weight in zip(group.matrices, group.weights):
-        if back is not None:
-            pieces.append(back.rotated(matrix, weight))
-        if rest.points.shape[0] > 0:
-            pieces.append(rest.rotated(matrix, weight))
-    return _joined(pieces, current.dimension, current.degree)
+        pieces += [back.rotated(matrix, weight), rest.rotated(matrix, weight)]
+    return WeightedSample.concatenate(pieces)
 
 
 def invariance_residual(current, group, forms):
     """max over group elements and forms of |T(pullback of w) - T(w)|.
 
-    ``current`` is a current or a WeightedSample; ``group`` is any iterable
-    of orthogonal matrices, a GroupAction or a plain list of probes.  A NaN
-    pairing makes the residual NaN.
+    ``group`` is any iterable of orthogonal matrices, a GroupAction or a
+    plain list of probes.  A NaN pairing makes the residual NaN.
     """
-    sample = current.sample()
-    base = sample.pair_many(forms)
-    defects = [np.max(np.abs(sample.rotated(matrix).pair_many(forms) - base))
+    base = current.pair_many(forms)
+    defects = [np.max(np.abs(current.rotated(matrix).pair_many(forms) - base))
                for matrix in group]
     return float(np.max([0.0] + defects))

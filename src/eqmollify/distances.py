@@ -258,6 +258,8 @@ def dilation_estimate(reference, smoothed, pairs, grid, mask_radius=None, order=
 
 def seeded_point_pairs(count, seed, radius, dimension=2, min_separation=0.2):
     """Reproducible well-separated point pairs in a ball."""
+    if min_separation >= 2.0 * radius:
+        raise DistanceError("min_separation must be below the ball diameter 2 * radius")
     rng = default_rng(seed)
     out = []
     while len(out) < count:

@@ -215,6 +215,97 @@ class TestEvaluate:
                     _masked_values(form, sample).tolist()
 
 
+def former_gauss_panels(panels, order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    width = 1.0 / panels
+    starts = width * np.arange(panels)
+    nodes = (starts[:, None] + 0.5 * width * (x[None, :] + 1.0)).ravel()
+    return nodes, np.tile(0.5 * width * w, panels)
+
+
+def former_polyhedral_rows(simplices, multiplicities, panels, order):
+    """Frozen copy of the rows a PolyhedralCurrent's sample was built from
+    while currents were not samples themselves: (points, frames, weights)."""
+    count, degree, dimension = simplices.shape[0], simplices.shape[1] - 1, simplices.shape[2]
+    if count == 0:
+        return np.zeros((0, dimension)), np.zeros((0, degree, dimension)), np.zeros(0)
+    base, roots = simplices[:, 0, :], simplices[:, 1:, :]
+    edges = roots - base[:, None, :]
+    t, w = former_gauss_panels(panels, order)
+    if degree == 1:
+        params = t[None, :, None]
+        node_w = w
+    else:
+        u, v = np.meshgrid(t, t, indexing="ij")
+        params = np.stack([u.ravel(), (v * (1.0 - u)).ravel()], axis=1)[None, :, :]
+        node_w = (np.outer(w, w) * (1.0 - u)).ravel()
+    pts = base[:, None, :] + np.einsum(
+        "sqm,smn->sqn", np.broadcast_to(params, (count,) + params.shape[1:]), edges)
+    q = pts.shape[1]
+    frames = np.broadcast_to(edges[:, None, :, :], (count, q, degree, dimension))
+    weights = multiplicities[:, None] * node_w[None, :]
+    return (pts.reshape(-1, dimension), frames.reshape(-1, degree, dimension),
+            weights.ravel())
+
+
+def assert_same_rows(current, rows):
+    assert isinstance(current, WeightedSample)
+    for new, old in zip((current.points, current.frames, current.weights), rows):
+        assert new.shape == old.shape and new.dtype == old.dtype
+        assert new.tobytes() == old.tobytes()
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("panels,order", [(8, 10), (1, 1), (2, 3), (5, 7)])
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 2, 3), (3, 3, 2), (2, 3, 3)],
+                             ids=["segments2d", "segments3d", "triangles2d", "triangles3d"])
+    def test_simplex_rows_match_the_former_construction(self, shape, panels, order):
+        rng = np.random.default_rng(sum(shape) + 10 * panels + order)
+        simplices = rng.normal(size=shape)
+        multiplicities = rng.normal(size=shape[0])
+        current = PolyhedralCurrent(simplices, multiplicities, panels=panels, order=order)
+        assert_same_rows(current, former_polyhedral_rows(simplices, multiplicities,
+                                                         panels, order))
+        assert current.degree == shape[1] - 1 and current.dimension == shape[2]
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 3, 3)])
+    def test_no_simplex_is_an_empty_sample(self, shape):
+        current = PolyhedralCurrent(np.zeros(shape))
+        assert_same_rows(current, former_polyhedral_rows(np.zeros(shape), np.ones(0), 8, 10))
+        kernel = MollifierKernel.create(shape[2], 0.1)
+        cutoff = ChartCutoff(AffineChart(np.zeros(shape[2]), 1.0))
+        assert mollified_sample(current, kernel) is current
+        assert equivariant_sample(current, kernel, cutoff, trivial_group(shape[2])) is current
+
+    def test_dirac_rows_are_the_atoms(self):
+        points = np.array([[0.1, -0.2], [0.4, 0.3], [-0.5, 0.05]])
+        frames = np.array([[[1.0, 0.5]], [[-0.2, 1.0]], [[0.3, 0.3]]])
+        weights = np.array([1.5, -2.0, 0.25])
+        assert_same_rows(DiracCurrent(points), (points, np.zeros((3, 0, 2)), np.ones(3)))
+        assert_same_rows(DiracCurrent(points, weights, frames), (points, frames, weights))
+        assert_same_rows(DiracCurrent([0.1, -0.2]), (points[:1], np.zeros((1, 0, 2)), np.ones(1)))
+
+    @pytest.mark.parametrize("multiplicities", [[1.0, 2.0, 3.0], [1.0], 2.0],
+                             ids=["three", "one", "scalar"])
+    def test_one_multiplicity_per_simplex(self, multiplicities):
+        two_segments = np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(CurrentError, match="one multiplicity per simplex"):
+            PolyhedralCurrent(two_segments, multiplicities)
+
+    @pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], 2.0],
+                             ids=["two", "four", "scalar"])
+    def test_one_weight_per_point(self, weights):
+        with pytest.raises(CurrentError, match="one weight per point"):
+            DiracCurrent(np.zeros((3, 2)), weights=weights)
+
+    @pytest.mark.parametrize("name", ["panels", "order"])
+    @pytest.mark.parametrize("value", [0, -1, 2.7, 2.0])
+    def test_panels_and_order_are_integers_of_at_least_one(self, name, value):
+        segment = np.array([[[0.0, 0.0], [1.0, 0.0]]])
+        with pytest.raises(CurrentError, match=name):
+            PolyhedralCurrent(segment, **{name: value})
+
+
 class TestPushforward:
     def test_translation_moves_dirac(self):
         p = np.array([0.1, 0.2])
@@ -229,7 +320,7 @@ class TestPushforward:
             def jacobian(self, x):
                 return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
 
-        moved = pushforward(current.sample(), Translate()).pair(form)
+        moved = pushforward(current, Translate()).pair(form)
         assert moved == float(form.evaluate((p + y)[None, :])[0])
 
     def test_identity_map_is_plain_pairing(self):
@@ -241,7 +332,7 @@ class TestPushforward:
                 return np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy()
 
         loop = square_loop()
-        assert pushforward(loop.sample(), Identity()).pair(form_b()) == evaluate(loop, form_b())
+        assert pushforward(loop, Identity()).pair(form_b()) == evaluate(loop, form_b())
 
     def test_shift_equals_translation_on_inner_ball(self):
         # both the point and its translate stay where the compression is
@@ -250,7 +341,7 @@ class TestPushforward:
         y = np.array([0.08, 0.05])
         current = DiracCurrent(p[None, :])
         form = scalar_form(lambda x: np.sin(x[:, 0] * x[:, 1] + 0.3))
-        value = pushforward(current.sample(), ShiftMap(y)).pair(form)
+        value = pushforward(current, ShiftMap(y)).pair(form)
         assert value == float(form.evaluate((p + y)[None, :])[0])
 
 
@@ -284,7 +375,7 @@ class TestTranslationSmoothing:
         kernel = MollifierKernel.create(2, 0.08)
         seg1 = PolyhedralCurrent(np.array([[[0.0, 0.0], [0.3, 0.1]]]), np.array([2.5]))
         seg2 = PolyhedralCurrent(np.array([[[-0.2, 0.1], [0.1, -0.2]]]), np.array([-1.25]))
-        combined = WeightedSample.concatenate([seg1.sample(), seg2.sample()])
+        combined = WeightedSample.concatenate([seg1, seg2])
         form = form_b()
         total = mollified_sample(combined, kernel).pair(form)
         parts = (mollified_sample(seg1, kernel).pair(form)
@@ -323,8 +414,7 @@ class TestShiftSmoothing:
         # segment itself reaches inside the unit ball
         segment = PolyhedralCurrent(np.array([[[0.9, -0.3], [0.9, 0.3]]]))
         kernel = MollifierKernel.create(2, 0.1)
-        sample = segment.sample()
-        assert currents._shift_product(sample, kernel) is sample
+        assert currents._shift_product(segment, kernel) is segment
         form = TestForm(1, 2, {(1,): lambda x: np.cos(x[:, 1]) + x[:, 0]}, 2.5, 2.0)
         smoothed = mollified_sample(segment, kernel, ball_shifts=True).pair(form)
         assert smoothed == evaluate(segment, form)
@@ -382,24 +472,32 @@ class TestLocalize:
     def test_crossing_loop_additivity(self):
         chart = AffineChart(np.array([0.1, 0.0]), 0.35)
         cutoff = ChartCutoff(chart)
-        loop = square_loop()
-        inside, outside = localize(loop, cutoff)
-        for form in (form_a(), form_b(), form_c()):
-            split = evaluate(inside, form) + evaluate(outside, form)
-            assert split == pytest.approx(evaluate(loop, form), abs=1e-8)
+        # the loop, a segment from the chart centre out past both levels of
+        # the bump, and a triangle around the centre reaching past them
+        segment = PolyhedralCurrent(np.array([[[0.1, 0.0], [0.6, 0.1]]]), np.array([1.5]))
+        triangle = PolyhedralCurrent(np.array([[[-0.3, -0.2], [0.5, 0.0], [0.0, 0.4]]]))
+        area = TestForm(2, 2, {(0, 1): lambda x: np.exp(x[:, 0]) + x[:, 1]}, 0.9, 0.5)
+        line_forms = (form_a(), form_b(), form_c())
+        for current, forms in ((square_loop(), line_forms), (segment, line_forms),
+                               (triangle, (area,))):
+            h = cutoff.value(current.points)
+            assert h.max() == 1.0 and h.min() == 0.0 and np.any((h > 0.0) & (h < 1.0))
+            inside, outside = localize(current, cutoff)
+            for form in forms:
+                split = evaluate(inside, form) + evaluate(outside, form)
+                assert split == pytest.approx(evaluate(current, form), abs=1e-8)
 
     def test_inside_part_stays_in_chart_domain(self):
         chart = AffineChart(np.array([0.1, 0.0]), 0.35)
         cutoff = ChartCutoff(chart)
         inside, _ = localize(square_loop(), cutoff)
-        sample = inside.sample()
-        live = np.abs(sample.weights) > 0
-        rho = chart.chart_radius(sample.points[live])
+        live = np.abs(inside.weights) > 0
+        rho = chart.chart_radius(inside.points[live])
         assert np.all(rho <= 1.0 + 1e-12)
 
     def test_sample_input_splits_its_weights(self):
         sample = DiracCurrent(np.array([[0.1, 0.1], [0.8, 0.0], [2.0, 0.0]]),
-                              np.array([1.5, -2.0, 3.0])).sample()
+                              np.array([1.5, -2.0, 3.0]))
         cutoff = centered_cutoff()
         h = cutoff.value(sample.points)
         assert 0.0 < h[1] < 1.0
@@ -414,45 +512,12 @@ class TestLocalize:
         triangles = PolyhedralCurrent(np.array([[[0.0, 0.0], [0.9, 0.1], [0.2, 0.7]]]),
                                       np.array([2.0]), panels=2, order=4)
         cutoff = centered_cutoff()
-        sample = triangles.sample()
-        h = cutoff.value(sample.points)
+        h = cutoff.value(triangles.points)
         inside, outside = localize(triangles, cutoff)
-        assert np.array_equal(inside.points, sample.points)
-        assert np.array_equal(inside.frames, sample.frames)
-        assert np.array_equal(inside.weights, sample.weights * h)
-        assert np.array_equal(outside.weights, sample.weights * (1.0 - h))
-
-    def test_band_pieces_carry_the_bump(self):
-        # the segment crosses the inner level 0.5 at t = 1/3 and the outer
-        # level 1 at t = 2/3: plateau, band and outside pieces in that order
-        segment = PolyhedralCurrent(np.array([[[0.0, 0.0], [1.5, 0.0]]]), np.array([3.0]),
-                                    panels=2, order=3)
-        cutoff = centered_cutoff()
-        inside, outside = localize(segment, cutoff)
-        pieces = PolyhedralCurrent(np.array([[[0.0, 0.0], [0.5, 0.0]],
-                                             [[0.5, 0.0], [1.0, 0.0]],
-                                             [[1.0, 0.0], [1.5, 0.0]]]),
-                                   np.full(3, 3.0), panels=2, order=3).sample()
-        plateau, band, out = (slice(0, 6), slice(6, 12), slice(12, 18))
-        # the cut parameters come from a quadratic's roots, so the piece
-        # ends may differ from 0.5 and 1 in the last bit
-        assert np.allclose(inside.points, pieces.points[:12], rtol=0.0, atol=1e-15)
-        assert np.array_equal(outside.points[6:], inside.points[6:])
-        h = cutoff.value(inside.points[6:])
-        assert np.array_equal(inside.weights[:6], pieces.weights[plateau])
-        assert np.array_equal(inside.weights[6:], pieces.weights[band] * h)
-        assert np.array_equal(outside.weights[:6], pieces.weights[out])
-        assert np.array_equal(outside.weights[6:], pieces.weights[band] * (1.0 - h))
-
-    def test_segments_outside_give_an_empty_inside(self):
-        cutoff = centered_cutoff(0.15)
-        loop = square_loop()
-        inside, outside = localize(loop, cutoff)
-        assert inside.points.shape == (0, 2) and inside.frames.shape == (0, 1, 2)
-        assert inside.weights.shape == (0,)
-        assert np.array_equal(outside.weights, loop.sample().weights)
-        form = form_a()
-        assert evaluate(outside, form) == evaluate(loop, form)
+        assert np.array_equal(inside.points, triangles.points)
+        assert np.array_equal(inside.frames, triangles.frames)
+        assert np.array_equal(inside.weights, triangles.weights * h)
+        assert np.array_equal(outside.weights, triangles.weights * (1.0 - h))
 
 
 class TestEquivariant:
@@ -555,7 +620,7 @@ def test_pairing_is_linear_in_the_current(scale_a, scale_b):
     first = PolyhedralCurrent(seg, np.array([scale_a]))
     second = PolyhedralCurrent(seg + 0.1, np.array([scale_b]))
     form = form_c()
-    combined = WeightedSample.concatenate([first.sample(), second.sample()])
+    combined = WeightedSample.concatenate([first, second])
     assert evaluate(combined, form) == pytest.approx(
         evaluate(first, form) + evaluate(second, form), abs=1e-12
     )

@@ -548,3 +548,13 @@ class TestSeededPairs:
     def test_seed_changes_sample(self):
         assert not np.array_equal(seeded_point_pairs(8, 1, 0.9),
                                   seeded_point_pairs(8, 2, 0.9))
+
+    @pytest.mark.parametrize("separation", [0.2, 0.5])
+    def test_separation_of_a_diameter_or_more_raises_before_any_draw(self, monkeypatch,
+                                                                     separation):
+        # no two points of a ball of radius 0.1 lie 0.2 apart (almost
+        # surely), so the rejection loop would never end
+        monkeypatch.setattr(distances, "default_rng",
+                            lambda seed: pytest.fail("drew from the generator"))
+        with pytest.raises(DistanceError, match="diameter"):
+            seeded_point_pairs(1, 0, 0.1, min_separation=separation)

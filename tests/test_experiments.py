@@ -9,6 +9,7 @@ semantics.
 import dataclasses
 import json
 import os
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -245,8 +246,9 @@ class TestInvarianceKind:
         assert report.csv_path is None
 
     def test_square_loop_is_smoothed_invariantly(self):
-        # the loop goes through localize's segment split and the
-        # equivariant sample, next to the two orbit currents
+        # the loop lies on the atlas bump's plateau, so localize keeps its
+        # whole weight inside; it goes through the equivariant sample next
+        # to the two orbit currents
         config = ExperimentConfig(scenario="orbit_currents", epsilons=(0.1,))
         report = run_experiment("invariance-check", config, write=False)
         residuals = [row[2] for row in report.rows
@@ -531,25 +533,43 @@ def _cell_close(observed, reference):
     return abs(a - b) <= 1e-12 + 1e-6 * abs(b)
 
 
-def test_bench_size_sphere_seminorm_stays_on_the_benchmark_reference(tmp_path):
-    # the sphere-seminorm benchmark workload (grid 65, shipped epsilons)
-    # against its reference.  Any change to a bridge root's Newton path
-    # moves the cell at epsilon 1.22e-5 by about 1.3e-4 relative, past the
-    # benchmark's bound, and fails here rather than only in the benchmark
-    config = json.loads((REPO / "configs" / "sphere-seminorm.json").read_text())
-    config.update(grid=65, seed=42, out=str(tmp_path / "out"))
+# the benchmark's workloads, read from its own table without importing
+# bench/ as a package, so that no bytecode lands there
+BENCH_WORKLOADS = runpy.run_path(str(REPO / "bench" / "workloads.py"))
+
+
+def _assert_on_the_benchmark_reference(name, tmp_path):
+    """Run a benchmark workload as bench/run.py sets it up at --seed 0 and
+    compare every results.csv cell against bench/references/<name>.csv."""
+    workload = BENCH_WORKLOADS["WORKLOADS"][name]
+    config = json.loads((REPO / "configs" / (workload.config + ".json")).read_text())
+    config.update(workload.overrides, seed=BENCH_WORKLOADS["REFERENCE_CONFIG_SEED"],
+                  out=str(tmp_path / "out"))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    report = run_experiment("smooth-metric", load_config(str(path)))
+    report = run_experiment(workload.kind, load_config(str(path)))
     observed = [line.split(",") for line in Path(report.csv_path).read_text().splitlines()]
     reference = [line.split(",") for line in
-                 (REPO / "bench" / "references" / "sphere-seminorm.csv").read_text().splitlines()]
-    assert observed[0] == reference[0] and len(observed) == len(reference) == 16
-    far = [(row[0], name, cell, ref)
+                 (REPO / "bench" / "references" / (name + ".csv")).read_text().splitlines()]
+    assert observed[0] == reference[0] and len(observed) == len(reference)
+    far = [(row[0], column, cell, ref)
            for row, ref_row in zip(observed[1:], reference[1:])
-           for name, cell, ref in zip(reference[0], row, ref_row)
+           for column, cell, ref in zip(reference[0], row, ref_row)
            if not _cell_close(cell, ref)]
     assert all(len(row) == len(reference[0]) for row in observed) and far == []
+
+
+def test_bench_size_sphere_seminorm_stays_on_the_benchmark_reference(tmp_path):
+    # grid 65 and the shipped epsilons, 15 rows.  Any change to a bridge
+    # root's Newton path moves the cell at epsilon 1.22e-5 by about 1.3e-4
+    # relative, past the benchmark's bound, and fails here rather than only
+    # in the benchmark
+    _assert_on_the_benchmark_reference("sphere-seminorm", tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(set(BENCH_WORKLOADS["WORKLOADS"]) - {"sphere-seminorm"}))
+def test_bench_size_workload_stays_on_the_benchmark_reference(tmp_path, name):
+    _assert_on_the_benchmark_reference(name, tmp_path)
 
 
 class TestCheckResult:

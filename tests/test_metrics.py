@@ -276,11 +276,10 @@ class TestAffineChart:
         for cutoff in shipped_cutoffs():
             for current in build_scenario("orbit_currents").currents:
                 inside, outside = currents.localize(current, cutoff)
-                smoothed = currents._shift_product(pushforward(inside.sample(), cutoff.chart),
-                                                   kernel)
+                smoothed = currents._shift_product(pushforward(inside, cutoff.chart), kernel)
                 ref = currents.WeightedSample.concatenate([
                     pushforward(smoothed, InverseChart(cutoff.chart)).rotated(np.eye(2)),
-                    outside.sample().rotated(np.eye(2))])
+                    outside.rotated(np.eye(2))])
                 new = currents.equivariant_sample(current, kernel, cutoff, identity)
                 assert current.degree == 0 or np.any(new.frames != 0.0)
                 for a, b in zip((new.points, new.frames, new.weights),
