@@ -5,16 +5,18 @@ and every current here is a weighted sample (``WeightedSample``): points,
 tangent frames and weights such that T(w) = sum_k weight_k *
 w(point_k; frame_k).  ``DiracCurrent`` and ``PolyhedralCurrent`` only build
 those rows from atoms or simplices.  Pushforwards are realized as pullbacks
-on forms: the points are mapped and the frames multiplied by Jacobians.
-This is exact for the pairing and never re-meshes geometry under the
-nonlinear shifts.
+on forms: the points are mapped and the frames multiplied by Jacobians,
+which is exact for the pairing and never re-meshes geometry.  A form's
+cutoff is exactly 1.0 on its plateau |x - center| <= flat_radius, so rows
+all on it skip the cutoff (``_cutoff_rows``).
 
 Two smoothing operators act on a sample, both through ``mollified_sample``:
 translation smoothing averages the pushforwards under tau_y over the
 mollifier ball, and shift smoothing (``ball_shifts``) uses the ball-preserving
-maps from ``ballmap`` instead, so the open unit ball is mapped to itself and
-everything from R_IDENTITY outward is left untouched: sample rows there pass
-through bit for bit, and a sample with no row inside is not copied at all.
+maps from ``ballmap`` instead, which fix everything from R_IDENTITY outward:
+sample rows there pass through bit for bit, and a sample with no row inside
+is not copied at all.  Both build one node-major copy of the rows per
+kernel node, stored component-major so that each coordinate is contiguous.
 The equivariant operator (``equivariant_sample``) splits the weights with a
 chart cutoff (``localize``), smooths the chart half by shifts in chart
 coordinates and averages the result over a group of orthogonal matrices.
@@ -88,6 +90,8 @@ class TestForm:
             object.__setattr__(self, "center", np.zeros(self.dimension))
         else:
             object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if self.center.shape != (self.dimension,):
+            raise CurrentError("form center must have %d coordinates" % self.dimension)
         if not 0.0 < self.flat_radius < self.support_radius:
             raise CurrentError("need 0 < flat_radius < support_radius")
         for index in self.coefficients:
@@ -111,7 +115,7 @@ class TestForm:
         """The form at the points whose ``_cutoff_rows`` are given."""
         bump, live, pts, frames = rows
         if pts.shape[0] == 0 or not self.coefficients:
-            return np.zeros(bump.shape[0])
+            return np.zeros(pts.shape[0] if live is None else live.shape[0])
         total = np.zeros(pts.shape[0])
         for index, fn in self.coefficients.items():
             coef = np.asarray(fn(pts), dtype=float)
@@ -122,25 +126,24 @@ class TestForm:
             else:
                 total += coef * np.linalg.det(frames[:, :, list(index)])
         if live is None:
-            return np.multiply(bump, total, out=total)
-        out = np.zeros(bump.shape[0])
+            return total
+        out = np.zeros(live.shape[0])
         out[live] = bump[live] * total
         return out
 
 
 def _cutoff_rows(form, points, frames):
     """The form's radial cutoff at the points, the mask of rows where it is
-    nonzero, and the points and frames of those rows.  Where the cutoff is
-    nonzero at every point the mask is None and the points and frames are
-    those given, with no gather: the standard form bank's plateau covers
-    every built-in current.  Depends on the form only through its cutoff,
-    so forms sharing one can share the result."""
-    bump = form.cutoff(points)
-    live = bump > 0.0
+    nonzero, and the points and frames of those rows; both are None, and
+    the rows those given, on the plateau, where the cutoff is exactly 1.0.
+    Depends on the form only through its cutoff, so forms sharing one can
+    share the result."""
     if form.degree > 0:
         frames = np.asarray(frames, dtype=float)
-    if np.all(live):
-        return bump, None, points, frames
+    if np.all(_norms(points - form.center) <= form.flat_radius):
+        return None, None, points, frames
+    bump = form.cutoff(points)
+    live = bump > 0.0
     return bump, live, points[live], frames[live] if form.degree > 0 else frames
 
 
@@ -288,38 +291,38 @@ def evaluate(current, form):
 
 def _translation_product(sample, kernel):
     nodes, node_w = kernel.convex_weights()
-    rows = nodes.shape[0] * sample.points.shape[0]
-    pts = (nodes[:, None, :] + sample.points[None, :, :]).reshape(rows, sample.dimension)
-    frames = np.broadcast_to(
-        sample.frames[None], (nodes.shape[0],) + sample.frames.shape
-    ).reshape(rows, sample.degree, sample.dimension)
+    dim, deg = sample.dimension, sample.degree
+    m, k = nodes.shape[0], sample.points.shape[0]
+    pts = np.add(nodes.T[:, :, None], sample.points.T[:, None, :], out=np.empty((dim, m, k)))
+    frames = np.broadcast_to(sample.frames.transpose(1, 2, 0)[..., None, :],
+                             (deg, dim, m, k)).reshape(deg, dim, m * k)
     weights = (node_w[:, None] * sample.weights[None, :]).ravel()
-    return WeightedSample(pts, frames, weights)
+    return WeightedSample(pts.reshape(dim, m * k).T, frames.transpose(2, 0, 1), weights)
 
 
 def _shift_product(sample, kernel):
     """Node-major shift pushforwards of the sample, one copy per kernel
     node; rows from R_IDENTITY outward keep their point and frame bit for
-    bit.  A sample with no row inside R_IDENTITY is returned as it is: the
-    shifts fix all of it, and one copy pairs exactly like the convex
-    combination of |nodes| equal ones."""
+    bit, stored as (n, rows) points and (degree, n, rows) frames.  A sample
+    with no row inside R_IDENTITY is returned as it is: the shifts fix all
+    of it, and one copy pairs exactly like the convex combination of
+    |nodes| equal ones."""
     inner = np.flatnonzero(_norms(sample.points) < R_IDENTITY)
     if inner.size == 0:
         return sample
     nodes, node_w = kernel.convex_weights()
-    k = sample.points.shape[0]
-    m = nodes.shape[0]
     dim, deg = sample.dimension, sample.degree
-    pts_out = np.broadcast_to(sample.points, (m, k, dim)).copy()
-    frames_out = np.broadcast_to(sample.frames, (m, k, deg, dim)).copy()
+    m, k = nodes.shape[0], sample.points.shape[0]
+    pts_out = np.broadcast_to(sample.points.T[:, None, :], (dim, m, k)).copy()
+    frames_out = np.broadcast_to(sample.frames.transpose(1, 2, 0)[..., None, :], (deg, dim, m, k)).copy()
     frames_in = sample.frames[inner]
     for part, moved, chain in _shift_blocks(sample.points[inner], nodes):
         rows = inner[part]
-        pts_out[:, rows] = moved
-        frames_out[:, rows] = np.einsum("ijbk,kaj->bkai", chain, frames_in[part])
+        pts_out[:, :, rows] = moved.transpose(2, 0, 1)
+        frames_out[:, :, :, rows] = np.einsum("ijbk,kaj->aibk", chain, frames_in[part])
     weights = (node_w[:, None] * sample.weights[None, :]).ravel()
-    return WeightedSample(pts_out.reshape(m * k, dim),
-                          frames_out.reshape(m * k, deg, dim), weights)
+    return WeightedSample(pts_out.reshape(dim, m * k).T,
+                          frames_out.reshape(deg, dim, m * k).transpose(2, 0, 1), weights)
 
 
 def mollified_sample(current, kernel, ball_shifts=False):

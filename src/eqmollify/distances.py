@@ -11,6 +11,7 @@ the same node set over a fixed seeded pair sample; it is a proxy for the
 full dilation supremum and documented as such.
 """
 
+import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -228,22 +229,47 @@ class DilationReport:
     max_deviation: float
 
 
+class _SharedReference:
+    """A reference metric whose side of ``dilation_estimate`` (the snapped
+    pairs, the distinct first ends as sweep sources, each pair's row among
+    them and the reference distances) is built once per pairs, grid, mask
+    radius and order, under a lock, for every call from any thread."""
+
+    def __init__(self, metric):
+        self.metric = metric
+        self._lock = threading.Lock()
+        self._built = {}
+
+    def distances(self, pairs, grid, mask_radius, order):
+        pairs = np.asarray(pairs, dtype=float)
+        # the entry holds the grid, so no other object can take its id
+        key = (pairs.shape, pairs.tobytes(), id(grid), mask_radius, order)
+        with self._lock:
+            if key not in self._built:
+                base = sample_graph(self.metric, grid, mask_radius=mask_radius, order=order)
+                snapped = base.snap(pairs.reshape(-1, pairs.shape[-1])).reshape(-1, 2)
+                if np.any(snapped[:, 0] == snapped[:, 1]):
+                    raise DistanceError("zero-distance pair after snapping")
+                # only the rows of the first ends are read; each source is its
+                # own column of the sweep, so leaving the others out moves no bit
+                sources, rows = np.unique(snapped[:, 0], return_inverse=True)
+                d0 = csgraph.dijkstra(base, indices=sources)[rows, snapped[:, 1]]
+                self._built[key] = grid, (snapped, sources, rows, d0)
+            return self._built[key][1]
+
+
 def dilation_estimate(reference, smoothed, pairs, grid, mask_radius=None, order=8):
     """max over the pair sample of |d_smoothed / d_reference - 1|.
 
     Both graphs share one node set, so every ratio compares shortest paths
     in the same combinatorial search space and only the edge weights move.
+    ``reference`` is the reference metric, or a ``_SharedReference`` that
+    many smoothed metrics are compared against.
     """
-    pairs = np.asarray(pairs, dtype=float)
-    base = sample_graph(reference, grid, mask_radius=mask_radius, order=order)
+    if not isinstance(reference, _SharedReference):
+        reference = _SharedReference(reference)
+    snapped, sources, rows, d0 = reference.distances(pairs, grid, mask_radius, order)
     moved = sample_graph(smoothed, grid, mask_radius=mask_radius, order=order)
-    snapped = base.snap(pairs.reshape(-1, pairs.shape[-1])).reshape(-1, 2)
-    if np.any(snapped[:, 0] == snapped[:, 1]):
-        raise DistanceError("zero-distance pair after snapping")
-    # only the rows of the first ends are read; each source is its own
-    # column of the sweep, so leaving the others out moves no bit
-    sources, rows = np.unique(snapped[:, 0], return_inverse=True)
-    d0 = csgraph.dijkstra(base, indices=sources)[rows, snapped[:, 1]]
     d1 = csgraph.dijkstra(moved, indices=sources)[rows, snapped[:, 1]]
     degenerate = ~(np.isfinite(d0) & np.isfinite(d1)) | (d0 == 0.0)
     if np.any(degenerate):

@@ -20,7 +20,7 @@ from numpy.random import default_rng
 from .config import ConfigError, ExperimentConfig
 from .curvature import FD_STEP, curvature_bounds
 from .currents import equivariant_sample, evaluate, invariance_residual, mollified_sample
-from .distances import dilation_estimate, seeded_point_pairs
+from .distances import _SharedReference, dilation_estimate, seeded_point_pairs
 from .kernel import MollifierKernel
 from .metrics import (
     BoxGrid,
@@ -290,11 +290,12 @@ def _run_lipschitz_sweep(scenario, config):
                                0.9 * scenario.domain_radius,
                                dimension=scenario.dimension,
                                min_separation=0.4 * scenario.domain_radius)
+    reference = _SharedReference(scenario.metric)
 
     def stage(epsilon):
         kernel = _kernel_for(epsilon, scenario.dimension)
         field = _smoothed_field(scenario, kernel)
-        report = dilation_estimate(scenario.metric, field, pairs, grid,
+        report = dilation_estimate(reference, field, pairs, grid,
                                    mask_radius=scenario.scan_radius)
         return epsilon, report.max_deviation, delta
 

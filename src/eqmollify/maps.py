@@ -93,20 +93,17 @@ class ChartCutoff:
 
 
 def _check_orthogonal(matrices, tol):
-    n = matrices.shape[1]
-    eye = np.eye(n)
-    for m in matrices:
-        if np.max(np.abs(m.T @ m - eye)) > tol:
-            raise GroupError("group element is not orthogonal within %g" % tol)
+    gaps = np.abs(np.swapaxes(matrices, 1, 2) @ matrices - np.eye(matrices.shape[1]))
+    if not np.all(gaps <= tol):
+        raise GroupError("group element is not orthogonal within %g" % tol)
 
 
 def _check_closure(matrices, tol):
+    # batched per left factor, so the distance table holds |G|^2 n^2 entries
     for a in matrices:
-        for b in matrices:
-            prod = a @ b
-            best = min(np.max(np.abs(prod - c)) for c in matrices)
-            if best > tol:
-                raise GroupError("group is not closed under products within %g" % tol)
+        gaps = np.max(np.abs((a @ matrices)[:, None] - matrices[None]), axis=(2, 3))
+        if not np.all(np.min(gaps, axis=1) <= tol):
+            raise GroupError("group is not closed under products within %g" % tol)
 
 
 @dataclass(frozen=True)
@@ -131,8 +128,11 @@ class GroupAction:
         _check_orthogonal(matrices, tol)
         if not is_quadrature:
             _check_closure(matrices, tol)
-        if abs(float(np.sum(weights)) - 1.0) > 1e-12:
-            raise GroupError("averaging weights must sum to one")
+        if weights.shape != matrices.shape[:1]:
+            raise GroupError("need one averaging weight per group element")
+        # here and in the checks above, a nan fails the comparison
+        if not (np.all(weights >= 0.0) and abs(float(np.sum(weights)) - 1.0) <= 1e-12):
+            raise GroupError("averaging weights must be nonnegative and sum to one")
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "is_quadrature", bool(is_quadrature))

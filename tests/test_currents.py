@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqmollify import currents, scenarios
-from eqmollify.ballmap import shift_points, shift_with_jacobian
+from eqmollify.ballmap import R_IDENTITY, _shift_blocks, shift_points, shift_with_jacobian
 from eqmollify.currents import (
     CurrentError,
     DiracCurrent,
@@ -160,6 +160,12 @@ class TestEvaluate:
         form = TestForm(2, 3, {(0, 1): lambda x: x[:, 0]}, 3.0, 2.0)
         assert evaluate(current, form) == pytest.approx(1.0 / 6.0, rel=1e-12)
 
+    @pytest.mark.parametrize("center", [[0.1, 0.2, 0.3], [0.5], [[0.0, 0.0]]],
+                             ids=["long", "short", "nested"])
+    def test_center_of_another_dimension_rejected(self, center):
+        with pytest.raises(CurrentError, match="center must have 2 coordinates"):
+            TestForm(0, 2, {(): lambda x: x[:, 0]}, 0.9, 0.5, center)
+
     def test_degenerate_simplex_rejected(self):
         with pytest.raises(CurrentError):
             PolyhedralCurrent(np.array([[[0.0, 0.0], [0.0, 0.0]]]))
@@ -167,12 +173,16 @@ class TestEvaluate:
     @pytest.mark.parametrize("index", [0, 1, 2], ids=["masses", "tangents", "loop"])
     def test_bank_pairing_shares_the_cutoff_bit_for_bit(self, monkeypatch, index):
         # the orbit bank's current smoothed by shifts, paired with its forms
-        # of equal degree plus one form under a narrower cutoff in between
+        # of equal degree plus one form under a narrower cutoff in between;
+        # the bank's plateau is pulled in so that its cutoff is computed at
+        # all, which it is not where every row lies on the plateau
         scenario = scenarios.build_scenario("orbit_currents")
         current = scenario.currents[index]
         sample = mollified_sample(current, MollifierKernel.create(2, 0.1, level=1),
                                   ball_shifts=True)
-        bank = [f for f in scenario.forms if f.degree == current.degree]
+        bank = [replace(f, flat_radius=0.4) for f in scenario.forms
+                if f.degree == current.degree]
+        assert np.max(np.linalg.norm(sample.points, axis=1)) > 0.4
         # the narrow form copies the bank form that pairs largest, so a
         # pairing served from the wrong cutoff would show
         largest = max(bank, key=lambda form: abs(sample.pair(form)))
@@ -448,6 +458,146 @@ class TestShiftSmoothing:
         assert errors[0] > errors[1] > errors[2]
         assert errors[0] / errors[1] >= 1.3
         assert errors[1] / errors[2] >= 1.3
+
+
+def former_translation_product(sample, kernel):
+    """Frozen copy of the row-major translation product, the oracle of the
+    component-major one."""
+    nodes, node_w = kernel.convex_weights()
+    rows = nodes.shape[0] * sample.points.shape[0]
+    pts = (nodes[:, None, :] + sample.points[None, :, :]).reshape(rows, sample.dimension)
+    frames = np.broadcast_to(
+        sample.frames[None], (nodes.shape[0],) + sample.frames.shape
+    ).reshape(rows, sample.degree, sample.dimension)
+    weights = (node_w[:, None] * sample.weights[None, :]).ravel()
+    return WeightedSample(pts, frames, weights)
+
+
+def former_shift_product(sample, kernel):
+    """Frozen copy of the row-major shift product, the oracle of the
+    component-major one."""
+    inner = np.flatnonzero(np.linalg.norm(sample.points, axis=1) < R_IDENTITY)
+    if inner.size == 0:
+        return sample
+    nodes, node_w = kernel.convex_weights()
+    k = sample.points.shape[0]
+    m = nodes.shape[0]
+    dim, deg = sample.dimension, sample.degree
+    pts_out = np.broadcast_to(sample.points, (m, k, dim)).copy()
+    frames_out = np.broadcast_to(sample.frames, (m, k, deg, dim)).copy()
+    frames_in = sample.frames[inner]
+    for part, moved, chain in _shift_blocks(sample.points[inner], nodes):
+        rows = inner[part]
+        pts_out[:, rows] = moved
+        frames_out[:, rows] = np.einsum("ijbk,kaj->bkai", chain, frames_in[part])
+    weights = (node_w[:, None] * sample.weights[None, :]).ravel()
+    return WeightedSample(pts_out.reshape(m * k, dim),
+                          frames_out.reshape(m * k, deg, dim), weights)
+
+
+def product_cases():
+    """(name, current, forms): every built-in current with its bank and one
+    form whose ramp the smoothed rows reach, a loop with corners past
+    R_IDENTITY, atoms with no row inside it and a triangle in R^3."""
+    scenario = scenarios.build_scenario("orbit_currents")
+    cases = []
+    for index, current in enumerate(scenario.currents):
+        bank = [f for f in scenario.forms if f.degree == current.degree]
+        narrow = TestForm(current.degree, 2, bank[-1].coefficients, 0.6, 0.3)
+        cases.append(("orbit%d" % index, current, bank + [narrow]))
+    corners = 0.7 / 0.2 * LOOP_VERTICES
+    wide = PolyhedralCurrent(np.stack([np.stack([corners[i], corners[(i + 1) % 4]])
+                                       for i in range(4)]), panels=2)
+    cases.append(("past_identity", wide, [form_a(), form_b(), form_c()]))
+    outer = DiracCurrent(np.array([[0.9, 0.1], [-0.2, -0.95]]), np.array([1.5, -0.5]),
+                         np.array([[[0.3, 1.0]], [[1.0, -0.2]]]))
+    cases.append(("no_inner_row", outer, [form_a(), form_b(), form_c()]))
+    triangle = PolyhedralCurrent(np.array([[[0.1, 0.0, -0.2], [0.4, 0.1, 0.0],
+                                            [0.0, 0.3, 0.2]]]), panels=2, order=4)
+    cases.append(("triangle_3d", triangle, [
+        TestForm(2, 3, {(0, 1): lambda x: x[:, 2] + 1.0,
+                        (1, 2): lambda x: np.cos(x[:, 0])}, 1.6, 1.2),
+        TestForm(2, 3, {(0, 2): lambda x: x[:, 1] ** 2}, 0.6, 0.3)]))
+    return cases
+
+
+PRODUCT_CASES = product_cases()
+
+
+class TestProductLayout:
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("name, current, forms", PRODUCT_CASES,
+                             ids=[case[0] for case in PRODUCT_CASES])
+    @pytest.mark.parametrize("product, former", [
+        (currents._translation_product, former_translation_product),
+        (currents._shift_product, former_shift_product)], ids=["translation", "shift"])
+    def test_rows_and_pairings_match_the_row_major_product(self, product, former, level,
+                                                           name, current, forms):
+        kernel = MollifierKernel.create(current.dimension, 0.1, level=level)
+        sample, oracle = product(current, kernel), former(current, kernel)
+        for got, want in ((sample.points, oracle.points), (sample.frames, oracle.frames),
+                          (sample.weights, oracle.weights)):
+            assert np.array_equal(np.ascontiguousarray(got), want)
+        # the oracle pairs through the full cutoff, gathered and scattered
+        assert sample.pair_many(forms).tolist() == [_masked_pairing(f, oracle) for f in forms]
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["masses", "tangents", "loop"])
+    def test_equivariant_sample_matches_the_row_major_product(self, monkeypatch, index, level):
+        scenario = scenarios.build_scenario("orbit_currents")
+        current = scenario.currents[index]
+        forms = [f for f in scenario.forms if f.degree == current.degree]
+        kernel = MollifierKernel.create(2, 0.05, level=level)
+        results = []
+        for product in (currents._shift_product, former_shift_product):
+            monkeypatch.setattr(currents, "_shift_product", product)
+            sample = equivariant_sample(current, kernel, scenario.atlas[0], scenario.group)
+            results.append((sample, sample.pair_many(forms).tolist(),
+                            invariance_residual(sample, scenario.group, forms)))
+        (sample, pairs, residual), (oracle, oracle_pairs, oracle_residual) = results
+        for got, want in ((sample.points, oracle.points), (sample.frames, oracle.frames),
+                          (sample.weights, oracle.weights)):
+            assert np.array_equal(got, want)
+        assert pairs == oracle_pairs and residual == oracle_residual
+
+    @pytest.mark.parametrize("product", [currents._translation_product,
+                                         currents._shift_product],
+                             ids=["translation", "shift"])
+    def test_coordinates_and_frame_components_are_contiguous(self, product):
+        # each coordinate and each frame component over all rows is one
+        # contiguous run, which is what the pairings read
+        loop = square_loop(panels=2)
+        sample = product(loop, MollifierKernel.create(2, 0.1, level=1))
+        assert sample.points.T.flags.c_contiguous
+        assert sample.frames.transpose(1, 2, 0).flags.c_contiguous
+
+
+class TestCutoffPlateau:
+    FORM = TestForm(1, 2, {(0,): lambda x: np.exp(x[:, 1]),
+                           (1,): lambda x: np.sin(3.0 * x[:, 0])}, 0.9, 0.5)
+
+    @pytest.mark.parametrize("radius, plateau", [
+        (0.5, True), (np.nextafter(0.5, 1.0), False), (0.6, False)],
+        ids=["flat_radius", "next_above", "ramp"])
+    def test_plateau_pairs_as_the_full_cutoff(self, radius, plateau):
+        # rows inside the plateau plus one row at the given radius
+        angles = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
+        inside = 0.3 * np.stack([np.cos(angles), np.sin(angles)], 1)
+        points = np.concatenate([inside, [[0.0, radius]]])
+        frames = np.stack([np.cos(3.0 * angles + 1.0), np.sin(angles - 0.5)], 1)
+        frames = np.concatenate([frames, [[0.7, -0.4]]])[:, None, :]
+        sample = WeightedSample(points, frames, np.linspace(-1.0, 2.0, 9))
+        rows = currents._cutoff_rows(self.FORM, sample.points, sample.frames)
+        assert (rows[0] is None) == plateau
+        assert self.FORM.evaluate(points, frames).tobytes() == \
+            _masked_values(self.FORM, sample).tobytes()
+        assert sample.pair(self.FORM) == _masked_pairing(self.FORM, sample)
+
+    def test_no_cutoff_is_computed_on_the_plateau(self, monkeypatch):
+        monkeypatch.setattr(TestForm, "cutoff", lambda form, points: pytest.fail("cutoff"))
+        sample = mollified_sample(square_loop(), MollifierKernel.create(2, 0.1),
+                                  ball_shifts=True)
+        assert np.isfinite(sample.pair_many([form_a(), form_b(), form_c()])).all()
 
 
 def centered_cutoff(radius=1.0):

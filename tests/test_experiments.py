@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqmollify import experiments
+from eqmollify import distances, experiments
 from eqmollify.config import ConfigError, ExperimentConfig, load_config
 from eqmollify.experiments import (
     EXPERIMENT_KINDS,
@@ -325,6 +325,34 @@ class TestMollifyCurrentKind:
         assert names == ["translation_series_decreasing",
                          "translation_final_error",
                          "shift_series_decreasing", "shift_final_error"]
+
+
+class TestLipschitzSweepKind:
+    def test_reference_is_built_once_and_moves_no_bit(self, monkeypatch):
+        # the shipped radial-lipschitz sample, every stage against the one-off
+        # estimate that builds its own reference graph
+        config = load_config(Path(__file__).resolve().parent.parent
+                             / "configs" / "radial-lipschitz.json")
+        scenario = build_scenario(config.scenario)
+        grid = scenario.scan_grid(config.graph_grid)
+        pairs = distances.seeded_point_pairs(config.pairs, config.seed,
+                                             0.9 * scenario.domain_radius,
+                                             min_separation=0.4 * scenario.domain_radius)
+        expected = []
+        for epsilon in config.epsilons:
+            field = _smoothed_field(scenario, _kernel_for(epsilon, scenario.dimension))
+            report = distances.dilation_estimate(scenario.metric, field, pairs, grid,
+                                                 mask_radius=scenario.scan_radius)
+            expected.append(report.max_deviation)
+        graphs = []
+        build = distances.sample_graph
+        monkeypatch.setattr(distances, "sample_graph",
+                            lambda metric, *args, **kw: graphs.append(metric)
+                            or build(metric, *args, **kw))
+        rows = run_experiment("lipschitz-sweep", config, write=False).rows
+        assert [row[1] for row in rows] == expected
+        # one graph per stage and one for the reference
+        assert len(graphs) == len(config.epsilons) + 1
 
 
 class TestTorusSweepField:

@@ -19,14 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqmollify import ballmap, currents, experiments, metrics
+from eqmollify import ballmap, currents, experiments, maps, metrics
 from eqmollify.ballmap import (BRIDGE_HI, BRIDGE_LO, R_IDENTITY, _compress_with_jacobian,
                                _expand_with_jacobian, _radial_jacobians)
 from eqmollify.cli import main
 from eqmollify.config import ExperimentConfig
 from eqmollify.experiments import _smoothed_field
 from eqmollify.kernel import MollifierKernel, QuadratureRule
-from eqmollify.maps import AffineChart, ChartCutoff, GroupAction, cyclic_rotation_group, torus_group, trivial_group
+from eqmollify.maps import (AffineChart, ChartCutoff, GroupAction, GroupError, cyclic_rotation_group,
+                            torus_group, trivial_group)
 from eqmollify.metrics import (
     BoxGrid,
     MetricError,
@@ -285,6 +286,55 @@ class TestAffineChart:
                 for a, b in zip((new.points, new.frames, new.weights),
                                 (ref.points, ref.frames, ref.weights)):
                     assert np.array_equal(a, b)
+
+
+def former_closed(matrices, tol):
+    """The element-by-element closure check the batched one replaced."""
+    for a in matrices:
+        for b in matrices:
+            prod = a @ b
+            if min(np.max(np.abs(prod - c)) for c in matrices) > tol:
+                return False
+    return True
+
+
+def _rotations(angles):
+    return np.array([[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] for t in angles])
+
+
+class TestGroupAction:
+    Z2 = np.array([np.eye(2), -np.eye(2)])
+
+    @pytest.mark.parametrize("matrices, tol, closed", [
+        (cyclic_rotation_group(8).matrices, 1e-10, True),
+        (cyclic_rotation_group(4).matrices, 1e-12, True),
+        (np.array([np.eye(2), np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]), -np.eye(2)]),
+         1e-12, True),
+        (_rotations(np.arange(3) * 0.5 * np.pi), 1e-10, False),
+        (cyclic_rotation_group(4).matrices + 1e-11 * np.eye(2), 1e-10, True),
+        (cyclic_rotation_group(4).matrices + 1e-11 * np.eye(2), 1e-12, False),
+    ], ids=["z8", "z4", "reflections", "three_quarter_turns", "near_z4", "near_z4_tight"])
+    def test_closure_decides_as_the_element_by_element_check(self, matrices, tol, closed):
+        assert former_closed(matrices, tol) == closed
+        if closed:
+            maps._check_closure(matrices, tol)
+        else:
+            with pytest.raises(GroupError, match="not closed"):
+                maps._check_closure(matrices, tol)
+
+    def test_nan_matrix_rejected(self):
+        matrices = self.Z2.copy()
+        matrices[1, 0, 1] = np.nan
+        with pytest.raises(GroupError, match="not orthogonal"):
+            GroupAction(matrices)
+
+    @pytest.mark.parametrize("weights, match", [
+        ([np.nan, 0.5], "sum to one"), ([2.0, -1.0], "nonnegative"),
+        ([1.0], "one averaging weight"), ([0.25, 0.25, 0.5], "one averaging weight")],
+        ids=["nan", "negative", "short", "long"])
+    def test_bad_weights_rejected(self, weights, match):
+        with pytest.raises(GroupError, match=match):
+            GroupAction(self.Z2, weights=weights)
 
 
 class TestChartSmoothing:
