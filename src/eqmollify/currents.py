@@ -103,7 +103,9 @@ class TestForm:
                 raise CurrentError("multi-index %r leaves dimension %d" % (index, self.dimension))
 
     def cutoff(self, points):
-        radii = _norms(np.atleast_2d(points) - self.center)
+        return self._cutoff_at(_norms(np.atleast_2d(points) - self.center))
+
+    def _cutoff_at(self, radii):  # radii |x - center|
         return smooth_step((self.support_radius - radii) / (self.support_radius - self.flat_radius))
 
     def evaluate(self, points, frames=None):
@@ -140,9 +142,10 @@ def _cutoff_rows(form, points, frames):
     share the result."""
     if form.degree > 0:
         frames = np.asarray(frames, dtype=float)
-    if np.all(_norms(points - form.center) <= form.flat_radius):
+    radii = _norms(points - form.center)
+    if np.all(radii <= form.flat_radius):
         return None, None, points, frames
-    bump = form.cutoff(points)
+    bump = form._cutoff_at(radii)
     live = bump > 0.0
     return bump, live, points[live], frames[live] if form.degree > 0 else frames
 

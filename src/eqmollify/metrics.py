@@ -106,7 +106,10 @@ class BoxGrid:
         return (self.hi - self.lo) / (np.array(self.counts) - 1.0)
 
     def axes(self):
-        return [np.linspace(self.lo[a], self.hi[a], self.counts[a]) for a in range(self.dimension)]
+        """Each axis a ``linspace``; one with lo == -hi is 0.5 (x - x[::-1]),
+        x[k] == -x[n-1-k] bit for bit, so mirrored points share one orbit."""
+        axes = [np.linspace(*box) for box in zip(self.lo, self.hi, self.counts)]
+        return [0.5 * (x - x[::-1]) if x[0] == -x[-1] else x for x in axes]
 
     def points(self):
         mesh = np.meshgrid(*self.axes(), indexing="ij")

@@ -217,10 +217,9 @@ def available_scenarios():
 
 def _domain_points(scenario, per_axis):
     """Lattice points of the declared domain, per_axis nodes across it."""
-    axis = np.linspace(-scenario.domain_radius, scenario.domain_radius, per_axis)
-    pts = np.stack(np.meshgrid(*([axis] * scenario.dimension), indexing="ij"),
-                   axis=-1).reshape(-1, scenario.dimension)
-    return pts[np.linalg.norm(pts, axis=1) <= scenario.domain_radius]
+    r, n = scenario.domain_radius, scenario.dimension
+    pts = BoxGrid((-r,) * n, (r,) * n, per_axis).points()
+    return pts[np.linalg.norm(pts, axis=1) <= r]
 
 
 def _check_isometry(scenario, tolerance=1e-8):

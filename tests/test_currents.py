@@ -29,7 +29,8 @@ from eqmollify.currents import (
     mollified_sample,
 )
 from eqmollify.kernel import MollifierKernel
-from eqmollify.maps import AffineChart, ChartCutoff, GroupAction, cyclic_rotation_group, trivial_group
+from eqmollify.maps import (AffineChart, ChartCutoff, GroupAction, cyclic_rotation_group,
+                           smooth_step, trivial_group)
 
 # frozen oracle values, scripts/make_fixtures.py section "currents"
 LOOP_PAIRING_A = -0.16106880203287527
@@ -191,9 +192,9 @@ class TestEvaluate:
         one_by_one = np.array([sample.pair(form) for form in forms])
         assert sample.pair(narrow) != sample.pair(largest)
         cutoffs = []
-        original = TestForm.cutoff
-        monkeypatch.setattr(TestForm, "cutoff",
-                            lambda form, points: cutoffs.append(form) or original(form, points))
+        original = TestForm._cutoff_at
+        monkeypatch.setattr(TestForm, "_cutoff_at",
+                            lambda form, radii: cutoffs.append(form) or original(form, radii))
         together = sample.pair_many(forms)
         assert np.array_equal(together, one_by_one)
         # one cutoff for the whole bank, one for the narrow form
@@ -579,7 +580,7 @@ class TestCutoffPlateau:
     @pytest.mark.parametrize("radius, plateau", [
         (0.5, True), (np.nextafter(0.5, 1.0), False), (0.6, False)],
         ids=["flat_radius", "next_above", "ramp"])
-    def test_plateau_pairs_as_the_full_cutoff(self, radius, plateau):
+    def test_plateau_pairs_as_the_full_cutoff(self, monkeypatch, radius, plateau):
         # rows inside the plateau plus one row at the given radius
         angles = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
         inside = 0.3 * np.stack([np.cos(angles), np.sin(angles)], 1)
@@ -587,14 +588,23 @@ class TestCutoffPlateau:
         frames = np.stack([np.cos(3.0 * angles + 1.0), np.sin(angles - 0.5)], 1)
         frames = np.concatenate([frames, [[0.7, -0.4]]])[:, None, :]
         sample = WeightedSample(points, frames, np.linspace(-1.0, 2.0, 9))
+        radii = []
+        norms = currents._norms
+        monkeypatch.setattr(currents, "_norms", lambda x: radii.append(x) or norms(x))
         rows = currents._cutoff_rows(self.FORM, sample.points, sample.frames)
         assert (rows[0] is None) == plateau
+        # one norm pass, on the ramp the former cutoff's bits
+        assert len(radii) == 1
+        if not plateau:
+            former = smooth_step((0.9 - np.linalg.norm(points, axis=1)) / (0.9 - 0.5))
+            assert rows[0].tobytes() == former.tobytes()
+            assert rows[0].tobytes() == self.FORM.cutoff(points).tobytes()
         assert self.FORM.evaluate(points, frames).tobytes() == \
             _masked_values(self.FORM, sample).tobytes()
         assert sample.pair(self.FORM) == _masked_pairing(self.FORM, sample)
 
     def test_no_cutoff_is_computed_on_the_plateau(self, monkeypatch):
-        monkeypatch.setattr(TestForm, "cutoff", lambda form, points: pytest.fail("cutoff"))
+        monkeypatch.setattr(TestForm, "_cutoff_at", lambda form, radii: pytest.fail("cutoff"))
         sample = mollified_sample(square_loop(), MollifierKernel.create(2, 0.1),
                                   ball_shifts=True)
         assert np.isfinite(sample.pair_many([form_a(), form_b(), form_c()])).all()

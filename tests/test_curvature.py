@@ -8,11 +8,14 @@ library route goes through the full Christoffel/Riemann machinery and
 never sees that formula.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqmollify import curvature
 from eqmollify.kernel import MollifierKernel
 from eqmollify.curvature import (
     CurvatureError,
@@ -286,6 +289,29 @@ class TestCurvatureBounds:
         bounds = curvature_bounds(constant_metric(np.eye(2)), grid, sections=1,
                                   mask_radius=1.0)
         assert bounds.point_count == expected
+
+    @pytest.mark.parametrize("name, count, scanned", [
+        ("round_sphere_chart", 21, 309), ("radial_c11", 65, None)])
+    def test_the_scan_set_is_closed_under_signed_permutations(self, monkeypatch,
+                                                              name, count, scanned):
+        # the report's scan: mirrored axes give every point on the mask
+        # circle, or on an exclusion band's edge, the verdict of its images
+        scenario = build_scenario(name)
+        seen = []
+        jet = curvature._lowered_curvature
+        monkeypatch.setattr(curvature, "_lowered_curvature",
+                            lambda metric, points, step: seen.append(points) or
+                            jet(metric, points, step))
+        bounds = curvature_bounds(scenario.metric, scenario.scan_grid(count), sections=1,
+                                  mask_radius=scenario.scan_radius,
+                                  exclusion_radii=scenario.discontinuity_radii,
+                                  exclusion_width=0.02)
+        points, = seen
+        assert bounds.point_count == points.shape[0] == (scanned or points.shape[0])
+        held = {tuple(p) for p in points}
+        for perm in itertools.permutations(range(points.shape[1])):
+            for signs in itertools.product((1.0, -1.0), repeat=points.shape[1]):
+                assert all(tuple(q) in held for q in points[:, perm] * signs)
 
     def test_everything_excluded_raises(self):
         grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (9, 9))

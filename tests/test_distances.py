@@ -8,6 +8,7 @@ adaptive 1-D quadrature, the graph value from a run at ten times the
 resolution used here.
 """
 
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -196,6 +197,23 @@ class TestSampleGraph:
         graph = sample_graph(constant_metric(np.eye(2)), grid, mask_radius=0.95)
         assert graph.nodes.shape[0] < 441
         assert np.max(np.linalg.norm(graph.nodes, axis=1)) <= 0.95
+
+    @pytest.mark.parametrize("dimension, count", [(2, 21), (2, 25), (3, 13)])
+    def test_the_kept_sites_are_closed_under_signed_permutations(self, dimension, count):
+        # on the scan box the mask keeps a site exactly when it keeps its
+        # images, points on the mask sphere among them
+        grid = BoxGrid((-0.95,) * dimension, (0.95,) * dimension, (count,) * dimension)
+        graph = sample_graph(constant_metric(np.eye(dimension)), grid, mask_radius=0.95)
+        keep = np.zeros(grid.counts, dtype=bool)
+        keep[tuple(graph.sites.T)] = True
+        assert not keep.all()
+        for perm in itertools.permutations(range(dimension)):
+            for flips in itertools.product((False, True), repeat=dimension):
+                image = keep.transpose(perm)[tuple(slice(None, None, -1 if flip else 1)
+                                                   for flip in flips)]
+                assert np.array_equal(image, keep)
+        held = {tuple(p) for p in graph.nodes}
+        assert all(tuple(-p) in held and tuple(p[::-1]) in held for p in graph.nodes)
 
     @pytest.mark.parametrize("dimension", [2, 3])
     @pytest.mark.parametrize("one_point_per_block", [False, True])

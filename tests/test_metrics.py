@@ -103,6 +103,24 @@ def unit_chart_cutoff():
     return ChartCutoff(AffineChart([0.0, 0.0], 1.0))
 
 
+class TestBoxGrid:
+    @pytest.mark.parametrize("half", [0.95, 1.0, 0.75])
+    @pytest.mark.parametrize("count", [2, 3, 20, 21, 64, 65])
+    def test_a_symmetric_axis_is_exactly_mirrored(self, half, count):
+        axis = BoxGrid([-half], [half], count).axes()[0]
+        assert np.array_equal(axis, -axis[::-1])
+        assert axis[0] == -half and axis[-1] == half
+        assert np.array_equal(np.signbit(axis), axis < 0.0)  # a middle node is +0.0
+        if count % 2:
+            assert axis[count // 2] == 0.0
+        assert np.max(np.abs(axis - np.linspace(-half, half, count))) <= 2.0 * np.spacing(half)
+
+    def test_an_asymmetric_axis_keeps_the_linspace_bits(self):
+        grid = BoxGrid([-0.95, -0.3, 0.0], [0.9, 0.95, 1.0], (17, 9, 5))
+        for axis, lo, hi, count in zip(grid.axes(), grid.lo, grid.hi, grid.counts):
+            assert axis.tobytes() == np.linspace(lo, hi, count).tobytes()
+
+
 class TestMetricField:
     def test_constant_metric_values_and_derivatives(self):
         m = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -964,10 +982,25 @@ class TestFold:
             rows.clear()
             unfolded = metrics._mollify_values(sphere.metric.value, kernel, points)
             folded = mollify_metric(sphere.metric, kernel).value(points)
-            # the grid's 2,337 inner points lie on 556 orbits
-            assert rows == [2337, 556]
+            # the grid's 2,337 inner points lie on 316 orbits
+            assert rows == [2337, 316]
             scale = np.max(np.abs(unfolded), axis=(1, 2))[:, None, None]
             assert np.max(np.abs(folded - unfolded) / scale) <= 1e-12
+
+    def test_the_scan_folds_onto_one_row_per_distinct_sorted_modulus(self, monkeypatch):
+        # the mirrored axes put every image of a grid point on the grid, so
+        # the fold evaluates one row per distinct sort(|x|) among the inner points
+        sphere = build_scenario("round_sphere_chart")
+        points = sphere.scan_grid(65).points()
+        inner = points[np.linalg.norm(points, axis=1) < R_IDENTITY]
+        orbits = np.unique(np.sort(np.abs(inner), axis=1), axis=0)
+        rows = []
+        blocks = ballmap._shift_blocks
+        monkeypatch.setattr(metrics, "_shift_blocks",
+                            lambda pts, nodes: rows.append(pts.copy()) or blocks(pts, nodes))
+        mollify_metric(sphere.metric, MollifierKernel.create(2, 0.0125, level=1)).value(points)
+        assert [len(r) for r in rows] == [len(orbits)] == [316]
+        assert np.array_equal(np.unique(rows[0], axis=0), orbits)
 
     @staticmethod
     def _assert_mollify_falls_back(g, kernel, points):

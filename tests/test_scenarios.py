@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from eqmollify.currents import DiracCurrent
-from eqmollify.maps import cyclic_rotation_group
+from eqmollify.maps import AffineChart, ChartCutoff, cyclic_rotation_group
 from eqmollify.metrics import MetricField, constant_metric
 from eqmollify.scenarios import (
     KINK_RADIUS,
@@ -19,8 +19,10 @@ from eqmollify.scenarios import (
     RADIAL_C1,
     Scenario,
     ScenarioError,
+    _check_cover,
     _check_current_bank,
     _check_isometry,
+    _domain_points,
     _unit_atlas,
     available_scenarios,
     build_scenario,
@@ -107,6 +109,20 @@ class TestLoadChecks:
                                  dimension=2)
         with pytest.raises(ScenarioError, match="not an isometry"):
             _check_isometry(self._scenario_with(metric=nan_metric))
+
+    def test_cover_check_rejects_a_domain_outside_the_atlas(self):
+        small = (ChartCutoff(AffineChart(np.zeros(2), 0.5)),)
+        _check_cover(self._scenario_with())
+        with pytest.raises(ScenarioError, match="outside every inner chart ball"):
+            _check_cover(self._scenario_with(atlas=small))
+
+    @pytest.mark.parametrize("per_axis", [13, 41])
+    def test_domain_points_are_closed_under_signed_permutations(self, per_axis):
+        scenario = self._scenario_with()
+        points = _domain_points(scenario, per_axis)
+        assert np.linalg.norm(points, axis=1).max() <= scenario.domain_radius
+        held = {tuple(p) for p in points}
+        assert all(tuple(-p) in held and tuple(p[::-1]) in held for p in points)
 
     def test_current_bank_check_rejects_nan_weight(self):
         # a Z4 orbit with one NaN weight
