@@ -3,11 +3,11 @@
 Usage:
     python scripts/run_all.py [NAME ...] [--quiet]
 
-With no arguments all samples run in the order below (about 5.6 s in all
+With no arguments all samples run in the order below (about 4.5 s in all
 with EQMOLLIFY_THREADS=1 on a 2-CPU Intel Xeon host with numpy 2.4.6 and
-Python 3.11, the one-stage strip-invariance check being the longest single
-run at about 2.0 s and the seminorm sweep on the sphere next at about
-1.2 s).  Passing sample names (with or without .json) restricts
+Python 3.11, the seminorm sweep on the sphere being the longest single
+run at about 1.2 s and the one-stage strip-invariance check next at about
+1.0 s).  Passing sample names (with or without .json) restricts
 the run.  Reports land in runs/<sample name>/; the exit code is the worst CLI
 exit code seen, so a clean sweep returns 0.  Each sample's wall time is
 printed beside its exit code, and a last line gives the total.

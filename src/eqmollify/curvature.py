@@ -14,17 +14,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-# by name, so that numpy loads the submodule at import, not inside a run
-from numpy.random import default_rng
 
 from .metrics import BoxGrid, MetricError, _central_differences
 
-__all__ = [
-    "CurvatureError",
-    "sectional_curvature",
-    "CurvatureBounds",
-    "curvature_bounds",
-]
+__all__ = ["CurvatureError", "sectional_curvature", "CurvatureBounds", "curvature_bounds"]
 
 
 # central-difference step of the finite-difference jets, unless one is given
@@ -132,23 +125,27 @@ class CurvatureBounds:
     lower_point: np.ndarray
     upper_point: np.ndarray
     point_count: int
-    section_count: int
-    seed: int
 
 
-def curvature_bounds(metric, grid, sections=8, seed=42, step=FD_STEP,
-                     mask_radius=None, exclusion_radii=(), exclusion_width=None):
-    """Extremes of sectional curvature over grid points and random planes.
+def curvature_bounds(metric, grid, step=FD_STEP, mask_radius=None,
+                     exclusion_radii=(), exclusion_width=None):
+    """Exact extremes of sectional curvature over all planes at the grid
+    points, in dimensions 2 and 3; any other dimension is a CurvatureError.
 
     Points within ``exclusion_width`` (default twice the derivative step)
     of a sphere whose radius ``exclusion_radii`` lists are excised, as are
-    points outside ``mask_radius`` when one is given.  Sections are drawn
-    once per run from the seed by QR-orthonormalizing Gaussian pairs, so
-    the scan is reproducible and, in two dimensions, doubles as a
-    consistency check: every pair spans the same plane.
+    points outside ``mask_radius`` when one is given.  In these dimensions
+    every 2-vector is a plane, so the extremes at a point are the extreme
+    eigenvalues of L^-1 Q L^-T: Q is the curvature operator on 2-vectors
+    e_i ^ e_j (i < j), G = L L^T their Gram matrix, and in two dimensions
+    this is R_1212 / det g.  A point where Q or G is not finite reads NaN,
+    and then so do both bounds.
     """
     if not isinstance(grid, BoxGrid):
         raise MetricError("curvature scan expects a BoxGrid")
+    if metric.dimension not in (2, 3):
+        raise CurvatureError("curvature bounds need dimension 2 or 3, got %d"
+                             % metric.dimension)
     points = grid.points()
     if mask_radius is not None:
         points = points[np.linalg.norm(points, axis=1) <= mask_radius]
@@ -157,20 +154,18 @@ def curvature_bounds(metric, grid, sections=8, seed=42, step=FD_STEP,
         points = points[np.abs(np.linalg.norm(points, axis=1) - radius) >= width]
     if points.shape[0] == 0:
         raise CurvatureError("no grid points survive the exclusions")
-    n = metric.dimension
-    rng = default_rng(seed)
-    lower = np.inf
-    upper = -np.inf
-    lower_point = upper_point = points[0]
-    # one jet evaluation serves every section; only the plane draw varies
     g, lowered = _lowered_curvature(metric, points, step)
-    for _ in range(sections):
-        frames = np.linalg.qr(rng.standard_normal((points.shape[0], n, 2)))[0]
-        k = _section_values(g, lowered, frames[:, :, 0], frames[:, :, 1])
-        lo, hi = int(np.argmin(k)), int(np.argmax(k))
-        if k[lo] < lower:
-            lower, lower_point = float(k[lo]), points[lo]
-        if k[hi] > upper:
-            upper, upper_point = float(k[hi]), points[hi]
-    return CurvatureBounds(lower, upper, lower_point, upper_point,
-                           points.shape[0], sections, seed)
+    i, j = np.array(list(itertools.combinations(range(metric.dimension), 2))).T
+    ii, jj = i[:, None], j[:, None]
+    q = lowered[:, ii, jj, i, j]
+    gram = g[:, ii, i] * g[:, jj, j] - g[:, ii, j] * g[:, jj, i]
+    # LAPACK need not carry a NaN through, so it never sees one
+    k = np.full((points.shape[0], i.size), np.nan)
+    ok = np.isfinite(np.stack([q, gram])).all(axis=(0, 2, 3))
+    chol = np.linalg.cholesky(gram[ok])
+    half = np.linalg.solve(chol, q[ok])
+    k[ok] = np.linalg.eigvalsh(np.linalg.solve(chol, np.swapaxes(half, 1, 2)))
+    # argmin and argmax stop at the first NaN, so a NaN point reads in both
+    lo, hi = int(np.argmin(k[:, 0])), int(np.argmax(k[:, -1]))
+    return CurvatureBounds(float(k[lo, 0]), float(k[hi, -1]), points[lo], points[hi],
+                           points.shape[0])

@@ -248,7 +248,7 @@ def _run_curvature_report(scenario, config):
     declared = scenario.curvature_bounds
     kw = dict(mask_radius=scenario.scan_radius,
               exclusion_radii=scenario.discontinuity_radii,
-              exclusion_width=max(0.02, 2.0 * FD_STEP), seed=config.seed)
+              exclusion_width=max(0.02, 2.0 * FD_STEP))
     raw = curvature_bounds(scenario.metric, grid, **kw)
     rows = [
         (0.0, "lower_bound", raw.lower, declared[0], delta),
@@ -393,8 +393,25 @@ _RUNNERS = {
 }
 
 
+def _check_kernel_scales(kind, config, dimension):
+    """A ConfigError unless eps**n and its reciprocal, the kernel's density
+    scale, are finite normal doubles at every epsilon the kind runs; for
+    select-epsilon the smallest is its last halving rung."""
+    tiny = np.finfo(float).tiny  # the least normal double
+    epsilons = list(config.epsilons)
+    if kind == "select-epsilon":
+        epsilons = [epsilons[0], epsilons[0] * 0.5**_HALVINGS]
+    for epsilon in epsilons:
+        try:
+            volume = epsilon**dimension
+        except OverflowError:
+            volume = np.inf
+        if not tiny <= volume <= 1.0 / tiny:
+            raise ConfigError("epsilon %r gives a kernel scale epsilon**%d outside the"
+                              " normal double range" % (epsilon, dimension))
+
+
 def _write_report(report, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     with open(csv_path, "w", newline="") as handle:
         handle.write(",".join(report.header) + "\n")
@@ -433,10 +450,16 @@ def run_experiment(kind, config, write=True):
     thread_cap()  # a bad EQMOLLIFY_THREADS fails before any work starts
     scenario = build_scenario(config.scenario,
                               group_quadrature=config.group_quadrature)
+    _check_kernel_scales(kind, config, scenario.dimension)
+    out_dir = config.out or os.path.join("runs", "%s-%s" % (scenario.name, kind))
+    if write:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as err:
+            raise ConfigError("cannot create output directory %r: %s" % (out_dir, err))
     header, rows, checks = _RUNNERS[kind](scenario, config)
     report = ExperimentReport(scenario=scenario.name, kind=kind, header=header,
                               rows=rows, checks=list(checks))
     if write:
-        out_dir = config.out or os.path.join("runs", "%s-%s" % (scenario.name, kind))
         _write_report(report, out_dir)
     return report

@@ -279,7 +279,7 @@ class MollifierKernel:
         if self._convex is None:
             raw = self.quadrature.weights * self.density(self.quadrature.nodes)
             total = float(np.sum(raw))
-            if total <= 0.0:
-                raise QuadratureError("kernel quadrature produced nonpositive mass")
+            if not 0.0 < total < np.inf:
+                raise QuadratureError("kernel quadrature produced mass %r" % total)
             self._convex = raw / total
         return self.quadrature.nodes, self._convex

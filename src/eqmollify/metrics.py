@@ -370,13 +370,20 @@ def isometry_residual(metric, group, points):
 
     Measures an input metric or a smoothed field alike; ``group`` is any
     iterable of orthogonal matrices, a GroupAction or a plain list of probes.
-    A NaN defect makes the residual NaN.
+    A NaN defect makes the residual NaN.  The field is evaluated once for
+    the points and once per element other than the identity, whose pullback
+    is the base itself: ``base - base`` still reads NaN where the field does.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     base = metric.value(points)
-    defects = [np.max(np.abs(np.einsum("ji,rjk,kl->ril", mat, metric.value(points @ mat.T), mat)
-                              - base)) for mat in group]
-    return float(np.max([0.0] + defects))
+    eye = np.eye(points.shape[1])
+
+    def pulled(mat):
+        if np.array_equal(mat, eye):
+            return base
+        return np.einsum("ji,rjk,kl->ril", mat, metric.value(points @ mat.T), mat)
+
+    return float(np.max([0.0] + [np.max(np.abs(pulled(mat) - base)) for mat in group]))
 
 
 def _permutes_nodes(kernel, matrices):

@@ -107,6 +107,36 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind, epsilon", [
+        ("invariance-check", 1e300), ("invariance-check", 1e-300),
+        # a first rung of 1e-304 in the plane, but the last underflows
+        ("select-epsilon", 1e-152),
+    ])
+    def test_unrepresentable_kernel_is_two(self, tmp_path, capsys, kind, epsilon):
+        path = config_file(tmp_path, {"scenario": "euclid_z4", "epsilons": [epsilon]})
+        code = main([kind, "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "kernel scale" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["blocker", "blocker/out"],
+                             ids=["names-a-file", "under-a-file"])
+    def test_unusable_out_is_two_before_any_stage(self, tmp_path, capsys, monkeypatch,
+                                                  out):
+        def runner(scenario, config):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setitem(experiments._RUNNERS, "invariance-check", runner)
+        (tmp_path / "blocker").write_text("")
+        path = config_file(tmp_path, {"scenario": "euclid_z4", "epsilons": [0.1]})
+        code = main(["invariance-check", "--config", path, "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "output directory" in err
+        assert "Traceback" not in err
+
     def test_numerical_abort_is_three(self, tmp_path, capsys):
         # a 2x2 lattice has no nodes inside the scan disk, so the distance
         # graph is empty and the sweep aborts

@@ -22,6 +22,7 @@ from eqmollify.curvature import (
     FD_STEP,
     _christoffel_terms,
     _metric_jet,
+    _section_values,
     curvature_bounds,
     sectional_curvature,
 )
@@ -35,6 +36,7 @@ from eqmollify.metrics import (
     radial_conformal_metric,
 )
 from eqmollify.scenarios import build_scenario
+from test_metrics import aniso3_fn
 
 # frozen oracle values, scripts/make_fixtures.py section "curvature"
 RADIAL_BOUNDS_LOWER = -1.9624110128653827
@@ -259,13 +261,13 @@ class TestSectionalCurvature:
 class TestCurvatureBounds:
     def test_sphere_scan_is_pinched_at_one(self):
         grid = BoxGrid([-0.95, -0.95], [0.95, 0.95], (33, 33))
-        bounds = curvature_bounds(sphere_metric(), grid, sections=4, mask_radius=0.95)
+        bounds = curvature_bounds(sphere_metric(), grid, mask_radius=0.95)
         assert abs(bounds.lower - 1.0) < 1e-9
         assert abs(bounds.upper - 1.0) < 1e-9
 
     def test_radial_scan_matches_the_dense_fixture(self):
         grid = BoxGrid([-0.95, -0.95], [0.95, 0.95], (65, 65))
-        bounds = curvature_bounds(radial_c11_metric(), grid, sections=8,
+        bounds = curvature_bounds(radial_c11_metric(), grid,
                                   mask_radius=0.95, exclusion_radii=(0.45,),
                                   exclusion_width=0.02)
         assert abs(bounds.lower - RADIAL_BOUNDS_LOWER) < 1e-3
@@ -275,19 +277,16 @@ class TestCurvatureBounds:
     def test_exclusion_band_matters_near_the_kink(self):
         grid = BoxGrid([-0.95, -0.95], [0.95, 0.95], (65, 65))
         wide = curvature_bounds(radial_c11_metric(), grid, mask_radius=0.95,
-                                sections=2, exclusion_radii=(0.45,),
-                                exclusion_width=0.02)
+                                exclusion_radii=(0.45,), exclusion_width=0.02)
         narrow = curvature_bounds(radial_c11_metric(), grid, mask_radius=0.95,
-                                  sections=2, exclusion_radii=(0.45,),
-                                  exclusion_width=1e-6)
+                                  exclusion_radii=(0.45,), exclusion_width=1e-6)
         assert narrow.upper > wide.upper + 0.02
 
     def test_mask_radius_trims_the_grid(self):
         grid = BoxGrid([-2.0, -2.0], [2.0, 2.0], (21, 21))
         pts = grid.points()
         expected = int(np.sum(np.linalg.norm(pts, axis=1) <= 1.0))
-        bounds = curvature_bounds(constant_metric(np.eye(2)), grid, sections=1,
-                                  mask_radius=1.0)
+        bounds = curvature_bounds(constant_metric(np.eye(2)), grid, mask_radius=1.0)
         assert bounds.point_count == expected
 
     @pytest.mark.parametrize("name, count, scanned", [
@@ -302,7 +301,7 @@ class TestCurvatureBounds:
         monkeypatch.setattr(curvature, "_lowered_curvature",
                             lambda metric, points, step: seen.append(points) or
                             jet(metric, points, step))
-        bounds = curvature_bounds(scenario.metric, scenario.scan_grid(count), sections=1,
+        bounds = curvature_bounds(scenario.metric, scenario.scan_grid(count),
                                   mask_radius=scenario.scan_radius,
                                   exclusion_radii=scenario.discontinuity_radii,
                                   exclusion_width=0.02)
@@ -312,6 +311,64 @@ class TestCurvatureBounds:
         for perm in itertools.permutations(range(points.shape[1])):
             for signs in itertools.product((1.0, -1.0), repeat=points.shape[1]):
                 assert all(tuple(q) in held for q in points[:, perm] * signs)
+
+    @pytest.mark.parametrize("metric", [sphere_metric(), radial_c11_metric()],
+                             ids=["sphere", "radial"])
+    def test_two_dimensional_bounds_are_the_point_extremes(self, metric):
+        # in two dimensions the one plane's curvature is the whole story
+        grid = BoxGrid([-0.95, -0.95], [0.95, 0.95], (33, 33))
+        bounds = curvature_bounds(metric, grid, mask_radius=0.95)
+        pts = grid.points()
+        pts = pts[np.linalg.norm(pts, axis=1) <= 0.95]
+        k = sectional_curvature(metric, pts, np.tile(E1[0], (len(pts), 1)),
+                                np.tile(E2[0], (len(pts), 1)))
+        assert abs(bounds.lower - np.min(k)) <= 1e-13 * abs(np.min(k))
+        assert abs(bounds.upper - np.max(k)) <= 1e-13 * abs(np.max(k))
+
+    def test_three_dimensional_bounds_enclose_a_dense_plane_sweep(self):
+        # the exact extremes over all planes against random planes: 400 at
+        # every grid point, then 20000 at each extreme's own point
+        field = MetricField(fn=aniso3_fn, dimension=3)
+        grid = BoxGrid([-0.6] * 3, [0.6] * 3, (5, 5, 5))
+        bounds = curvature_bounds(field, grid)
+        rng = np.random.default_rng(3)
+
+        def sweep(points, draws):
+            g, lowered = curvature._lowered_curvature(field, points, FD_STEP)
+            spread = lambda a: np.tile(a, (draws,) + (1,) * (a.ndim - 1))
+            x, y = rng.standard_normal((2, draws * len(points), 3))
+            return _section_values(spread(g), spread(lowered), x, y)
+
+        k = sweep(grid.points(), 400)
+        assert bounds.lower <= np.min(k) and bounds.upper >= np.max(k)
+        assert np.min(k) - bounds.lower < 2e-3 and bounds.upper - np.max(k) < 2e-3
+        at_lower = sweep(bounds.lower_point[None], 20000)
+        at_upper = sweep(bounds.upper_point[None], 20000)
+        assert 0.0 <= np.min(at_lower) - bounds.lower < 1e-4
+        assert 0.0 <= bounds.upper - np.max(at_upper) < 1e-4
+
+    def test_three_dimensional_round_sphere_bounds(self):
+        bounds = curvature_bounds(sphere_metric(dimension=3),
+                                  BoxGrid([-0.6] * 3, [0.6] * 3, (5, 5, 5)))
+        assert abs(bounds.lower - 1.0) < 1e-10 and abs(bounds.upper - 1.0) < 1e-10
+
+    def test_a_nan_point_makes_both_bounds_nan(self):
+        sphere = sphere_metric()
+
+        def holed(pts):
+            values = sphere.fn(pts)
+            values[np.all(pts == 0.0, axis=1)] = np.nan
+            return values
+
+        grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (9, 9))
+        bounds = curvature_bounds(MetricField(fn=holed, dimension=2), grid)
+        assert np.isnan(bounds.lower) and np.isnan(bounds.upper)
+
+    @pytest.mark.parametrize("dimension", [1, 4])
+    def test_other_dimensions_raise(self, dimension):
+        grid = BoxGrid([-1.0] * dimension, [1.0] * dimension, (3,) * dimension)
+        with pytest.raises(CurvatureError, match="dimension 2 or 3"):
+            curvature_bounds(constant_metric(np.eye(dimension)), grid)
 
     def test_everything_excluded_raises(self):
         grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], (9, 9))

@@ -165,6 +165,16 @@ def test_convex_weights_sum_to_one():
     assert np.all(w >= 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_convex_weights_refuse_a_mass_that_is_not_positive_and_finite(monkeypatch, bad):
+    # a NaN total fails total <= 0.0 as well as total > 0.0; only the
+    # second form refuses it
+    k = kn.MollifierKernel.create(2, 0.1)
+    monkeypatch.setattr(k, "density", lambda x: np.full(len(x), bad))
+    with pytest.raises(kn.QuadratureError, match="mass"):
+        k.convex_weights()
+
+
 def test_quadrature_rejects_bad_inputs():
     with pytest.raises(ValueError):
         kn.ball_quadrature(-0.1, 2)

@@ -432,6 +432,20 @@ class TestHaarAverage:
         probe = np.array([[0.3, 0.1], [0.5, -0.2]])
         assert np.isnan(isometry_residual(nan_field, cyclic_rotation_group(4), probe))
 
+    def test_nan_field_gives_a_nan_residual_under_the_trivial_group(self):
+        nan_field = MetricField(fn=lambda x: np.full((x.shape[0], 2, 2), np.nan),
+                                dimension=2)
+        probe = np.array([[0.3, 0.1], [0.5, -0.2]])
+        assert np.isnan(isometry_residual(nan_field, trivial_group(2), probe))
+
+    def test_the_identity_evaluates_the_field_once(self):
+        calls = []
+        field = MetricField(fn=lambda x: calls.append(len(x)) or sphere_metric().fn(x),
+                            dimension=2)
+        probe = np.array([[0.3, 0.1], [0.5, -0.2]])
+        assert isometry_residual(field, trivial_group(2), probe) == 0.0
+        assert calls == [2]
+
     def test_torus_quadrature_sizes_agree(self):
         cutoff = unit_chart_cutoff()
         kernel = MollifierKernel.create(2, 0.1, level=2)
