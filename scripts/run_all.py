@@ -3,12 +3,13 @@
 Usage:
     python scripts/run_all.py [NAME ...] [--quiet]
 
-With no arguments all samples run in the order below (about 4.5 s in all
+With no arguments all samples run in the order below (about 4.4 s in all
 with EQMOLLIFY_THREADS=1 on a 2-CPU Intel Xeon host with numpy 2.4.6 and
 Python 3.11, the seminorm sweep on the sphere being the longest single
 run at about 1.2 s and the one-stage strip-invariance check next at about
 1.0 s).  Passing sample names (with or without .json) restricts
-the run.  Reports land in runs/<sample name>/; the exit code is the worst CLI
+the run.  Reports land in runs/<sample name>/ of the repository, from any
+working directory; the exit code is the worst CLI
 exit code seen, so a clean sweep returns 0.  Each sample's wall time is
 printed beside its exit code, and a last line gives the total.
 """
@@ -23,6 +24,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from eqmollify.cli import main as cli_main
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+# reports land here whatever the working directory
+RUNS = os.path.join(REPO, "runs")
 
 # config stem -> experiment kind
 SAMPLES = (
@@ -57,7 +60,7 @@ def main(argv=None):
         if wanted and stem not in wanted:
             continue
         config = os.path.join(REPO, "configs", "%s.json" % stem)
-        out = os.path.join("runs", stem)
+        out = os.path.join(RUNS, stem)
         print("== %s (%s)" % (stem, kind))
         cli_args = [kind, "--config", config, "--out", out]
         if args.quiet:

@@ -17,9 +17,12 @@ maps from ``ballmap`` instead, which fix everything from R_IDENTITY outward:
 sample rows there pass through bit for bit, and a sample with no row inside
 is not copied at all.  Both build one node-major copy of the rows per
 kernel node, stored component-major so that each coordinate is contiguous.
+Where the signed permutations S permute the kernel nodes, the shifts fold
+onto orbits, s_{Sy}(Sx) = S s_y(x): they run once per c = sort(|x|).
 The equivariant operator (``equivariant_sample``) splits the weights with a
 chart cutoff (``localize``), smooths the chart half by shifts in chart
-coordinates and averages the result over a group of orthogonal matrices.
+coordinates, unfolded, since folding would make the invariance residual
+vanish by construction, and averages over a group of orthogonal matrices.
 """
 
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ import numpy as np
 # by name, so that numpy loads the submodule at import, not inside a run
 from numpy.polynomial.legendre import leggauss
 
-from .ballmap import R_IDENTITY, _norms, _shift_blocks
+from .ballmap import R_IDENTITY, _norms, _shift_blocks, _signed_orbits
 from .maps import GroupAction, smooth_step
 
 __all__ = [
@@ -303,13 +306,18 @@ def _translation_product(sample, kernel):
     return WeightedSample(pts.reshape(dim, m * k).T, frames.transpose(2, 0, 1), weights)
 
 
-def _shift_product(sample, kernel):
+def _shift_product(sample, kernel, fold=False):
     """Node-major shift pushforwards of the sample, one copy per kernel
     node; rows from R_IDENTITY outward keep their point and frame bit for
     bit, stored as (n, rows) points and (degree, n, rows) frames.  A sample
     with no row inside R_IDENTITY is returned as it is: the shifts fix all
     of it, and one copy pairs exactly like the convex combination of
-    |nodes| equal ones."""
+    |nodes| equal ones.
+
+    With ``fold``, which ``MollifierKernel._signed_symmetric`` must allow,
+    the shifts run once per distinct c = sort(|x|) (``_signed_orbits``) and
+    row (j, x), x = S c, gets S s_{y_j}(c) and the chain S J(c) S^T, exact
+    gathers from one row per node: the pushforward under node S y_j."""
     inner = np.flatnonzero(_norms(sample.points) < R_IDENTITY)
     if inner.size == 0:
         return sample
@@ -319,10 +327,29 @@ def _shift_product(sample, kernel):
     pts_out = np.broadcast_to(sample.points.T[:, None, :], (dim, m, k)).copy()
     frames_out = np.broadcast_to(sample.frames.transpose(1, 2, 0)[..., None, :], (deg, dim, m, k)).copy()
     frames_in = sample.frames[inner]
-    for part, moved, chain in _shift_blocks(sample.points[inner], nodes):
-        rows = inner[part]
-        pts_out[:, :, rows] = moved.transpose(2, 0, 1)
-        frames_out[:, :, :, rows] = np.einsum("ijbk,kaj->aibk", chain, frames_in[part])
+    if fold:
+        reps, orbit, rank, sign = _signed_orbits(sample.points[inner])
+        count = reps.shape[0]
+        moved_at, chain_at = np.empty((m, dim, count)), np.empty((m, dim, dim, count))
+        for part, moved, chain in _shift_blocks(reps, nodes):
+            moved_at[:, :, part] = moved.transpose(0, 2, 1)
+            chain_at[..., part] = chain.transpose(2, 0, 1, 3)
+        moved_at, chain_at = moved_at.reshape(m, -1), chain_at.reshape(m, -1)
+        # a slice writes all rows faster than an index scatter
+        rows = slice(None) if inner.size == k else inner
+        for i in range(dim):
+            pts_out[i][:, rows] = moved_at.take(rank[:, i] * count + orbit, axis=1) * sign[:, i]
+            for b in range(dim):
+                # chain entry (i, b) of x: sign_i sign_b J(c)[rank_i, rank_b], exactly
+                entry = chain_at.take((rank[:, i] * dim + rank[:, b]) * count + orbit, axis=1)
+                term = entry * (frames_in[:, :, b].T * (sign[:, i] * sign[:, b]))[:, None]
+                acc = term if b == 0 else acc + term
+            frames_out[:, i][..., rows] = acc
+    else:
+        for part, moved, chain in _shift_blocks(sample.points[inner], nodes):
+            rows = inner[part]
+            pts_out[:, :, rows] = moved.transpose(2, 0, 1)
+            frames_out[:, :, :, rows] = np.einsum("ijbk,kaj->aibk", chain, frames_in[part])
     weights = (node_w[:, None] * sample.weights[None, :]).ravel()
     return WeightedSample(pts_out.reshape(dim, m * k).T,
                           frames_out.reshape(deg, dim, m * k).transpose(2, 0, 1), weights)
@@ -332,16 +359,17 @@ def mollified_sample(current, kernel, ball_shifts=False):
     """Sample of the smoothed current; pair it with any number of forms.
 
     With ``ball_shifts`` the averaging runs over the ball-preserving shift
-    maps.  Those are the identity from R_IDENTITY outward, so a sample
-    lying there entirely is returned unsmoothed (``_shift_product``) and
-    reproduces its pairings bit for bit; so is an empty one.
+    maps, folded where the kernel allows.  Those fix R_IDENTITY outward, so
+    a sample lying there entirely is returned unsmoothed (``_shift_product``)
+    and reproduces its pairings bit for bit; so is an empty one.
     """
     if kernel.dimension != current.dimension:
         raise CurrentError("kernel dimension does not match the current")
     if current.points.shape[0] == 0:
         return current
-    product = _shift_product if ball_shifts else _translation_product
-    return product(current, kernel)
+    if ball_shifts:
+        return _shift_product(current, kernel, fold=kernel._signed_symmetric)
+    return _translation_product(current, kernel)
 
 
 def localize(sample, cutoff):

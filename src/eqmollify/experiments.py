@@ -166,8 +166,6 @@ def _rotation(angle):
 
 
 def _run_mollify_current(scenario, config):
-    if not scenario.currents:
-        raise ConfigError("scenario %s has no current bank" % scenario.name)
     delta = config.delta if config.delta is not None else 0.02
     pairs = scenario.matched_pairs()
     references = {
@@ -451,6 +449,8 @@ def run_experiment(kind, config, write=True):
     scenario = build_scenario(config.scenario,
                               group_quadrature=config.group_quadrature)
     _check_kernel_scales(kind, config, scenario.dimension)
+    if kind == "mollify-current" and not scenario.currents:
+        raise ConfigError("scenario %s has no current bank" % scenario.name)
     out_dir = config.out or os.path.join("runs", "%s-%s" % (scenario.name, kind))
     if write:
         try:

@@ -12,9 +12,10 @@ plain ordered sums over these nodes, which keeps every pipeline run
 bit-for-bit reproducible.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 # by name, so that numpy loads the submodule at import, not inside a run
@@ -283,3 +284,37 @@ class MollifierKernel:
                 raise QuadratureError("kernel quadrature produced mass %r" % total)
             self._convex = raw / total
         return self.quadrature.nodes, self._convex
+
+    @cached_property
+    def _signed_symmetric(self):
+        """Whether every signed permutation maps the nodes onto nodes of
+        equal convex weight (``_permutes_nodes``); decided once per kernel."""
+        return bool(np.all(_permutes_nodes(self, _signed_permutations(self.dimension))))
+
+
+def _permutes_nodes(kernel, matrices):
+    """Per matrix, whether it maps each kernel node within 1e-14 * epsilon
+    onto a node of equal convex weight (within 1e-14 of the largest)."""
+    nodes, node_w = kernel.convex_weights()
+    # pair nodes with images by sorting both along one generic direction;
+    # at levels 1-3 distinct projections lie >= 1.1e-7 * epsilon apart
+    direction = np.sqrt(np.arange(1.0, nodes.shape[1] + 1.0))
+    order = np.argsort(nodes @ direction, kind="stable")
+    out = np.zeros(len(matrices), dtype=bool)
+    for index, mat in enumerate(matrices):
+        moved = nodes @ mat.T
+        image = np.argsort(moved @ direction, kind="stable")
+        out[index] = (
+            np.max(np.linalg.norm(moved[image] - nodes[order], axis=1))
+            <= 1e-14 * kernel.epsilon
+            and np.max(np.abs(node_w[image] - node_w[order])) <= 1e-14 * np.max(node_w))
+    return out
+
+
+def _signed_permutations(n):
+    """The 2^n n! - 1 signed permutation matrices other than the identity."""
+    eye = np.eye(n)
+    mats = [np.array(signs)[:, None] * eye[list(perm)]
+            for perm in itertools.permutations(range(n))
+            for signs in itertools.product((1.0, -1.0), repeat=n)]
+    return np.array(mats[1:])

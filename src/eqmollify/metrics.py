@@ -31,17 +31,16 @@ Otherwise the field is the unfolded quadrature bit for bit.  Folded values
 differ from unfolded ones by rounding only, and each depends on its own
 point alone.  ``mollify_metric`` folds wherever the rule admits it; the
 chart stages fold on request (``fold``), because the invariance
-certificate runs them unfolded: a folded field is invariant under the
-signed permutations by construction and its residuals would measure
-nothing.
+certificate runs them unfolded: folded, its residuals would vanish by
+construction.
 """
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ballmap import R_IDENTITY, _norms, _shift_blocks, _squared_norms
+from .ballmap import R_IDENTITY, _norms, _shift_blocks, _signed_orbits, _squared_norms
+from .kernel import _permutes_nodes, _signed_permutations
 from .maps import AffineChart, GroupAction
 
 __all__ = [
@@ -213,22 +212,6 @@ def radial_conformal_metric(profile, dprofile=None, d2profile=None, dimension=2)
                    isometry=lambda m: True)
 
 
-def _distinct_rows(rows):
-    """The distinct rows of ``rows`` (N, n) in lexicographic order, and the
-    index of each row among them: ``np.unique(rows, axis=0,
-    return_inverse=True)`` for finite rows free of negative zeros.  A
-    lexsort and a first-of-run mask take an eighth of the time that
-    ``np.unique``'s sort of one structured value per row does."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    first = np.empty(rows.shape[0], dtype=bool)
-    first[0] = True
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
-    index = np.empty(rows.shape[0], dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
-    return ranked[first], index
-
-
 def _mollify_values(metric_fn, kernel, points, fold=False):
     """Fused quadrature of the shifted pullbacks at each point.
 
@@ -240,10 +223,9 @@ def _mollify_values(metric_fn, kernel, points, fold=False):
     counts and the chunk size reproduce it bit for bit.
 
     With ``fold`` set, which only ``_folds`` may allow, the quadrature
-    runs once per distinct c = sort(|x|) and row x = S c gets
-    S V(c) S^T: coordinate i of x is sign_i c_(rank_i), a negative zero
-    counting as negative, so the entry (i, k) is the gathered
-    V(c)[rank_i, rank_k] times sign_i sign_k, all exact.
+    runs once per distinct c = sort(|x|) (``_signed_orbits``) and entry
+    (i, k) of row x = S c is the gathered V(c)[rank_i, rank_k] times
+    sign_i sign_k, all exact.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     count, n = points.shape
@@ -254,9 +236,7 @@ def _mollify_values(metric_fn, kernel, points, fold=False):
     if np.any(inner):
         quad = points[inner]
         if fold:
-            magnitude = np.abs(quad)
-            order = np.argsort(magnitude, axis=1, kind="stable")
-            quad, orbit = _distinct_rows(np.sort(magnitude, axis=1))
+            quad, orbit, rank, sign = _signed_orbits(quad)
             if quad.shape[0] == 1:
                 # numpy sums a lone point's node column in another order
                 # than a chunk's, so a single orbit is evaluated twice
@@ -285,8 +265,6 @@ def _mollify_values(metric_fn, kernel, points, fold=False):
             del moved, chain, vals, row, work, term
         vals = np.moveaxis(0.5 * (acc + np.swapaxes(acc, 0, 1)), -1, 0)
         if fold:
-            rank = np.argsort(order, axis=1)
-            sign = np.copysign(1.0, points[inner])
             vals = vals[orbit.reshape(-1, 1, 1), rank[:, :, None], rank[:, None, :]]
             vals *= sign[:, :, None]
             vals *= sign[:, None, :]
@@ -386,25 +364,6 @@ def isometry_residual(metric, group, points):
     return float(np.max([0.0] + [np.max(np.abs(pulled(mat) - base)) for mat in group]))
 
 
-def _permutes_nodes(kernel, matrices):
-    """Per matrix, whether it maps each kernel node within 1e-14 * epsilon
-    onto a node of equal convex weight (within 1e-14 of the largest)."""
-    nodes, node_w = kernel.convex_weights()
-    # pair nodes with images by sorting both along one generic direction;
-    # at levels 1-3 distinct projections lie >= 1.1e-7 * epsilon apart
-    direction = np.sqrt(np.arange(1.0, nodes.shape[1] + 1.0))
-    order = np.argsort(nodes @ direction, kind="stable")
-    out = np.zeros(len(matrices), dtype=bool)
-    for index, mat in enumerate(matrices):
-        moved = nodes @ mat.T
-        image = np.argsort(moved @ direction, kind="stable")
-        out[index] = (
-            np.max(np.linalg.norm(moved[image] - nodes[order], axis=1))
-            <= 1e-14 * kernel.epsilon
-            and np.max(np.abs(node_w[image] - node_w[order])) <= 1e-14 * np.max(node_w))
-    return out
-
-
 def _stage_symmetries(metric, chart, kernel, matrices):
     """Per matrix m, whether m is a symmetry of the chart stage: m fixes the
     chart centre within 1e-14, permutes the kernel nodes
@@ -417,15 +376,6 @@ def _stage_symmetries(metric, chart, kernel, matrices):
         bool(permutes) and np.max(np.abs(mat @ center - center)) <= 1e-14
         and (np.array_equal(mat, eye) or bool(declared(mat)))
         for mat, permutes in zip(matrices, _permutes_nodes(kernel, matrices))], dtype=bool)
-
-
-def _signed_permutations(n):
-    """The 2^n n! - 1 signed permutation matrices other than the identity."""
-    eye = np.eye(n)
-    mats = [np.array(signs)[:, None] * eye[list(perm)]
-            for perm in itertools.permutations(range(n))
-            for signs in itertools.product((1.0, -1.0), repeat=n)]
-    return np.array(mats[1:])
 
 
 def _folds(metric, chart, kernel):

@@ -121,6 +121,17 @@ class TestExitCodes:
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_missing_current_bank_is_two_before_any_output(self, tmp_path, capsys):
+        # the sphere scenario carries no currents to smooth
+        config = Path(__file__).resolve().parents[1] / "configs" / "sphere-curvature.json"
+        code = main(["mollify-current", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "no current bank" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("out", ["blocker", "blocker/out"],
                              ids=["names-a-file", "under-a-file"])
     def test_unusable_out_is_two_before_any_stage(self, tmp_path, capsys, monkeypatch,
@@ -223,12 +234,18 @@ def _run_all_script():
 
 class TestRunAll:
     def test_prints_each_wall_time_and_a_total(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert _run_all_script().main(["euclid-invariance", "--quiet"]) == 0
+        script = _run_all_script()
+        # reports go to the repository's runs/, never the working directory's
+        assert Path(script.RUNS).resolve() == Path(__file__).resolve().parents[1] / "runs"
+        monkeypatch.setattr(script, "RUNS", str(tmp_path / "runs"))
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert script.main(["euclid-invariance", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert re.search(r"^   exit 0 in \d+\.\d\d s$", out, re.M)
         assert re.search(r"^== total \d+\.\d\d s, worst exit 0$", out, re.M)
         assert (tmp_path / "runs" / "euclid-invariance" / "summary.json").is_file()
+        assert not any((tmp_path / "cwd").iterdir())
 
     def test_returns_the_worst_exit_code(self, monkeypatch, capsys):
         script = _run_all_script()

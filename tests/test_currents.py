@@ -8,13 +8,14 @@ own composite Gauss rule and never calls the adaptive integrator.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqmollify import currents, scenarios
+from eqmollify import ballmap, currents, scenarios
 from eqmollify.ballmap import R_IDENTITY, _shift_blocks, shift_points, shift_with_jacobian
 from eqmollify.currents import (
     CurrentError,
@@ -562,8 +563,9 @@ class TestProductLayout:
         assert pairs == oracle_pairs and residual == oracle_residual
 
     @pytest.mark.parametrize("product", [currents._translation_product,
-                                         currents._shift_product],
-                             ids=["translation", "shift"])
+                                         currents._shift_product,
+                                         partial(currents._shift_product, fold=True)],
+                             ids=["translation", "shift", "folded_shift"])
     def test_coordinates_and_frame_components_are_contiguous(self, product):
         # each coordinate and each frame component over all rows is one
         # contiguous run, which is what the pairings read
@@ -571,6 +573,152 @@ class TestProductLayout:
         sample = product(loop, MollifierKernel.create(2, 0.1, level=1))
         assert sample.points.T.flags.c_contiguous
         assert sample.frames.transpose(1, 2, 0).flags.c_contiguous
+
+
+# folded and unfolded shift products differ by rounding only; the largest
+# gap over PRODUCT_CASES at levels 1 and 2 reads 1.7e-16
+FOLD_BOUND = 1e-14
+
+
+def _signed_node(point, node):
+    """S y for the signed permutation S with S sort(|x|) = x, a negative
+    zero counting as negative: (S y)_i = sign(x_i) y_(rank_i)."""
+    rank = np.argsort(np.argsort(np.abs(point), kind="stable"))
+    return np.copysign(1.0, point) * node[rank]
+
+
+class TestShiftFold:
+    @staticmethod
+    def _recorded_rows(monkeypatch):
+        rows = []
+        blocks = currents._shift_blocks
+        monkeypatch.setattr(currents, "_shift_blocks",
+                            lambda pts, nodes: rows.append(pts.copy()) or blocks(pts, nodes))
+        return rows
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("name, current, forms", PRODUCT_CASES,
+                             ids=[case[0] for case in PRODUCT_CASES])
+    def test_folded_pairings_agree_with_the_unfolded_product(self, level, name, current,
+                                                            forms):
+        kernel = MollifierKernel.create(current.dimension, 0.1, level=level)
+        folded = mollified_sample(current, kernel, ball_shifts=True)
+        unfolded = currents._shift_product(current, kernel)
+        assert np.array_equal(folded.weights, unfolded.weights)
+        want = unfolded.pair_many(forms)
+        gap = np.abs(folded.pair_many(forms) - want)
+        assert np.all(gap <= FOLD_BOUND * np.maximum(1.0, np.abs(want)))
+
+    def test_the_loop_shifts_one_row_per_orbit_by_the_image_nodes(self, monkeypatch):
+        loop = scenarios.build_scenario("orbit_currents").currents[2]
+        kernel = MollifierKernel.create(2, 0.1, level=2)
+        rows = self._recorded_rows(monkeypatch)
+        folded = mollified_sample(loop, kernel, ball_shifts=True)
+        orbits = np.unique(np.sort(np.abs(loop.points), axis=1), axis=0)
+        assert [len(r) for r in rows] == [len(orbits)] == [56]
+        # row (j, x) is x shifted by S y_j
+        nodes = kernel.convex_weights()[0]
+        k = loop.points.shape[0]
+        for r in (0, 37, 150, 301):
+            x = loop.points[r]
+            images = np.array([_signed_node(x, y) for y in nodes])
+            shifted, jac = shift_with_jacobian(np.broadcast_to(x, images.shape), images)
+            assert np.max(np.abs(folded.points[r::k] - shifted)) <= 1e-15
+            frames = np.einsum("jab,b->ja", jac, loop.frames[r, 0])
+            assert np.max(np.abs(folded.frames[r::k, 0] - frames)) <= 1e-15
+
+    def test_orbits_split_over_several_chunks_agree(self, monkeypatch):
+        # 400 generic atoms are 400 orbits, 204,800 rows over 512 nodes
+        rng = np.random.default_rng(5)
+        atoms = DiracCurrent(rng.uniform(-0.6, 0.6, size=(400, 2)), rng.uniform(0.5, 1.5, 400),
+                             rng.normal(size=(400, 1, 2)))
+        kernel = MollifierKernel.create(2, 0.1, level=2)
+        assert 400 * kernel.convex_weights()[0].shape[0] > 1.5 * ballmap._MAX_ROWS
+        chunks = []
+        blocks = ballmap._shift_blocks
+        monkeypatch.setattr(currents, "_shift_blocks",
+                            lambda pts, nodes: (chunks.append(part) or (part, moved, chain)
+                                                for part, moved, chain in blocks(pts, nodes)))
+        folded = mollified_sample(atoms, kernel, ball_shifts=True)
+        assert len(chunks) == 2 and not isinstance(chunks[0], slice)
+        forms = [form_a(), form_b(), form_c()]
+        want = currents._shift_product(atoms, kernel).pair_many(forms)
+        assert np.all(np.abs(folded.pair_many(forms) - want)
+                      <= FOLD_BOUND * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["masses", "tangents"])
+    def test_a_lone_orbit_is_shifted_once(self, monkeypatch, index):
+        # the four atoms are one Z4 orbit of sort(|x|)
+        scenario = scenarios.build_scenario("orbit_currents")
+        current = scenario.currents[index]
+        forms = [f for f in scenario.forms if f.degree == current.degree]
+        kernel = MollifierKernel.create(2, 0.05, level=1)
+        rows = self._recorded_rows(monkeypatch)
+        folded = mollified_sample(current, kernel, ball_shifts=True)
+        assert [len(r) for r in rows] == [1]
+        want = currents._shift_product(current, kernel).pair_many(forms)
+        assert np.all(np.abs(folded.pair_many(forms) - want)
+                      <= FOLD_BOUND * np.maximum(1.0, np.abs(want)))
+        # an atom at its own c = sort(|x|) has S = I: its rows are the shifts
+        canonical = DiracCurrent(np.sort(np.abs(current.points[:1]), axis=1),
+                                 frames=current.frames[:1] if index else None)
+        assert np.array_equal(mollified_sample(canonical, kernel, ball_shifts=True).points,
+                              currents._shift_product(canonical, kernel).points)
+
+    def test_signed_zeros_on_an_axis_mirror_their_rows(self):
+        points = np.array([[0.2, 0.0], [0.2, -0.0], [0.0, -0.15], [-0.0, -0.15]])
+        frames = np.array([[[0.6, -0.8]], [[0.6, 0.8]], [[1.0, 0.5]], [[-1.0, 0.5]]])
+        current = DiracCurrent(points, frames=frames)
+        kernel = MollifierKernel.create(2, 0.1, level=1)
+        folded = mollified_sample(current, kernel, ball_shifts=True)
+        pts = folded.points.reshape(-1, 4, 2)
+        frs = folded.frames.reshape(-1, 4, 2)
+        flip = np.array([1.0, -1.0]), np.array([-1.0, 1.0])
+        # x -> (x0, -x1) and x -> (-x0, x1) mirror the pairs, bit for bit
+        for (a, b), mirror in zip(((0, 1), (2, 3)), flip):
+            assert np.array_equal(pts[:, b], pts[:, a] * mirror)
+            assert np.array_equal(np.signbit(pts[:, b]), np.signbit(pts[:, a] * mirror))
+            assert np.array_equal(frs[:, b], frs[:, a] * mirror)
+        # every row stays inside BRIDGE_LO, so it moves by its image node exactly
+        nodes = kernel.convex_weights()[0]
+        for r, x in enumerate(points):
+            images = np.array([_signed_node(x, y) for y in nodes])
+            assert np.array_equal(pts[:, r], x + images)
+        forms = [form_a(), form_b(), form_c()]
+        want = currents._shift_product(current, kernel).pair_many(forms)
+        assert np.all(np.abs(folded.pair_many(forms) - want) <= FOLD_BOUND)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_rows_past_the_identity_radius_stay_bit_for_bit(self, level):
+        name, wide, forms = PRODUCT_CASES[3]
+        assert name == "past_identity"
+        kernel = MollifierKernel.create(2, 0.1, level=level)
+        folded = mollified_sample(wide, kernel, ball_shifts=True)
+        outer = np.linalg.norm(wide.points, axis=1) >= R_IDENTITY
+        assert 0 < outer.sum() < len(outer)
+        m = kernel.convex_weights()[0].shape[0]
+        pts = folded.points.reshape(m, -1, 2)
+        frames = folded.frames.reshape(m, -1, 1, 2)
+        assert np.array_equal(pts[:, outer], np.broadcast_to(wide.points[outer], pts[:, outer].shape))
+        assert np.array_equal(frames[:, outer],
+                              np.broadcast_to(wide.frames[outer], frames[:, outer].shape))
+        assert not np.array_equal(folded.points, currents._shift_product(wide, kernel).points)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_a_three_dimensional_kernel_never_folds(self, monkeypatch, level):
+        # the azimuthal rule is not closed under x <-> z
+        name, triangle, forms = PRODUCT_CASES[-1]
+        assert name == "triangle_3d"
+        kernel = MollifierKernel.create(3, 0.1, level=level)
+        assert not kernel._signed_symmetric
+        rows = self._recorded_rows(monkeypatch)
+        folded = mollified_sample(triangle, kernel, ball_shifts=True)
+        assert [len(r) for r in rows] == [triangle.points.shape[0]]
+        unfolded = currents._shift_product(triangle, kernel)
+        for got, want in ((folded.points, unfolded.points), (folded.frames, unfolded.frames),
+                          (folded.weights, unfolded.weights)):
+            assert np.array_equal(got, want)
+        assert folded.pair_many(forms).tolist() == unfolded.pair_many(forms).tolist()
 
 
 class TestCutoffPlateau:

@@ -175,6 +175,19 @@ def test_convex_weights_refuse_a_mass_that_is_not_positive_and_finite(monkeypatc
         k.convex_weights()
 
 
+@pytest.mark.parametrize("n, level, symmetric", [
+    (1, 2, True), (2, 1, True), (2, 2, True), (2, 3, True), (3, 1, False), (3, 2, False)])
+def test_signed_symmetry_is_decided_once_per_kernel(monkeypatch, n, level, symmetric):
+    # a 3-D rule's azimuthal rings are not closed under x <-> z
+    calls = []
+    permutes = kn._permutes_nodes
+    monkeypatch.setattr(kn, "_permutes_nodes",
+                        lambda kernel, mats: calls.append(len(mats)) or permutes(kernel, mats))
+    k = kn.MollifierKernel.create(n, 0.1, level=level)
+    assert [k._signed_symmetric for _ in range(3)] == [symmetric] * 3
+    assert calls == [len(kn._signed_permutations(n))] == [2 ** n * math.factorial(n) - 1]
+
+
 def test_quadrature_rejects_bad_inputs():
     with pytest.raises(ValueError):
         kn.ball_quadrature(-0.1, 2)

@@ -963,12 +963,12 @@ class TestFold:
                  single, single[:1]]
         assert np.any(cases[0][:, 0] == 0.0) and np.any(cases[0][:, 0] == cases[0][:, 1])
         for keys in cases:
-            rows, index = metrics._distinct_rows(keys)
+            rows, index = ballmap._distinct_rows(keys)
             unique_rows, unique_index = np.unique(keys, axis=0, return_inverse=True)
             assert rows.dtype == unique_rows.dtype and index.dtype == unique_index.dtype
             assert np.array_equal(rows, unique_rows)
             assert np.array_equal(index, unique_index.reshape(-1))
-        assert metrics._distinct_rows(single)[0].shape == (1, 2)
+        assert ballmap._distinct_rows(single)[0].shape == (1, 2)
 
     def test_folded_quadrature_is_that_of_the_np_unique_orbits(self, monkeypatch):
         # on the grid-65 scan, bit for bit the fold keyed by np.unique
@@ -978,7 +978,7 @@ class TestFold:
                    MollifierKernel.create(2, 0.0125, level=1)]
         folded = [metrics._mollify_values(sphere.metric.value, kernel, points, fold=True)
                   for kernel in kernels]
-        monkeypatch.setattr(metrics, "_distinct_rows",
+        monkeypatch.setattr(ballmap, "_distinct_rows",
                             lambda keys: np.unique(keys, axis=0, return_inverse=True))
         for kernel, values in zip(kernels, folded):
             assert np.array_equal(
