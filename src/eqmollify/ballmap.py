@@ -18,7 +18,7 @@ Averaging the shifts over kernel nodes, as both the metric quadrature and
 the current smoothing do, is fused: the expansion half of every shift
 depends only on the point, so ``_shift_blocks`` computes it once per point
 and runs only the compression half per node.  It splits the points, never
-the nodes, into chunks of about _MAX_ROWS rows taken in increasing radius,
+the nodes, into contiguous chunks of about _MAX_ROWS rows in input order,
 so each point's node sum is one ordered sum and no bit depends on the
 cap.  Points at radius R_IDENTITY or beyond never enter it; the callers
 reproduce their input there bit for bit, which is what makes the
@@ -31,10 +31,6 @@ step every row takes from the window's midpoint, carries only unconverged
 rows, gathered by index, and hands its last slope to the compression
 Jacobian; each row's root and slope are bit for bit those of its own
 Newton path.
-The scan grids and kernel node rings are closed under sign flips and axis
-swaps, so most translated radii repeat bit for bit; ``radial_profile_inverse``
-inverts each distinct bridge radius once and gathers the result back, which
-moves no bit because a row's Newton path depends on its own radius alone.
 The metric quadrature and the current shift product may pass one point
 per signed-permutation orbit (``_signed_orbits``).
 The maps take rows in any memory layout and return them component-major,
@@ -246,8 +242,7 @@ def radial_profile_inverse(s, derivative=False):
     slope g' at the inverse.
 
     Exact passthrough for s <= BRIDGE_LO, closed form on the exp branch, and
-    a bracketed Newton iteration with bisection safeguard on the bridge, run
-    once per distinct bridge value.
+    a bracketed Newton iteration with bisection safeguard on the bridge.
     Residuals satisfy |g(r) - s| <= _INVERSE_TOLERANCE * max(1, s).  The
     slope is Newton's last one where the inverse lies strictly inside the
     window, else ``radial_profile_derivative``'s; the two agree bit for bit.
@@ -269,12 +264,7 @@ def radial_profile_inverse(s, derivative=False):
     out[high] = 1.0 - 1.0 / np.sqrt(np.log(s[high]))
     slope = np.empty(s.shape)
     if np.any(mid):
-        # a row's Newton path depends on its s alone, so each distinct s is
-        # inverted once and its root and slope gathered back to every row
-        values, index = np.unique(s[mid], return_inverse=True)
-        roots, slopes = _invert_bridge(values)
-        out[mid] = roots[index]
-        slope[mid] = slopes[index]
+        out[mid], slope[mid] = _invert_bridge(s[mid])
     if not derivative:
         return float(out[0]) if scalar else out
     rest = ~mid | (out <= BRIDGE_LO) | (out >= BRIDGE_HI)
@@ -371,13 +361,12 @@ def _signed_orbits(points):
     return reps, orbit, np.argsort(order, axis=1), np.copysign(1.0, points)
 
 
-def _radial_map(x, inverse, jacobian):
+def _radial_map(x, inverse):
     """Shared body of the ball maps: x -> (phi(|x|)/|x|) x row-wise, with phi
-    the inverse profile (compress) or the profile (expand).  With
-    ``jacobian`` it also returns the Jacobian factors (t, e, u): the
-    Jacobian of row r is t[r] I + e[r] u[:, r] u[:, r]^T, with t = phi/|x|,
-    e = phi' - phi/|x| and the unit direction u = x/|x| stored
-    component-major, shape (n, N).  Rows with |x| <= BRIDGE_LO are exact
+    the inverse profile (compress) or the profile (expand), and the Jacobian
+    factors (t, e, u): the Jacobian of row r is t[r] I + e[r] u[:, r] u[:, r]^T,
+    with t = phi/|x|, e = phi' - phi/|x| and the unit direction u = x/|x|
+    stored component-major, shape (n, N).  Rows with |x| <= BRIDGE_LO are exact
     passthrough for both maps, with t = 1, e = 0 and u = 0 exactly; the
     profile itself rejects expansion from R_OVERFLOW outward, and rows
     whose norm is not finite are rejected here rather than sent to the
@@ -397,23 +386,20 @@ def _radial_map(x, inverse, jacobian):
     # from fragmenting around it
     out = np.empty(pts.shape, order="F")
     ratio = np.ones(r.shape)
-    slope = np.ones(r.shape) if jacobian else None
+    slope = np.ones(r.shape)
     if np.any(move):
         r_m = r[move]
-        if inverse and jacobian:
+        if inverse:
             # the inversion hands back g' at its result
             rho, g_slope = radial_profile_inverse(r_m, derivative=True)
             slope[move] = 1.0 / g_slope
             del g_slope
         else:
-            rho = radial_profile_inverse(r_m) if inverse else radial_profile(r_m)
-            if jacobian:
-                slope[move] = radial_profile_derivative(r_m)
+            rho = radial_profile(r_m)
+            slope[move] = radial_profile_derivative(r_m)
         ratio[move] = rho / r_m
         del r_m, rho
     np.multiply(pts.T, ratio, out=out.T)
-    if not jacobian:
-        return out
     unit = np.zeros(pts.shape[::-1])
     np.divide(pts.T, r, out=unit, where=move)
     slope -= ratio
@@ -427,7 +413,7 @@ def ball_compress(x):
     BallDomainError for a row whose norm is not finite (a nan or inf
     coordinate, or |x| past about 1.3e154).
     """
-    out = _radial_map(x, inverse=True, jacobian=False)
+    out = _radial_map(x, inverse=True)[0]
     return out[0] if np.ndim(x) == 1 else out
 
 
@@ -437,7 +423,7 @@ def ball_expand(u):
     Raises BallDomainError from R_OVERFLOW outward, where the profile value
     exceeds double precision range.
     """
-    out = _radial_map(u, inverse=False, jacobian=False)
+    out = _radial_map(u, inverse=False)[0]
     return out[0] if np.ndim(u) == 1 else out
 
 
@@ -458,17 +444,17 @@ def _radial_jacobians(t, e, u):
 
 
 def _compress_with_jacobian(x):
-    return _radial_map(x, inverse=True, jacobian=True)
+    return _radial_map(x, inverse=True)
 
 
 def _expand_with_jacobian(x):
-    return _radial_map(x, inverse=False, jacobian=True)
+    return _radial_map(x, inverse=False)
 
 
-def _shift(x, y, jacobian):
-    """Shared body of the shift maps: s_y row-wise, with the Jacobians too
-    when ``jacobian`` is set.  Rows from R_IDENTITY outward are returned
-    bit for bit, with an exact identity Jacobian."""
+def _shift(x, y):
+    """Shared body of the shift maps: s_y row-wise and its Jacobians.  Rows
+    from R_IDENTITY outward are returned bit for bit, with an exact
+    identity Jacobian."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     scalar = x.ndim == 1
@@ -478,10 +464,6 @@ def _shift(x, y, jacobian):
         shifts = np.broadcast_to(shifts, pts.shape)
     out = pts.copy()
     inner = _norms(pts) < R_IDENTITY
-    if not jacobian:
-        if np.any(inner):
-            out[inner] = ball_compress(ball_expand(pts[inner]) + shifts[inner])
-        return out[0] if scalar else out
     count, n = pts.shape
     jac = np.broadcast_to(np.eye(n), (count, n, n)).copy()
     if np.any(inner):
@@ -498,7 +480,7 @@ def shift_points(x, y):
     Equals x + y wherever the compression is the identity around both points,
     and returns x bit for bit from R_IDENTITY outward.
     """
-    return _shift(x, y, jacobian=False)
+    return _shift(x, y)[0]
 
 
 def shift_with_jacobian(x, y):
@@ -508,7 +490,7 @@ def shift_with_jacobian(x, y):
     compression Jacobian at the translated point; exact identity outside
     R_IDENTITY and wherever both factors reduce to the identity.
     """
-    return _shift(x, y, jacobian=True)
+    return _shift(x, y)
 
 
 def _shift_blocks(points, shifts):
@@ -520,15 +502,12 @@ def _shift_blocks(points, shifts):
     runs per node.
 
     Only the points are split: into max(1, min(N // 2, ceil(N M / _MAX_ROWS)))
-    chunks of near-equal size, each of at least two points (unless N = 1)
-    and at most max(_MAX_ROWS + M, 3 M) rows.  A single chunk has
-    ``part`` = slice(0, N);
-    several take the points in increasing radius, ``part`` their index
-    array, which keeps repeated bridge radii together for the inversion's
-    deduplication.  A caller's node sum over a chunk's (M, k) rows is then
-    the sequential sum in node order whatever the cap, as it would not be
-    for a one-point chunk (numpy sums a contiguous column in another
-    order).
+    contiguous chunks in input order, sized as ``np.array_split`` sizes
+    them, each of at least two points (unless N = 1) and at most
+    max(_MAX_ROWS + M, 3 M) rows; ``part`` is the chunk's slice.  A
+    caller's node sum over a chunk's (M, k) rows is then the sequential
+    sum in node order whatever the cap, as it would not be for a one-point
+    chunk (numpy sums a contiguous column in another order).
 
     The chain is formed per component, chain[i, c] = sum_a Jc[i, a] Je[a, c]
     with Jc[i, a] = e u_i u_a + [a = i] t rounded first, as the dense
@@ -538,11 +517,8 @@ def _shift_blocks(points, shifts):
     count, n = points.shape
     m = shifts.shape[0]
     chunks = max(1, min(count // 2, math.ceil(count * m / _MAX_ROWS)))
-    if chunks == 1:
-        parts = [slice(0, count)]
-    else:
-        parts = np.array_split(np.argsort(_squared_norms(points), kind="stable"), chunks)
-    for part in parts:
+    for block in np.array_split(np.arange(count), chunks):
+        part = slice(int(block[0]), int(block[-1]) + 1)
         expanded, factors = _expand_with_jacobian(points[part])
         # the expansion Jacobians, component-major (n, n, k)
         jac_expand = np.moveaxis(_radial_jacobians(*factors), 0, -1).copy()

@@ -219,7 +219,7 @@ class DiracCurrent(WeightedSample):
 
     def __init__(self, points, weights=None, frames=None):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        count, dim = points.shape
+        count, dim = points.shape[0], points.shape[-1]
         if weights is None:
             weights = np.ones(count)
         weights = np.asarray(weights, dtype=float)
@@ -228,7 +228,7 @@ class DiracCurrent(WeightedSample):
         if frames is None:
             frames = np.zeros((count, 0, dim))
         frames = np.asarray(frames, dtype=float)
-        if frames.shape[0] != count or frames.shape[2] != dim:
+        if points.ndim != 2 or frames.ndim != 3 or frames.shape[::2] != (count, dim):
             raise CurrentError("frame stack must be (points, degree, dimension)")
         m = frames.shape[1]
         if m > dim:

@@ -220,7 +220,8 @@ def _mollify_values(metric_fn, kernel, points, fold=False):
     product.  Each congruence J^T V J is taken per component, T = J^T V
     then T J, as ordered sums over the inner index, and so is the node sum,
     one sum over every node per point: no BLAS call, so reruns, thread
-    counts and the chunk size reproduce it bit for bit.
+    counts, the chunk size and the batch a point comes in reproduce it
+    bit for bit.
 
     With ``fold`` set, which only ``_folds`` may allow, the quadrature
     runs once per distinct c = sort(|x|) (``_signed_orbits``) and entry
@@ -237,10 +238,10 @@ def _mollify_values(metric_fn, kernel, points, fold=False):
         quad = points[inner]
         if fold:
             quad, orbit, rank, sign = _signed_orbits(quad)
-            if quad.shape[0] == 1:
-                # numpy sums a lone point's node column in another order
-                # than a chunk's, so a single orbit is evaluated twice
-                quad = np.repeat(quad, 2, axis=0)
+        if quad.shape[0] == 1:
+            # numpy sums a lone point's node column in another order than a
+            # chunk's, so a lone point or orbit is evaluated twice
+            quad = np.repeat(quad, 2, axis=0)
         nodes, node_w = kernel.convex_weights()
         acc = np.empty((n, n, quad.shape[0]))
         for part, moved, chain in _shift_blocks(quad, nodes):
@@ -268,7 +269,7 @@ def _mollify_values(metric_fn, kernel, points, fold=False):
             vals = vals[orbit.reshape(-1, 1, 1), rank[:, :, None], rank[:, None, :]]
             vals *= sign[:, :, None]
             vals *= sign[:, None, :]
-        out[inner] = vals
+        out[inner] = vals[:np.count_nonzero(inner)]
     return out
 
 

@@ -441,7 +441,7 @@ def test_newton_budget_exhausted_raises(monkeypatch):
     monkeypatch.setattr(bm, "_INVERSE_ITERATIONS", 2)
     with pytest.raises(bm.ConvergenceError, match="did not converge"):
         bm.radial_profile_inverse(np.geomspace(0.5, 500.0, 20))
-    # repeated values reach Newton deduplicated and must still raise
+    # repeated values must still raise, with and without the slope
     monkeypatch.setattr(bm, "_INVERSE_ITERATIONS", 1)
     for derivative in (False, True):
         with pytest.raises(bm.ConvergenceError, match="did not converge"):
@@ -457,8 +457,8 @@ bridge_values = st.floats(bm.BRIDGE_LO * 1.0001, bm._OUTER_AT_HI * 0.9999)
 @given(st.lists(st.tuples(bridge_values, st.integers(1, 4)), min_size=1, max_size=12),
        st.integers(0, 2**32 - 1))
 def test_repeated_values_invert_as_the_undeduplicated_newton(values, seed):
-    # each distinct value is inverted once and gathered back to every row; the
-    # result must be bit for bit Newton run on every row as given
+    # repeated values in any order must invert bit for bit as Newton run on
+    # every row as given
     s = np.random.default_rng(seed).permutation(
         np.repeat([v for v, _ in values], [k for _, k in values]))
     rho, slope = bm.radial_profile_inverse(s, derivative=True)
@@ -467,7 +467,7 @@ def test_repeated_values_invert_as_the_undeduplicated_newton(values, seed):
     assert np.array_equal(slope, direct_slope)
 
 
-def test_each_distinct_bridge_value_is_inverted_once(monkeypatch):
+def test_every_bridge_row_reaches_newton_once_in_input_order(monkeypatch):
     seen = []
     invert = bm._invert_bridge
 
@@ -481,7 +481,8 @@ def test_each_distinct_bridge_value_is_inverted_once(monkeypatch):
         np.concatenate([np.repeat(bridge, 3), [0.2, 0.2, 1e6, 1e6]]))
     rho = bm.radial_profile_inverse(s)
     assert len(seen) == 1
-    assert np.array_equal(np.sort(seen[0]), bridge)
+    # all 21 bridge rows, repeats included, in input order
+    assert np.array_equal(seen[0], s[np.isin(s, bridge)])
     assert np.array_equal(rho, [bm.radial_profile_inverse(v) for v in s])
 
 
@@ -802,22 +803,23 @@ def test_closed_form_chain_matches_the_dense_product(n):
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 61, 3001])
-def test_shift_blocks_cover_every_point_once_in_increasing_radius(monkeypatch, count):
-    # sign-flipped pairs give ties in radius, which keep their input order
+def test_shift_blocks_cover_every_point_once_in_contiguous_slices(monkeypatch, count):
     rng = np.random.default_rng(count)
     points = rng.uniform(-0.5, 0.5, size=(count, 2))
-    points[1::2] = -points[0:count - 1:2]
     shifts = rng.normal(size=(9, 2)) * 0.05
     monkeypatch.setattr(bm, "_MAX_ROWS", 1 << 30)
     (_, whole_moved, whole_chain), = bm._shift_blocks(points, shifts)
-    for cap in (1, 7, 30, 300, 1 << 17):
+    # every cap below two points' rows (18) gives the same two-point chunks
+    for cap in (1, 30, 300, 1 << 17):
         monkeypatch.setattr(bm, "_MAX_ROWS", cap)
         chunks = list(bm._shift_blocks(points, shifts))
-        parts = [np.arange(count)[part] for part, _, _ in chunks]
-        order = np.concatenate(parts)
-        assert np.array_equal(np.sort(order), np.arange(count))
-        if len(parts) > 1:
-            assert np.array_equal(order, np.argsort(bm._squared_norms(points), kind="stable"))
+        # slices in input order, sized as np.array_split sizes them
+        parts = [part for part, _, _ in chunks]
+        assert all(isinstance(part, slice) for part in parts)
+        assert np.array_equal(np.concatenate([np.arange(count)[part] for part in parts]),
+                              np.arange(count))
+        assert [part.stop - part.start for part in parts] == [
+            len(block) for block in np.array_split(np.arange(count), len(parts))]
         for part, moved, chain in chunks:
             # every node, at least two points, and at most the cap plus one
             # point's rows, or three points' rows where the cap is smaller

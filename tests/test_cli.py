@@ -5,17 +5,25 @@ kind/scenario combinations; subprocess round trips stay out of the unit
 suite.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
+import math
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eqmollify import experiments
 from eqmollify.ballmap import ConvergenceError
 from eqmollify.cli import main
+from eqmollify.scenarios import available_scenarios
 
 
 def config_file(tmp_path, payload, name="config.json"):
@@ -178,6 +186,64 @@ class TestExitCodes:
     def test_unknown_kind_errors_in_argparse(self):
         with pytest.raises(SystemExit):
             main(["mollify-everything", "--config", "x.json"])
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# the kinds that run every chart stage of a scenario; strip_two_charts
+# composes two stages there, which takes 10-80 s even at the sizes below
+_COMPOSING = ("curvature-report", "lipschitz-sweep", "select-epsilon", "invariance-check")
+
+
+@st.composite
+def _cli_runs(draw):
+    """A kind, a JSON config drawn from the schema at tiny sizes, and
+    whether --out lies under a regular file (one run in four).  Epsilons
+    span every decade of positive doubles, or a band where real runs
+    happen."""
+    kind = draw(st.sampled_from(experiments.EXPERIMENT_KINDS))
+    scenarios = [name for name in available_scenarios()
+                 if not (name == "strip_two_charts" and kind in _COMPOSING)]
+    epsilon = _log_uniform(1e-320, 1e308) | _log_uniform(1e-4, 3.0)
+    config = {
+        "scenario": draw(st.sampled_from(scenarios)),
+        "epsilons": sorted(draw(st.lists(epsilon, min_size=1, max_size=2, unique=True)),
+                           reverse=True),
+        "grid": draw(st.integers(1, 9)),
+        "graph_grid": draw(st.integers(1, 7)),
+        "pairs": draw(st.integers(1, 4)),
+        "group_quadrature": draw(st.integers(1, 16)),
+        "delta": draw(st.none() | _log_uniform(1e-320, 1e308)),
+        "k_values": sorted(draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))),
+        "seed": draw(st.integers(1, 2**31)),
+    }
+    return kind, config, draw(st.integers(0, 3)) == 0
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_cli_runs())
+    def test_every_run_exits_with_a_documented_code_and_no_traceback(self, run):
+        kind, config, under_file = run
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = config_file(Path(tmp), config)
+            out = Path(tmp) / "out"
+            if under_file:
+                out.write_text("")
+                out = out / "report"
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = main([kind, "--config", path, "--out", str(out)])
+        assert code in (0, 1, 2, 3), (kind, config)
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        assert [str(w.message) for w in caught] == []
+        if under_file:
+            assert code == 2
 
 
 class TestFlags:

@@ -884,6 +884,22 @@ def _congruence(value, perm, signs):
     return value[np.ix_(perm, perm)] * signs[:, None] * signs[None, :]
 
 
+@pytest.mark.parametrize("fold", [False, True], ids=["unfolded", "folded"])
+def test_a_lone_point_reads_its_bits_in_a_two_point_batch(fold):
+    # numpy sums a one-point node column in another order than a chunk's,
+    # so the quadrature must not see a lone point on either path
+    kernel = MollifierKernel.create(2, 0.05, level=2)
+    rng = np.random.default_rng(28)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 24)
+    points = rng.uniform(0.0, 0.4, 24)[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
+    value = sphere_metric().value
+    for pair in points.reshape(-1, 2, 2):
+        batch = metrics._mollify_values(value, kernel, pair, fold=fold)
+        for row in range(2):
+            alone = metrics._mollify_values(value, kernel, pair[row:row + 1], fold=fold)
+            assert np.array_equal(alone[0], batch[row]), (pair[row], fold)
+
+
 class TestFold:
     """The signed-permutation fold: one quadrature per orbit of
     c = sort(|x|), each row S V(c) S^T, behind the guard of
