@@ -411,7 +411,8 @@ def ball_compress(x):
 
     Radially maps |x| to g^{-1}(|x|).  Accepts (n,) or (N, n).  Raises
     BallDomainError for a row whose norm is not finite (a nan or inf
-    coordinate, or |x| past about 1.3e154).
+    coordinate, or |x| past about 1.3e154).  Computes the Jacobian factors
+    too and drops them.
     """
     out = _radial_map(x, inverse=True)[0]
     return out[0] if np.ndim(x) == 1 else out
@@ -421,7 +422,8 @@ def ball_expand(u):
     """Inverse diffeomorphism h^{-1} from the open unit ball onto R^n.
 
     Raises BallDomainError from R_OVERFLOW outward, where the profile value
-    exceeds double precision range.
+    exceeds double precision range.  Computes the Jacobian factors too and
+    drops them.
     """
     out = _radial_map(u, inverse=False)[0]
     return out[0] if np.ndim(u) == 1 else out
@@ -478,7 +480,8 @@ def shift_points(x, y):
     """Apply the compactly supported shift s_y row-wise: x, y of shape (N, n).
 
     Equals x + y wherever the compression is the identity around both points,
-    and returns x bit for bit from R_IDENTITY outward.
+    and returns x bit for bit from R_IDENTITY outward.  Builds the Jacobians
+    too and drops them.
     """
     return _shift(x, y)[0]
 
