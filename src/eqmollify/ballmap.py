@@ -351,10 +351,14 @@ def _distinct_rows(rows):
     return ranked[first], index
 
 
-def _signed_orbits(points):
-    """The distinct c = sort(|x|) of the points (``_distinct_rows``), each
-    point's index among them, and the rank and sign (N, n) with x = S c,
-    x_i = sign_i c_(rank_i); a negative zero counts as negative."""
+def _signed_orbits(points, fold):
+    """With ``fold``, the distinct c = sort(|x|) of the points
+    (``_distinct_rows``), each point's index among them, and the rank and
+    sign (N, n) with x = S c, x_i = sign_i c_(rank_i); a negative zero
+    counts as negative.  Without it every point is its own orbit: c = x,
+    S = I."""
+    if not fold:
+        return points, np.arange(len(points)), np.indices(points.shape)[1], np.ones(points.shape)
     magnitude = np.abs(points)
     order = np.argsort(magnitude, axis=1, kind="stable")
     reps, orbit = _distinct_rows(np.sort(magnitude, axis=1))

@@ -4,8 +4,8 @@ Schema (all keys optional except ``scenario``):
 
     scenario          built-in scenario name
     epsilons          positive strictly decreasing list (default 0.2 halved 4x)
-    grid              metric grid nodes per axis (default 65, at most 513)
-    graph_grid        distance graph nodes per axis (default 25, at most 129)
+    grid              metric grid nodes per axis (default 65, 2 to 513)
+    graph_grid        distance graph nodes per axis (default 25, 2 to 129)
     group_quadrature  torus quadrature node count (default 64, at most 512)
     pairs             dilation sample pair count (default 64, at most 256)
     delta             target tolerance where a kind needs one, or null for
@@ -33,14 +33,14 @@ __all__ = ["DEFAULT_EPSILONS", "ConfigError", "ExperimentConfig", "load_config"]
 
 DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025)
 
-# positive integer fields and their upper bounds (None: unbounded); the
-# bounds keep a typo from allocating the machine away before it fails
+# integer fields and their (least, most) values, None unbounded: a grid needs
+# two nodes per axis, and a cap keeps a typo from allocating the machine away
 _INT_FIELDS = {
-    "grid": 513,
-    "graph_grid": 129,
-    "group_quadrature": 512,
-    "pairs": 256,
-    "seed": None,
+    "grid": (2, 513),
+    "graph_grid": (2, 129),
+    "group_quadrature": (1, 512),
+    "pairs": (1, 256),
+    "seed": (1, None),
 }
 # largest k_values entry; the selection bound a_nu / k is taken in floats
 _MAX_K = 2**20
@@ -88,11 +88,11 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("field 'epsilons' must be strictly decreasing")
         object.__setattr__(self, "epsilons", eps)
-        for name, upper in _INT_FIELDS.items():
+        for name, (lower, upper) in _INT_FIELDS.items():
             value = getattr(self, name)
             # bool is an int subclass, so JSON true would run as 1
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError("field %r must be a positive integer" % name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < lower:
+                raise ConfigError("field %r must be an integer of at least %d" % (name, lower))
             if upper is not None and value > upper:
                 raise ConfigError("field %r must be at most %d, got %d"
                                   % (name, upper, value))

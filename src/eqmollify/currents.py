@@ -19,6 +19,7 @@ is not copied at all.  Both build one node-major copy of the rows per
 kernel node, stored component-major so that each coordinate is contiguous.
 Where the signed permutations S permute the kernel nodes, the shifts fold
 onto orbits, s_{Sy}(Sx) = S s_y(x): they run once per c = sort(|x|).
+Unfolded, each row is its own orbit, and the same gathers copy its shifts.
 The equivariant operator (``equivariant_sample``) splits the weights with a
 chart cutoff (``localize``), smooths the chart half by shifts in chart
 coordinates, unfolded, since folding would make the invariance residual
@@ -33,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .ballmap import R_IDENTITY, _norms, _shift_blocks, _signed_orbits
-from .maps import GroupAction, smooth_step
+from .maps import GroupAction, _worst_defect, smooth_step
 
 __all__ = [
     "CurrentError",
@@ -314,10 +315,11 @@ def _shift_product(sample, kernel, fold=False):
     of it, and one copy pairs exactly like the convex combination of
     |nodes| equal ones.
 
-    With ``fold``, which ``MollifierKernel._signed_symmetric`` must allow,
-    the shifts run once per distinct c = sort(|x|) (``_signed_orbits``) and
-    row (j, x), x = S c, gets S s_{y_j}(c) and the chain S J(c) S^T, exact
-    gathers from one row per node: the pushforward under node S y_j."""
+    The shifts run once per orbit of ``_signed_orbits``: with ``fold``,
+    which ``MollifierKernel._signed_symmetric`` must allow, once per
+    distinct c = sort(|x|), else once per row.  Row (j, x), x = S c, gets
+    S s_{y_j}(c) and the chain S J(c) S^T, exact gathers from one row per
+    node: the pushforward under node S y_j."""
     inner = np.flatnonzero(_norms(sample.points) < R_IDENTITY)
     if inner.size == 0:
         return sample
@@ -327,29 +329,23 @@ def _shift_product(sample, kernel, fold=False):
     pts_out = np.broadcast_to(sample.points.T[:, None, :], (dim, m, k)).copy()
     frames_out = np.broadcast_to(sample.frames.transpose(1, 2, 0)[..., None, :], (deg, dim, m, k)).copy()
     frames_in = sample.frames[inner]
-    if fold:
-        reps, orbit, rank, sign = _signed_orbits(sample.points[inner])
-        count = reps.shape[0]
-        moved_at, chain_at = np.empty((m, dim, count)), np.empty((m, dim, dim, count))
-        for part, moved, chain in _shift_blocks(reps, nodes):
-            moved_at[:, :, part] = moved.transpose(0, 2, 1)
-            chain_at[..., part] = chain.transpose(2, 0, 1, 3)
-        moved_at, chain_at = moved_at.reshape(m, -1), chain_at.reshape(m, -1)
-        # a slice writes all rows faster than an index scatter
-        rows = slice(None) if inner.size == k else inner
-        for i in range(dim):
-            pts_out[i][:, rows] = moved_at.take(rank[:, i] * count + orbit, axis=1) * sign[:, i]
-            for b in range(dim):
-                # chain entry (i, b) of x: sign_i sign_b J(c)[rank_i, rank_b], exactly
-                entry = chain_at.take((rank[:, i] * dim + rank[:, b]) * count + orbit, axis=1)
-                term = entry * (frames_in[:, :, b].T * (sign[:, i] * sign[:, b]))[:, None]
-                acc = term if b == 0 else acc + term
-            frames_out[:, i][..., rows] = acc
-    else:
-        for part, moved, chain in _shift_blocks(sample.points[inner], nodes):
-            rows = inner[part]
-            pts_out[:, :, rows] = moved.transpose(2, 0, 1)
-            frames_out[:, :, :, rows] = np.einsum("ijbk,kaj->aibk", chain, frames_in[part])
+    reps, orbit, rank, sign = _signed_orbits(sample.points[inner], fold)
+    count = reps.shape[0]
+    moved_at, chain_at = np.empty((m, dim, count)), np.empty((m, dim, dim, count))
+    for part, moved, chain in _shift_blocks(reps, nodes):
+        moved_at[:, :, part] = moved.transpose(0, 2, 1)
+        chain_at[..., part] = chain.transpose(2, 0, 1, 3)
+    moved_at, chain_at = moved_at.reshape(m, -1), chain_at.reshape(m, -1)
+    # a slice writes all rows faster than an index scatter
+    rows = slice(None) if inner.size == k else inner
+    for i in range(dim):
+        pts_out[i][:, rows] = moved_at.take(rank[:, i] * count + orbit, axis=1) * sign[:, i]
+        for b in range(dim):
+            # chain entry (i, b) of x: sign_i sign_b J(c)[rank_i, rank_b], exactly
+            entry = chain_at.take((rank[:, i] * dim + rank[:, b]) * count + orbit, axis=1)
+            term = entry * (frames_in[:, :, b].T * (sign[:, i] * sign[:, b]))[:, None]
+            acc = term if b == 0 else acc + term
+        frames_out[:, i][..., rows] = acc
     weights = (node_w[:, None] * sample.weights[None, :]).ravel()
     return WeightedSample(pts_out.reshape(dim, m * k).T,
                           frames_out.reshape(deg, dim, m * k).transpose(2, 0, 1), weights)
@@ -411,9 +407,8 @@ def invariance_residual(current, group, forms):
     """max over group elements and forms of |T(pullback of w) - T(w)|.
 
     ``group`` is any iterable of orthogonal matrices, a GroupAction or a
-    plain list of probes.  A NaN pairing makes the residual NaN.
+    plain list of probes.  The current is paired once for the base and once
+    per element other than the identity (``_worst_defect``).
     """
-    base = current.pair_many(forms)
-    defects = [np.max(np.abs(current.rotated(matrix).pair_many(forms) - base))
-               for matrix in group]
-    return float(np.max([0.0] + defects))
+    return _worst_defect(group, current.pair_many(forms),
+                         lambda matrix: current.rotated(matrix).pair_many(forms))

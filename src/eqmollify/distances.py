@@ -8,10 +8,10 @@ doubling, not proved.  The graph is its padded lattice of edge weights,
 and sweeping that lattice until no distance can fall returns Dijkstra's
 distances bit for bit.  The dilation estimator compares two metrics on
 the same node set over a fixed seeded pair sample; it is a proxy for the
-full dilation supremum and documented as such.
+full dilation supremum and documented as such.  Its reference side is a
+value of its own (``_reference_side``), so a sweep builds it once.
 """
 
-import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -229,46 +229,26 @@ class DilationReport:
     max_deviation: float
 
 
-class _SharedReference:
-    """A reference metric whose side of ``dilation_estimate`` (the snapped
+def _reference_side(metric, pairs, grid, mask_radius=None, order=8):
+    """The reference metric's side of ``dilation_estimate``: the snapped
     pairs, the distinct first ends as sweep sources, each pair's row among
-    them and the reference distances) is built once per pairs, grid, mask
-    radius and order, under a lock, for every call from any thread."""
-
-    def __init__(self, metric):
-        self.metric = metric
-        self._lock = threading.Lock()
-        self._built = {}
-
-    def distances(self, pairs, grid, mask_radius, order):
-        pairs = np.asarray(pairs, dtype=float)
-        # the entry holds the grid, so no other object can take its id
-        key = (pairs.shape, pairs.tobytes(), id(grid), mask_radius, order)
-        with self._lock:
-            if key not in self._built:
-                base = sample_graph(self.metric, grid, mask_radius=mask_radius, order=order)
-                snapped = base.snap(pairs.reshape(-1, pairs.shape[-1])).reshape(-1, 2)
-                if np.any(snapped[:, 0] == snapped[:, 1]):
-                    raise DistanceError("zero-distance pair after snapping")
-                # only the rows of the first ends are read; each source is its
-                # own column of the sweep, so leaving the others out moves no bit
-                sources, rows = np.unique(snapped[:, 0], return_inverse=True)
-                d0 = csgraph.dijkstra(base, indices=sources)[rows, snapped[:, 1]]
-                self._built[key] = grid, (snapped, sources, rows, d0)
-            return self._built[key][1]
+    them and the reference distances.  A sweep builds it once, before any
+    stage, and compares every smoothed metric against it."""
+    pairs = np.asarray(pairs, dtype=float)
+    base = sample_graph(metric, grid, mask_radius=mask_radius, order=order)
+    snapped = base.snap(pairs.reshape(-1, pairs.shape[-1])).reshape(-1, 2)
+    if np.any(snapped[:, 0] == snapped[:, 1]):
+        raise DistanceError("zero-distance pair after snapping")
+    # only the rows of the first ends are read; each source is its own
+    # column of the sweep, so leaving the others out moves no bit
+    sources, rows = np.unique(snapped[:, 0], return_inverse=True)
+    return snapped, sources, rows, csgraph.dijkstra(base, indices=sources)[rows, snapped[:, 1]]
 
 
-def dilation_estimate(reference, smoothed, pairs, grid, mask_radius=None, order=8):
-    """max over the pair sample of |d_smoothed / d_reference - 1|.
-
-    Both graphs share one node set, so every ratio compares shortest paths
-    in the same combinatorial search space and only the edge weights move.
-    ``reference`` is the reference metric, or a ``_SharedReference`` that
-    many smoothed metrics are compared against.
-    """
-    if not isinstance(reference, _SharedReference):
-        reference = _SharedReference(reference)
-    snapped, sources, rows, d0 = reference.distances(pairs, grid, mask_radius, order)
+def _dilation(side, smoothed, grid, mask_radius=None, order=8):
+    """``dilation_estimate`` against a ``_reference_side`` built on the same
+    grid, mask radius and order."""
+    snapped, sources, rows, d0 = side
     moved = sample_graph(smoothed, grid, mask_radius=mask_radius, order=order)
     d1 = csgraph.dijkstra(moved, indices=sources)[rows, snapped[:, 1]]
     degenerate = ~(np.isfinite(d0) & np.isfinite(d1)) | (d0 == 0.0)
@@ -280,6 +260,16 @@ def dilation_estimate(reference, smoothed, pairs, grid, mask_radius=None, order=
         deviations=deviations,
         max_deviation=float(np.max(deviations)),
     )
+
+
+def dilation_estimate(reference, smoothed, pairs, grid, mask_radius=None, order=8):
+    """max over the pair sample of |d_smoothed / d_reference - 1|.
+
+    Both graphs share one node set, so every ratio compares shortest paths
+    in the same combinatorial search space and only the edge weights move.
+    """
+    side = _reference_side(reference, pairs, grid, mask_radius, order)
+    return _dilation(side, smoothed, grid, mask_radius, order)
 
 
 def seeded_point_pairs(count, seed, radius, dimension=2, min_separation=0.2):

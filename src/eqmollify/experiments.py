@@ -20,12 +20,12 @@ from numpy.random import default_rng
 from .config import ConfigError, ExperimentConfig
 from .curvature import FD_STEP, curvature_bounds
 from .currents import equivariant_sample, evaluate, invariance_residual, mollified_sample
-from .distances import _SharedReference, dilation_estimate, seeded_point_pairs
+from .distances import _dilation, _reference_side, seeded_point_pairs
 from .kernel import MollifierKernel
+from .maps import trivial_group
 from .metrics import (
     BoxGrid,
     a_nu,
-    chart_smooth_metric,
     default_level_schedule,
     haar_average_metric,
     isometry_residual,
@@ -36,15 +36,6 @@ from .scenarios import build_scenario
 
 __all__ = ["EXPERIMENT_KINDS", "CheckResult", "ExperimentReport", "run_experiment",
            "thread_cap"]
-
-EXPERIMENT_KINDS = (
-    "mollify-current",
-    "smooth-metric",
-    "curvature-report",
-    "lipschitz-sweep",
-    "invariance-check",
-    "select-epsilon",
-)
 
 # torus invariance is certified off the quadrature lattice; five fixed
 # angles strictly between the 64-node grid lines
@@ -114,22 +105,21 @@ def _smoothed_field(scenario, kernel, exact=False):
 
     Each stage is the group average of the chart smoothing
     (``haar_average_metric``, which pays one chart stage per coset of the
-    stage's symmetry subgroup).  Unless ``exact`` is set, a torus group
-    takes the bare chart stage instead: its quadrature angles need not
-    permute the kernel's, and the shortcut rests on quadrature accuracy,
-    which the invariance-check kind certifies with ``exact`` set.  The
-    chart stages fold their quadrature onto signed-permutation orbits
-    unless ``exact`` is set: a folded field is invariant under the signed
-    permutations by construction, so its residuals would certify nothing.
+    stage's symmetry subgroup).  Unless ``exact`` is set, a torus group is
+    replaced by the trivial group, one coset, so each stage is the bare
+    chart stage: its quadrature angles need not permute the kernel's, and
+    the shortcut rests on quadrature accuracy, which the invariance-check
+    kind certifies with ``exact`` set.  The chart stages fold their
+    quadrature onto signed-permutation orbits unless ``exact`` is set: a
+    folded field is invariant under the signed permutations by
+    construction, so its residuals would certify nothing.
     """
-    shortcut = not exact and scenario.group.is_quadrature
+    group = scenario.group
+    if not exact and group.is_quadrature:
+        group = trivial_group(scenario.dimension)
     field = scenario.metric
     for cutoff in scenario.atlas:
-        if shortcut:
-            field = chart_smooth_metric(field, cutoff, kernel, fold=True)
-        else:
-            field = haar_average_metric(field, cutoff, kernel, scenario.group,
-                                        fold=not exact)
+        field = haar_average_metric(field, cutoff, kernel, group, fold=not exact)
     return field
 
 
@@ -288,13 +278,13 @@ def _run_lipschitz_sweep(scenario, config):
                                0.9 * scenario.domain_radius,
                                dimension=scenario.dimension,
                                min_separation=0.4 * scenario.domain_radius)
-    reference = _SharedReference(scenario.metric)
+    reference = _reference_side(scenario.metric, pairs, grid,
+                                mask_radius=scenario.scan_radius)
 
     def stage(epsilon):
         kernel = _kernel_for(epsilon, scenario.dimension)
         field = _smoothed_field(scenario, kernel)
-        report = dilation_estimate(reference, field, pairs, grid,
-                                   mask_radius=scenario.scan_radius)
+        report = _dilation(reference, field, grid, mask_radius=scenario.scan_radius)
         return epsilon, report.max_deviation, delta
 
     rows = _sweep(stage, config.epsilons)
@@ -389,6 +379,7 @@ _RUNNERS = {
     "invariance-check": _run_invariance_check,
     "select-epsilon": _run_select_epsilon,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def _check_kernel_scales(kind, config, dimension):

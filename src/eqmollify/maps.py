@@ -144,6 +144,16 @@ class GroupAction:
         return iter(self.matrices)
 
 
+def _worst_defect(group, base, image):
+    """max over the matrices m of ``group`` and over the entries of
+    |image(m) - base|; the identity's image is ``base`` itself, so
+    ``base - base`` still reads NaN where ``base`` does, and a NaN defect
+    makes the result NaN."""
+    defects = [np.max(np.abs((base if np.array_equal(mat, np.eye(len(mat))) else image(mat))
+                             - base)) for mat in group]
+    return float(np.max([0.0] + defects))
+
+
 def trivial_group(dimension):
     return GroupAction(np.eye(int(dimension))[None, :, :])
 

@@ -27,12 +27,12 @@ every signed permutation is a symmetry of the stage (``_folds``); signed
 coordinate permutations are the ones floating point applies exactly.  So
 the value at x = S c, c = sort(|x|), is taken as S V(c) S^T: one shift
 product per distinct c, then an index gather and exact sign products.
-Otherwise the field is the unfolded quadrature bit for bit.  Folded values
-differ from unfolded ones by rounding only, and each depends on its own
-point alone.  ``mollify_metric`` folds wherever the rule admits it; the
-chart stages fold on request (``fold``), because the invariance
-certificate runs them unfolded: folded, its residuals would vanish by
-construction.
+Otherwise each point is its own orbit, c = x and S = I, and the field is
+the unfolded quadrature bit for bit.  Folded values differ from unfolded
+ones by rounding only, and each depends on its own point alone.
+``mollify_metric`` folds wherever the rule admits it; the chart stages
+fold on request (``fold``), because the invariance certificate runs them
+unfolded: folded, its residuals would vanish by construction.
 """
 
 from dataclasses import dataclass, replace
@@ -41,7 +41,7 @@ import numpy as np
 
 from .ballmap import R_IDENTITY, _norms, _shift_blocks, _signed_orbits, _squared_norms
 from .kernel import _permutes_nodes, _signed_permutations
-from .maps import AffineChart, GroupAction
+from .maps import AffineChart, GroupAction, _worst_defect
 
 __all__ = [
     "MetricError",
@@ -223,10 +223,10 @@ def _mollify_values(metric_fn, kernel, points, fold=False):
     counts, the chunk size and the batch a point comes in reproduce it
     bit for bit.
 
-    With ``fold`` set, which only ``_folds`` may allow, the quadrature
-    runs once per distinct c = sort(|x|) (``_signed_orbits``) and entry
-    (i, k) of row x = S c is the gathered V(c)[rank_i, rank_k] times
-    sign_i sign_k, all exact.
+    The quadrature runs once per orbit of ``_signed_orbits``: with
+    ``fold`` set, which only ``_folds`` may allow, once per distinct
+    c = sort(|x|), else once per point.  Entry (i, k) of row x = S c is
+    the gathered V(c)[rank_i, rank_k] times sign_i sign_k, all exact.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     count, n = points.shape
@@ -235,9 +235,7 @@ def _mollify_values(metric_fn, kernel, points, fold=False):
     if np.any(~inner):
         out[~inner] = metric_fn(points[~inner])
     if np.any(inner):
-        quad = points[inner]
-        if fold:
-            quad, orbit, rank, sign = _signed_orbits(quad)
+        quad, orbit, rank, sign = _signed_orbits(points[inner], fold)
         if quad.shape[0] == 1:
             # numpy sums a lone point's node column in another order than a
             # chunk's, so a lone point or orbit is evaluated twice
@@ -265,11 +263,10 @@ def _mollify_values(metric_fn, kernel, points, fold=False):
             # free the chunk before the next one is compressed
             del moved, chain, vals, row, work, term
         vals = np.moveaxis(0.5 * (acc + np.swapaxes(acc, 0, 1)), -1, 0)
-        if fold:
-            vals = vals[orbit.reshape(-1, 1, 1), rank[:, :, None], rank[:, None, :]]
-            vals *= sign[:, :, None]
-            vals *= sign[:, None, :]
-        out[inner] = vals[:np.count_nonzero(inner)]
+        vals = vals[orbit.reshape(-1, 1, 1), rank[:, :, None], rank[:, None, :]]
+        vals *= sign[:, :, None]
+        vals *= sign[:, None, :]
+        out[inner] = vals
     return out
 
 
@@ -349,20 +346,12 @@ def isometry_residual(metric, group, points):
 
     Measures an input metric or a smoothed field alike; ``group`` is any
     iterable of orthogonal matrices, a GroupAction or a plain list of probes.
-    A NaN defect makes the residual NaN.  The field is evaluated once for
-    the points and once per element other than the identity, whose pullback
-    is the base itself: ``base - base`` still reads NaN where the field does.
+    The field is evaluated once for the points and once per element other
+    than the identity (``_worst_defect``).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    base = metric.value(points)
-    eye = np.eye(points.shape[1])
-
-    def pulled(mat):
-        if np.array_equal(mat, eye):
-            return base
-        return np.einsum("ji,rjk,kl->ril", mat, metric.value(points @ mat.T), mat)
-
-    return float(np.max([0.0] + [np.max(np.abs(pulled(mat) - base)) for mat in group]))
+    return _worst_defect(group, metric.value(points), lambda mat: np.einsum(
+        "ji,rjk,kl->ril", mat, metric.value(points @ mat.T), mat))
 
 
 def _stage_symmetries(metric, chart, kernel, matrices):

@@ -68,6 +68,18 @@ class TestExitCodes:
             assert main(["invariance-check", "--config", path]) == 2
             assert "unknown keys: %s" % key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, field, payload", [
+        ("smooth-metric", "grid", {"scenario": "euclid_z4", "epsilons": [0.1]}),
+        ("lipschitz-sweep", "graph_grid", {"scenario": "radial_c11", "epsilons": [0.1],
+                                           "pairs": 2})], ids=["grid", "graph_grid"])
+    def test_a_one_node_grid_is_two(self, tmp_path, capsys, kind, field, payload):
+        # a grid needs two nodes per axis: the run stops at load, before
+        # its output directory exists
+        path = config_file(tmp_path, dict(payload, **{field: 1}))
+        assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "%r must be an integer of at least 2" % field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_past_a_bound_is_two(self, tmp_path, capsys):
         path = config_file(tmp_path, {"scenario": "euclid_z4", "grid": 100000})
         assert main(["smooth-metric", "--config", path]) == 2

@@ -731,6 +731,58 @@ class TestShiftFold:
         assert folded.pair_many(forms).tolist() == unfolded.pair_many(forms).tolist()
 
 
+def einsum_shift_product(sample, kernel):
+    """Frozen copy of the per-chunk einsum shift product, one einsum of
+    the chain and the frames per chunk of inner rows: the oracle of the
+    unfolded gather path."""
+    inner = np.flatnonzero(ballmap._norms(sample.points) < R_IDENTITY)
+    if inner.size == 0:
+        return sample
+    nodes, node_w = kernel.convex_weights()
+    dim, deg = sample.dimension, sample.degree
+    m, k = nodes.shape[0], sample.points.shape[0]
+    pts_out = np.broadcast_to(sample.points.T[:, None, :], (dim, m, k)).copy()
+    frames_out = np.broadcast_to(sample.frames.transpose(1, 2, 0)[..., None, :],
+                                 (deg, dim, m, k)).copy()
+    frames_in = sample.frames[inner]
+    for part, moved, chain in _shift_blocks(sample.points[inner], nodes):
+        rows = inner[part]
+        pts_out[:, :, rows] = moved.transpose(2, 0, 1)
+        frames_out[:, :, :, rows] = np.einsum("ijbk,kaj->aibk", chain, frames_in[part])
+    weights = (node_w[:, None] * sample.weights[None, :]).ravel()
+    return WeightedSample(pts_out.reshape(dim, m * k).T,
+                          frames_out.reshape(deg, dim, m * k).transpose(2, 0, 1), weights)
+
+
+class TestIdentityOrbits:
+    """Unfolded, every row is its own orbit of ``_signed_orbits`` and the
+    shift product runs the gather path with S = I."""
+
+    @pytest.mark.parametrize("dim, degree, count, level", [
+        (2, 1, 300, 2), (2, 2, 40, 1), (3, 1, 60, 1), (3, 2, 40, 2)],
+        ids=["2d_two_chunks", "2d_degree2", "3d_degree1", "3d_degree2"])
+    def test_matches_the_einsum_product_bit_for_bit(self, dim, degree, count, level):
+        rng = np.random.default_rng(dim * 10 + degree)
+        raw = rng.standard_normal((count, dim))
+        radii = rng.uniform(0.0, 1.1, size=count)
+        points = raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii[:, None]
+        # a row on an axis with a negative zero, one past R_IDENTITY
+        points[0] = -0.0
+        points[0, 0] = 0.5
+        points[1] = 0.0
+        points[1, -1] = 0.9
+        inner = ballmap._norms(points) < R_IDENTITY
+        assert 0 < inner.sum() < count
+        sample = WeightedSample(points, rng.standard_normal((count, degree, dim)),
+                                rng.uniform(0.5, 1.5, size=count))
+        kernel = MollifierKernel.create(dim, 0.1, level=level)
+        got, want = currents._shift_product(sample, kernel), einsum_shift_product(sample, kernel)
+        for a, b in ((got.points, want.points), (got.frames, want.frames),
+                     (got.weights, want.weights)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestCutoffPlateau:
     FORM = TestForm(1, 2, {(0,): lambda x: np.exp(x[:, 1]),
                            (1,): lambda x: np.sin(3.0 * x[:, 0])}, 0.9, 0.5)

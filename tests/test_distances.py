@@ -9,8 +9,6 @@ resolution used here.
 """
 
 import itertools
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -527,60 +525,6 @@ class TestDilation:
                   for metric in (scenario.metric, smoothed))
         assert np.array_equal(report.deviations, np.abs(d1 / d0 - 1.0))
 
-
-    def test_shared_reference_is_built_once_across_threads(self, monkeypatch):
-        # more threads than cores and a short switch interval: every
-        # estimate must match its one-off and the reference graph is built once
-        base = sphere_metric()
-        factor = lambda x: 4.0 / (1.0 + np.einsum("ri,ri->r", x, x)) ** 2
-        fields = [conformal_metric(lambda x, s=scale: s * factor(x))
-                  for scale in (1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08)]
-        pairs, grid = seeded_point_pairs(6, 42, 0.9), self.grid()
-        expected = [dilation_estimate(base, field, pairs, grid, mask_radius=0.95).deviations
-                    for field in fields]
-        references = []
-        build = distances.sample_graph
-        monkeypatch.setattr(distances, "sample_graph",
-                            lambda metric, *args, **kw: (metric is base and references.append(1))
-                            or build(metric, *args, **kw))
-        shared = distances._SharedReference(base)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=len(fields)) as pool:
-                futures = [pool.submit(dilation_estimate, shared, field, pairs, grid,
-                                       mask_radius=0.95) for field in fields]
-                reports = [future.result(timeout=60) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(references) == 1
-        for report, deviations in zip(reports, expected):
-            assert np.array_equal(report.deviations, deviations)
-
-    def test_shared_reference_is_built_once_per_input(self, monkeypatch):
-        # other pairs, another grid object, mask radius or order each get a
-        # reference of their own, built once and matching the one-off estimate
-        metric = sphere_metric()
-        smooth = conformal_metric(lambda x: 4.04 / (1.0 + np.einsum("ri,ri->r", x, x)) ** 2)
-        pairs, grid = seeded_point_pairs(6, 42, 0.9), self.grid()
-        cases = [((pairs, grid), dict(mask_radius=0.95)),
-                 ((pairs, self.grid()), dict(mask_radius=0.95)),
-                 ((pairs[::-1], grid), dict(mask_radius=0.95)),
-                 ((pairs, grid), dict(mask_radius=0.9)),
-                 ((pairs, grid), dict(mask_radius=0.95, order=4))]
-        expected = [dilation_estimate(metric, smooth, *args, **kw).deviations
-                    for args, kw in cases]
-        references = []
-        build = distances.sample_graph
-        monkeypatch.setattr(distances, "sample_graph",
-                            lambda field, *args, **kw: (field is metric and references.append(1))
-                            or build(field, *args, **kw))
-        shared = distances._SharedReference(metric)
-        for _ in range(2):
-            for (args, kw), deviations in zip(cases, expected):
-                report = dilation_estimate(shared, smooth, *args, **kw)
-                assert np.array_equal(report.deviations, deviations)
-        assert len(references) == len(cases)
 
     def test_mollified_deviation_shrinks_with_epsilon(self):
         metric = sphere_metric()

@@ -149,9 +149,10 @@ class TestNanStages:
         values = _stage_values(position)
         monkeypatch.setattr(experiments, "_smoothed_field",
                             lambda scenario, kernel: kernel.epsilon)
+        monkeypatch.setattr(experiments, "_reference_side", lambda *args, **kw: None)
         monkeypatch.setattr(
-            experiments, "dilation_estimate",
-            lambda metric, epsilon, pairs, grid, mask_radius:
+            experiments, "_dilation",
+            lambda reference, epsilon, grid, mask_radius:
                 dataclasses.make_dataclass("Report", ["max_deviation"])(values[epsilon]))
         config = ExperimentConfig(scenario="euclid_z4", epsilons=EPSILONS,
                                   graph_grid=5, pairs=2)
@@ -373,6 +374,17 @@ class TestTorusSweepField:
                                             - chart_only.value(pts)))))
         assert gaps[0] <= 1e-5
         assert gaps[1] <= 1e-10
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.0125])
+    def test_sweep_field_is_the_folded_chart_stage(self, epsilon):
+        # the trivial group is one coset, so the sweep field is the folded
+        # chart stage bit for bit
+        scenario = build_scenario("radial_c11")
+        assert scenario.group.is_quadrature and len(scenario.atlas) == 1
+        kernel = _kernel_for(epsilon, 2)
+        pts = _probe_points(scenario)
+        stage = chart_smooth_metric(scenario.metric, scenario.atlas[0], kernel, fold=True)
+        assert np.array_equal(_smoothed_field(scenario, kernel).value(pts), stage.value(pts))
 
 
 def _full_average(scenario, kernel, points, fold=False):

@@ -986,6 +986,16 @@ class TestFold:
             assert np.array_equal(index, unique_index.reshape(-1))
         assert ballmap._distinct_rows(single)[0].shape == (1, 2)
 
+    def test_unfolded_orbits_are_the_points_themselves(self):
+        # without the fold every point is its own orbit, c = x and S = I,
+        # repeated rows and signed zeros included
+        points = np.array([[0.3, -0.2, 0.1], [-0.0, 0.5, 0.0], [0.3, -0.2, 0.1]])
+        reps, orbit, rank, sign = ballmap._signed_orbits(points, fold=False)
+        assert reps is points
+        assert np.array_equal(orbit, np.arange(3))
+        assert np.array_equal(rank, np.tile(np.arange(3), (3, 1)))
+        assert np.array_equal(sign, np.ones((3, 3)))
+
     def test_folded_quadrature_is_that_of_the_np_unique_orbits(self, monkeypatch):
         # on the grid-65 scan, bit for bit the fold keyed by np.unique
         sphere = build_scenario("round_sphere_chart")
