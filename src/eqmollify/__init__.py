@@ -46,7 +46,6 @@ from .distances import (
     seeded_point_pairs,
 )
 from .kernel import (
-    BumpProfile,
     MollifierKernel,
     QuadratureError,
     QuadratureRule,

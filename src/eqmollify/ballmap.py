@@ -2,7 +2,9 @@
 
 A strictly increasing radial profile maps (0, 1) onto (0, infinity): it is
 the identity near zero, blows up like ``exp(1/(1-r)^2)`` near one, and the
-two regimes are joined by a smooth monotone bridge.  Compressing space
+two regimes are joined by a smooth monotone bridge.  One split of the
+radii (``_profile``) gives the profile and its slope together, so an
+expansion evaluates the bridge once per row.  Compressing space
 through the inverse profile gives a diffeomorphism ``ball_compress`` from
 R^n onto the open unit ball which is the identity on a neighborhood of the
 origin.  Conjugating a translation by that diffeomorphism yields a shift map
@@ -50,7 +52,6 @@ __all__ = [
     "BRIDGE_LO",
     "BRIDGE_HI",
     "smooth_step",
-    "smooth_step_derivative",
     "radial_profile",
     "radial_profile_derivative",
     "radial_profile_inverse",
@@ -149,23 +150,12 @@ def smooth_step(u):
     return float(out[0]) if np.ndim(u) == 0 else out
 
 
-def smooth_step_derivative(u):
-    """Derivative of ``smooth_step``; zero outside (0, 1)."""
-    out = _step(np.atleast_1d(np.asarray(u, dtype=float)), True)[1]
-    return float(out[0]) if np.ndim(u) == 0 else out
-
-
 def _window(r):
     return (r - BRIDGE_LO) / (BRIDGE_HI - BRIDGE_LO)
 
 
 def _outer(r):
     return np.exp(1.0 / (1.0 - r) ** 2)
-
-
-def _outer_slope(r, outer):
-    # d/dr exp(1/(1-r)^2), given the value ``outer`` at r
-    return outer * 2.0 / (1.0 - r) ** 3
 
 
 def _bridge(r, derivative=False):
@@ -208,33 +198,35 @@ def _check_open_unit(r, what):
         )
 
 
-def _on_pieces(r, what, identity, bridge, outer):
-    """Evaluate a function of the radius piece by piece: ``identity`` up to
-    BRIDGE_LO, ``bridge`` across the window, ``outer`` from BRIDGE_HI on."""
+def _profile(r, what):
+    """The profile g and its slope g' at r from one split of the radii: the
+    identity up to BRIDGE_LO, ``_bridge`` across the window, exp growth from
+    BRIDGE_HI on.  A radius in neither end piece, nan included, goes to the
+    bridge.  A scalar r gives two floats."""
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     _check_open_unit(r, what)
-    out = np.empty(r.shape)
+    value = r.copy()
+    slope = np.ones(r.shape)
     lo = r <= BRIDGE_LO
     hi = r >= BRIDGE_HI
     mid = ~(lo | hi)
-    out[lo] = identity(r[lo])
-    out[mid] = bridge(r[mid])
-    out[hi] = outer(r[hi])
-    return float(out[0]) if scalar else out
+    value[mid], slope[mid] = _bridge(r[mid], derivative=True)
+    outer = _outer(r[hi])
+    value[hi] = outer
+    slope[hi] = outer * 2.0 / (1.0 - r[hi]) ** 3  # d/dr exp(1/(1-r)^2)
+    return (float(value[0]), float(slope[0])) if scalar else (value, slope)
 
 
 def radial_profile(r):
     """The profile g on (0, R_OVERFLOW): identity, bridge, then exp growth."""
-    return _on_pieces(r, "radial_profile", np.asarray, _bridge, _outer)
+    return _profile(r, "radial_profile")[0]
 
 
 def radial_profile_derivative(r):
     """dg/dr, strictly positive on the whole domain."""
-    return _on_pieces(r, "radial_profile_derivative", np.ones_like,
-                      lambda r: _bridge(r, derivative=True)[1],
-                      lambda r: _outer_slope(r, _outer(r)))
+    return _profile(r, "radial_profile_derivative")[1]
 
 
 def radial_profile_inverse(s, derivative=False):
@@ -245,7 +237,7 @@ def radial_profile_inverse(s, derivative=False):
     a bracketed Newton iteration with bisection safeguard on the bridge.
     Residuals satisfy |g(r) - s| <= _INVERSE_TOLERANCE * max(1, s).  The
     slope is Newton's last one where the inverse lies strictly inside the
-    window, else ``radial_profile_derivative``'s; the two agree bit for bit.
+    window, else ``_profile``'s; the two agree bit for bit.
     """
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
@@ -268,7 +260,7 @@ def radial_profile_inverse(s, derivative=False):
     if not derivative:
         return float(out[0]) if scalar else out
     rest = ~mid | (out <= BRIDGE_LO) | (out >= BRIDGE_HI)
-    slope[rest] = radial_profile_derivative(out[rest])
+    slope[rest] = _profile(out[rest], "radial_profile_inverse")[1]
     return (float(out[0]), float(slope[0])) if scalar else (out, slope)
 
 
@@ -399,8 +391,7 @@ def _radial_map(x, inverse):
             slope[move] = 1.0 / g_slope
             del g_slope
         else:
-            rho = radial_profile(r_m)
-            slope[move] = radial_profile_derivative(r_m)
+            rho, slope[move] = _profile(r_m, "radial_profile")
         ratio[move] = rho / r_m
         del r_m, rho
     np.multiply(pts.T, ratio, out=out.T)

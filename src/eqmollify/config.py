@@ -12,8 +12,8 @@ Schema (all keys optional except ``scenario``):
                       the kind default
     k_values          targets for epsilon selection (default [1, 2, 4], each
                       at most 2^20)
-    out               output directory, or null for runs/<scenario>-<kind>
-                      (the CLI's --out replaces it)
+    out               output directory, a non-empty string, or null for
+                      runs/<scenario>-<kind> (the CLI's --out replaces it)
     seed              RNG seed for probe points and sample pairs (default 42)
 
 Every other value is a constant of the code: the kernel level follows
@@ -108,8 +108,8 @@ class ExperimentConfig:
             raise ConfigError("field 'k_values' must list integers of at most %d"
                               % _MAX_K)
         object.__setattr__(self, "k_values", ks)
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError("field 'out' must be a string or null")
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
+            raise ConfigError("field 'out' must be a non-empty string or null")
 
 
 def load_config(path):

@@ -452,5 +452,8 @@ def run_experiment(kind, config, write=True):
     report = ExperimentReport(scenario=scenario.name, kind=kind, header=header,
                               rows=rows, checks=list(checks))
     if write:
-        _write_report(report, out_dir)
+        try:
+            _write_report(report, out_dir)
+        except OSError as err:
+            raise ConfigError("cannot write report in %r: %s" % (out_dir, err)) from err
     return report

@@ -23,7 +23,6 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "QuadratureError",
-    "BumpProfile",
     "QuadratureRule",
     "MollifierKernel",
     "unit_bump",
@@ -110,22 +109,6 @@ def normalization_constant(dimension):
         lambda r: unit_bump(r) * r ** (n - 1), _NORMALIZATION_TOLERANCE
     )
     return sphere_area(n) * radial
-
-
-@dataclass(frozen=True)
-class BumpProfile:
-    """Normalized radial profile for a fixed ambient dimension."""
-
-    dimension: int
-    lam: float
-
-    @classmethod
-    def for_dimension(cls, dimension):
-        return cls(dimension=int(dimension), lam=normalization_constant(dimension))
-
-    def psi(self, t):
-        """Normalized profile (1/lambda_n) exp(t^2/(t^2-1)), zero for |t| >= 1."""
-        return unit_bump(t) / self.lam
 
 
 @dataclass(frozen=True)
@@ -221,17 +204,18 @@ _DEFAULT_LEVEL = {1: 7, 2: 3, 3: 3}
 class MollifierKernel:
     """A mollifier of radius epsilon in a fixed dimension plus its quadrature.
 
-    ``density`` evaluates the kernel, ``mass`` integrates it with the carried
-    rule (a direct accuracy probe), and ``convex_weights`` exposes the
-    kernel-weighted quadrature weights renormalized to unit sum.  Smoothing
-    operators use the convex weights so that constants are reproduced exactly
-    instead of up to quadrature mass error.
+    ``density`` evaluates ``unit_bump`` scaled to radius epsilon and divided
+    by the dimension's ``normalization_constant``, ``mass`` integrates it
+    with the carried rule (a direct accuracy probe), and ``convex_weights``
+    exposes the kernel-weighted quadrature weights renormalized to unit sum.
+    Smoothing operators use the convex weights so that constants are
+    reproduced exactly instead of up to quadrature mass error.
     """
 
-    def __init__(self, profile, epsilon, quadrature):
+    def __init__(self, dimension, epsilon, quadrature):
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive, got %r" % epsilon)
-        self.profile = profile
+        self.dimension = int(dimension)
         self.epsilon = float(epsilon)
         self.quadrature = quadrature
         self._convex = None
@@ -241,16 +225,10 @@ class MollifierKernel:
         n = int(dimension)
         if level is None:
             level = _DEFAULT_LEVEL.get(n, 3)
-        profile = BumpProfile.for_dimension(n)
-        rule = ball_quadrature(epsilon, n, level)
-        return cls(profile, epsilon, rule)
-
-    @property
-    def dimension(self):
-        return self.profile.dimension
+        return cls(n, epsilon, ball_quadrature(epsilon, n, level))
 
     def density(self, x):
-        """Kernel value f_eps(x) = eps^-n psi(|x|/eps); exact zero for |x| >= eps.
+        """f_eps(x) = eps^-n unit_bump(|x|/eps) / lambda_n; exact zero for |x| >= eps.
 
         Radial by construction: the value is computed through the norm only.
         Accepts a single point (n,) or a batch (N, n).
@@ -264,7 +242,8 @@ class MollifierKernel:
                 % (pts.shape[1], self.dimension)
             )
         r = np.linalg.norm(pts, axis=1)
-        vals = self.profile.psi(r / self.epsilon) / self.epsilon ** self.dimension
+        vals = (unit_bump(r / self.epsilon) / normalization_constant(self.dimension)
+                / self.epsilon ** self.dimension)
         return float(vals[0]) if scalar else vals
 
     def mass(self):

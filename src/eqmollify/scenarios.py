@@ -69,16 +69,15 @@ class Scenario:
                 for fi, form in enumerate(self.forms) if form.degree == cur.degree]
 
 
-def standard_form_bank(dimension=2, support_radius=1.6, flat_radius=1.2):
-    """Twelve forms: constants, monomials up to degree two, one oscillation
-    per form degree, all under a shared radial cutoff.
+def standard_form_bank():
+    """Twelve forms in dimension 2: constants, monomials up to degree two,
+    one oscillation per form degree, all under a shared radial cutoff, flat
+    to radius 1.2 and zero from 1.6.
 
     The cutoff plateau covers every built-in current even after shifts of
     size 0.2, so smoothing sweeps probe the coefficients, not the cutoff.
     """
-    if dimension != 2:
-        raise ScenarioError("form bank is built for dimension 2")
-    kw = dict(dimension=2, support_radius=support_radius, flat_radius=flat_radius)
+    kw = dict(dimension=2, support_radius=1.6, flat_radius=1.2)
     ones = lambda x: np.ones(x.shape[0])
     return (
         TestForm(0, coefficients={(): ones}, **kw),

@@ -92,10 +92,10 @@ def test_smooth_step_shape():
     h = 1e-6
     for t in (0.2, 0.5, 0.8):
         fd = (bm.smooth_step(t + h) - bm.smooth_step(t - h)) / (2 * h)
-        assert bm.smooth_step_derivative(t) == pytest.approx(fd, rel=1e-7)
+        assert bm._step(np.array([t]), True)[1][0] == pytest.approx(fd, rel=1e-7)
     # below about 1e-162 exp(-1/u) and u**2 both underflow: flat, not 0/0
     for t in (5e-324, 1e-200):
-        assert bm.smooth_step_derivative(t) == 0.0
+        assert bm._step(np.array([t]), True)[1][0] == 0.0
 
 
 def test_compress_expand_round_trip():
@@ -380,7 +380,7 @@ def test_fused_bridge_matches_the_separate_formulas():
     # separate value and slope formulas
     u = bm._window(WINDOW)
     w = bm.smooth_step(u)
-    dw = bm.smooth_step_derivative(u) / (bm.BRIDGE_HI - bm.BRIDGE_LO)
+    dw = bm._step(u, True)[1] / (bm.BRIDGE_HI - bm.BRIDGE_LO)
     outer_derivative = bm._outer(WINDOW) * 2.0 / (1.0 - WINDOW) ** 3
     oracle = (1.0 - w) + w * outer_derivative + dw * (bm._outer(WINDOW) - WINDOW)
     value, slope = bm._bridge(WINDOW, derivative=True)
@@ -392,7 +392,7 @@ def test_fused_bridge_matches_the_separate_formulas():
     da, db = a / u[inside] ** 2, b / (1.0 - u[inside]) ** 2
     expected = np.zeros(u.shape)
     expected[inside] = (da * b + a * db) / (a + b) ** 2
-    assert np.array_equal(bm.smooth_step_derivative(u), expected)
+    assert np.array_equal(bm._step(u, True)[1], expected)
 
 
 def test_inverse_slope_is_the_profile_derivative_at_the_inverse():
@@ -424,6 +424,26 @@ def test_compress_jacobian_takes_the_newton_slope():
     unit = np.where(ident[:, None], 0.0, x / s[:, None]).T
     assert np.array_equal(jac, bm._radial_jacobians(
         rho / s, 1 / bm.radial_profile_derivative(rho) - rho / s, unit))
+
+
+def test_expansion_factors_are_the_profile_and_its_slope_bit_for_bit():
+    # t and e come from one split of the radii; they must be bit for bit
+    # what the two public views give, on every piece and a few ulps round
+    # both window edges
+    ulps = np.arange(-4.0, 5.0)
+    radii = np.concatenate([np.linspace(0.01, 0.95, 2001),
+                            bm.BRIDGE_LO + ulps * np.spacing(bm.BRIDGE_LO),
+                            bm.BRIDGE_HI + ulps * np.spacing(bm.BRIDGE_HI)])
+    on_axis = np.zeros((radii.shape[0], 2))
+    on_axis[:, 0] = radii
+    tilted = radii[:, None] * np.array([0.6, -0.8])
+    x = np.concatenate([on_axis, tilted])
+    r = bm._norms(x)
+    assert np.array_equal(r[:radii.shape[0]], radii)
+    _, (t, e, _) = bm._expand_with_jacobian(x)
+    ratio = bm.radial_profile(r) / r
+    assert np.array_equal(t, ratio)
+    assert np.array_equal(e, bm.radial_profile_derivative(r) - ratio)
 
 
 def test_live_row_compaction_puts_every_root_in_its_row():

@@ -168,6 +168,33 @@ class TestExitCodes:
         assert "configuration error" in err and "output directory" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+    def test_empty_out_is_two_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                 flag):
+        # an empty out would fall back to runs/<scenario>-<kind> under the
+        # working directory
+        monkeypatch.chdir(tmp_path)
+        payload = {"scenario": "euclid_z4", "epsilons": [0.2], "grid": 5}
+        path = config_file(tmp_path, payload if flag else dict(payload, out=""))
+        code = main(["smooth-metric", "--config", path] + (["--out", ""] if flag else []))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'out' must be a non-empty string or null" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("blocked", ["results.csv", "summary.json"])
+    def test_unwritable_report_is_two(self, tmp_path, capsys, blocked):
+        # a directory where the report file goes
+        (tmp_path / "out" / blocked).mkdir(parents=True)
+        path = config_file(tmp_path, {"scenario": "euclid_z4", "epsilons": [0.1]})
+        code = main(["invariance-check", "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot write report" in err
+        assert str(tmp_path / "out" / blocked) in err
+        assert "Traceback" not in err
+
     def test_numerical_abort_is_three(self, tmp_path, capsys):
         # a 2x2 lattice has no nodes inside the scan disk, so the distance
         # graph is empty and the sweep aborts

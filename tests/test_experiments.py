@@ -454,7 +454,7 @@ class TestChartStageGuard:
         rule = kernel.quadrature
         weights = rule.weights.copy()
         weights[3] *= 1.5
-        skewed = MollifierKernel(kernel.profile, kernel.epsilon,
+        skewed = MollifierKernel(kernel.dimension, kernel.epsilon,
                                  QuadratureRule(rule.nodes, weights, rule.level))
         assert _coset_count(scenario, kernel) == 1
         assert _coset_count(scenario, skewed) == len(scenario.group)

@@ -36,8 +36,8 @@ def test_profile_values():
     assert kn.unit_bump(2.0) == 0.0
     # even function
     assert kn.unit_bump(0.37) == kn.unit_bump(-0.37)
-    prof = kn.BumpProfile.for_dimension(2)
-    assert prof.psi(0.0) == pytest.approx(1.0 / LAMBDA_ORACLE[2], rel=1e-12)
+    kernel = kn.MollifierKernel.create(2, 1.0, level=1)
+    assert kernel.density(np.zeros(2)) == pytest.approx(1.0 / LAMBDA_ORACLE[2], rel=1e-12)
 
 
 def test_profile_edge_guard_is_finite():
@@ -136,14 +136,17 @@ def test_second_moment_against_oracle(n):
 def test_smoothness_proxy_derivatives_vanish_at_edge():
     # central differences of psi of orders 1..3 stay bounded inside the
     # support and fall to zero approaching the edge
-    prof = kn.BumpProfile.for_dimension(1)
+    kernel = kn.MollifierKernel.create(1, 1.0)
     h = 1e-4
 
+    def psi(t):
+        return kernel.density(np.array([t]))
+
     def d1(t):
-        return (prof.psi(t + h) - prof.psi(t - h)) / (2 * h)
+        return (psi(t + h) - psi(t - h)) / (2 * h)
 
     def d2(t):
-        return (prof.psi(t + h) - 2 * prof.psi(t) + prof.psi(t - h)) / h ** 2
+        return (psi(t + h) - 2 * psi(t) + psi(t - h)) / h ** 2
 
     def d3(t):
         return (d2(t + h) - d2(t - h)) / (2 * h)

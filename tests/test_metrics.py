@@ -1084,8 +1084,7 @@ class TestFold:
         base = np.array([[0.1, 0.35, 0.6], [0.2, 0.25, 0.5], [0.05, 0.4, 0.45]])
         nodes = np.array([signs * b[perm] for b in base for perm, signs, _ in
                           _signed_images(np.arange(3.0))]) * 0.1
-        shipped = MollifierKernel.create(3, 0.1, level=1)
-        return MollifierKernel(shipped.profile, 0.1,
+        return MollifierKernel(3, 0.1,
                                QuadratureRule(nodes, np.ones(len(nodes)), 1))
 
     def test_a_three_dimensional_rule_closed_under_signed_permutations_folds(self):

@@ -69,10 +69,6 @@ class TestFormBank:
         degrees = [form.degree for form in bank]
         assert degrees == [0] * 6 + [1] * 6
 
-    def test_other_dimension_rejected(self):
-        with pytest.raises(ScenarioError):
-            standard_form_bank(dimension=3)
-
     def test_matched_pairs_by_degree(self):
         euclid = build_scenario("euclid_z4")
         pairs = euclid.matched_pairs()
